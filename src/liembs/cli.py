@@ -107,6 +107,14 @@ def _require_mapping(obj, path):
     return obj
 
 
+def _is_finite_number(value):
+    # json.loads accepts NaN, Infinity and integers too large for a float;
+    # the comparison is False for all three.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max
+
+
 def _field(mapping, path, key, required=True, default=None):
     if key in mapping:
         return mapping[key]
@@ -119,8 +127,8 @@ def _number(mapping, path, key, required=True, default=None):
     value = _field(mapping, path, key, required, default)
     if value is default and not required:
         return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}.{key}: expected a number")
+    if not _is_finite_number(value):
+        raise SchemaError(f"{path}.{key}: expected a finite number")
     return float(value)
 
 
@@ -152,9 +160,10 @@ def _vector(mapping, path, key, size, required=True, default=None):
         return None if default is None else np.asarray(default, dtype=float)
     if not isinstance(value, list) or len(value) != size:
         raise SchemaError(f"{path}.{key}: expected a list of {size} numbers")
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise SchemaError(f"{path}.{key}: expected a list of {size} numbers")
+    if not all(_is_finite_number(item) for item in value):
+        raise SchemaError(
+            f"{path}.{key}: expected a list of {size} finite numbers"
+        )
     return np.asarray(value, dtype=float)
 
 

@@ -16,25 +16,23 @@ local chart coordinates of a transition-map combo:
     Vdot  -> from the saddle system evaluated at q = apply_lgt(combo, q_k, X)
 
 Models are duck-typed; see :mod:`liembs.models` for the interface in use:
-attributes ``n_bodies``, ``group_model``, ``mass_matrix``, ``n_constraints``
-and methods ``forces(qs, V, t)``, ``constraints(qs)``, ``jacobian(qs)``,
+attributes ``n_bodies``, ``group_model``, ``mass_matrix``, ``n_constraints``,
+``mass_factor`` (the Cholesky factor of ``mass_matrix`` as ``cho_factor``
+returns it; read only when ``n_constraints`` is 0) and methods
+``forces(qs, V, t)``, ``constraints(qs)``, ``jacobian(qs)``,
 ``adotv(qs, V)``, ``energy(qs, V)``.
 """
 
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import cho_solve, lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon
 
 from .errors import SingularKkt, VariantMismatch
 from .lgt import apply_lgt_stacked, combo, combo_dpsi_inv
 
 _RCOND_LIMIT = 1.0e-12
-
-# Constant-mass-matrix factorizations, keyed by model instance.
-_MASS_SOLVES = WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -57,16 +55,6 @@ def make_state(qs, v, t=0.0):
     return MbsState(qs, v, float(t))
 
 
-def _mass_factor(model):
-    """Cached Cholesky factorization of the model's constant mass matrix."""
-    try:
-        return _MASS_SOLVES[model]
-    except KeyError:
-        factor = cho_factor(np.asarray(model.mass_matrix, dtype=float))
-        _MASS_SOLVES[model] = factor
-        return factor
-
-
 def solve_kkt(model, state):
     """Accelerations and constraint multipliers at a state.
 
@@ -77,7 +65,7 @@ def solve_kkt(model, state):
     q = model.forces(state.qs, state.V, state.t)
     m_bar = model.n_constraints
     if m_bar == 0:
-        return cho_solve(_mass_factor(model), q), np.zeros(0)
+        return cho_solve(model.mass_factor, q), np.zeros(0)
 
     n = 6 * model.n_bodies
     a = model.jacobian(state.qs)

@@ -1,16 +1,18 @@
 """Fixed-step time integrators on the local-coordinate state equations.
 
-Three schemes share one driver:
+One classical RK4 routine on a flat state vector serves every scheme, and
+:func:`step` advances one step of the configured scheme and projection:
 
-* ``MuntheKaasRK4`` — classic RK4 applied to the local model
-  ``(Vdot, Xdot) = local_rhs`` restarted from ``X = 0`` every step, with the
-  configuration advanced through the transition map;
-* ``LocalVectorRK4`` — the same discretization exposed under the name of the
-  plain vector-space method it literally is (the restart makes the local
-  model an ordinary ODE on R^{6N}, so any one-step tableau applies);
-* ``BaselineQuatRK4`` — classical RK4 on the quaternion rate equation
-  ``Qdot = 1/2 Q (0, omega)`` with explicit renormalization each step,
-  kept as the reference point the chart-based schemes are measured against.
+* ``MuntheKaasRK4`` — RK4 on the local model ``(Xdot, Vdot) = local_rhs``
+  with ``y = (X, V)`` restarted from ``X = 0`` every step, the configuration
+  advanced through the transition map afterwards. The restart makes the
+  local model an ordinary ODE on R^{6N}, so any one-step tableau applies;
+* ``LocalVectorRK4`` — the name of the plain vector-space method this
+  literally is; it runs the same code;
+* ``BaselineQuatRK4`` — RK4 on ``y = (Q, r, V)`` with the quaternion rate
+  equation ``Qdot = 1/2 Q (0, omega)`` and explicit renormalization each
+  step, kept as the reference point the chart-based schemes are measured
+  against.
 
 Constraint drift is controlled, when requested, by a post-step projection:
 Gauss-Newton on the position constraints moving the configuration through
@@ -75,10 +77,10 @@ class IntegratorConfig:
                 f"unknown projection mode {self.projection!r}; "
                 f"expected one of {PROJECTION_MODES}"
             )
-        if not self.h > 0.0:
-            raise ValueError("step size h must be positive")
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be nonnegative")
+        if not (math.isfinite(self.h) and self.h > 0.0):
+            raise ValueError("step size h must be positive and finite")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
+            raise ValueError("t_end must be finite and nonnegative")
         if not self.projection_tol > 0.0:
             raise ValueError("projection_tol must be positive")
         if self.projection_max_iter < 1:
@@ -130,46 +132,20 @@ def _guard_chart(x, n_bodies):
             )
 
 
-def _rk4_local_step(model, cmb, state, h):
-    """One RK4 step of the local model restarted at X = 0."""
-    qs = state.qs
-    v0 = state.V
-    t0 = state.t
-    n_bodies = model.n_bodies
-    x0 = np.zeros(v0.size)
+def _rk4(rate, t0, y0, h, guard):
+    """One classical RK4 step of y' = rate(t, y) on a flat state vector.
 
-    vd1, xd1 = local_rhs(model, cmb, qs, x0, v0, t0)
-    x2 = (0.5 * h) * xd1
-    _guard_chart(x2, n_bodies)
-    vd2, xd2 = local_rhs(model, cmb, qs, x2, v0 + (0.5 * h) * vd1, t0 + 0.5 * h)
-    x3 = (0.5 * h) * xd2
-    _guard_chart(x3, n_bodies)
-    vd3, xd3 = local_rhs(model, cmb, qs, x3, v0 + (0.5 * h) * vd2, t0 + 0.5 * h)
-    x4 = h * xd3
-    _guard_chart(x4, n_bodies)
-    vd4, xd4 = local_rhs(model, cmb, qs, x4, v0 + h * vd3, t0 + h)
-
-    x_end = (h / 6.0) * (xd1 + 2.0 * xd2 + 2.0 * xd3 + xd4)
-    _guard_chart(x_end, n_bodies)
-    v_end = v0 + (h / 6.0) * (vd1 + 2.0 * vd2 + 2.0 * vd3 + vd4)
-    qs_end = apply_lgt_stacked(cmb, qs, x_end)
-    return MbsState(tuple(qs_end), v_end, t0 + h)
-
-
-def step_munthe_kaas(model, cmb, state, h):
-    """Advance one step with RK4 on the restarted local model."""
-    return _rk4_local_step(model, combo(cmb), state, h)
-
-
-def step_local_vector(model, cmb, state, h):
-    """Advance one step with vector-space RK4 on the local model.
-
-    The restart at X = 0 turns each step into an ordinary initial-value
-    problem on R^{6N}, so the vector-space method and the group method are
-    the same computation; this shares the code path with
-    :func:`step_munthe_kaas` on purpose.
+    guard(y) runs on every stage state and on the result before it is used.
     """
-    return _rk4_local_step(model, combo(cmb), state, h)
+    ks = [rate(t0, y0)]
+    for c in (0.5, 0.5, 1.0):
+        y = y0 + (c * h) * ks[-1]
+        guard(y)
+        ks.append(rate(t0 + c * h, y))
+    k1, k2, k3, k4 = ks
+    y = y0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    guard(y)
+    return y
 
 
 def _require_baseline_state(model, state):
@@ -186,73 +162,74 @@ def _require_baseline_state(model, state):
             )
 
 
-def _baseline_rates(model, quats, rs, v, t):
-    n_bodies = model.n_bodies
-    qs = []
+def _unit_quat_coords(y, n_bodies):
+    """QuatPos coordinates of the (Q, r) part of a baseline state vector,
+    each quaternion renormalized, and the norms it had."""
+    quats, rs = y[: 4 * n_bodies], y[4 * n_bodies : 7 * n_bodies]
+    qs, norms = [], np.empty(n_bodies)
     for i in range(n_bodies):
         quat = quats[4 * i : 4 * i + 4]
-        unit = quat / math.sqrt(float(quat @ quat))
-        qs.append(quat_pos(unit, rs[3 * i : 3 * i + 3]))
-    vdot = forward_dynamics(model, MbsState(tuple(qs), v, t))
+        norms[i] = math.sqrt(float(quat @ quat))
+        qs.append(quat_pos(quat / norms[i], rs[3 * i : 3 * i + 3]))
+    return tuple(qs), norms
+
+
+def _baseline_rate(model, t, y):
+    """Rates of y = (Q, r, V): quaternion kinematics, rdot = v, dynamics."""
+    n_bodies = model.n_bodies
+    quats, v = y[: 4 * n_bodies], y[7 * n_bodies :]
+    qs, _ = _unit_quat_coords(y, n_bodies)
+    vdot = forward_dynamics(model, MbsState(qs, v, t))
     qdot = np.empty_like(quats)
-    rdot = np.empty_like(rs)
     for i in range(n_bodies):
         omega = v[6 * i : 6 * i + 3]
-        quat = quats[4 * i : 4 * i + 4]
         qdot[4 * i : 4 * i + 4] = 0.5 * quat_mul(
-            quat, np.array([0.0, omega[0], omega[1], omega[2]])
+            quats[4 * i : 4 * i + 4], np.array([0.0, omega[0], omega[1], omega[2]])
         )
-        rdot[3 * i : 3 * i + 3] = v[6 * i + 3 : 6 * i + 6]
-    return vdot, qdot, rdot
+    rdot = v.reshape(n_bodies, 6)[:, 3:].ravel()
+    return np.concatenate([qdot, rdot, vdot])
 
 
-def _baseline_step_with_drift(model, state, h):
-    """RK4 on (V, Q, r); returns the renormalized state and the per-body
-    quaternion norm drift measured before renormalization."""
-    _require_baseline_state(model, state)
+def step(model, config, state):
+    """Advance one step of the configured scheme and projection.
+
+    Returns ``(state, qnorm_drift)``. For the baseline the drift is the
+    per-body quaternion norm error before renormalization; the chart
+    schemes preserve the norm by construction and return None.
+    """
+    h = config.h
     n_bodies = model.n_bodies
-    quats0 = np.concatenate([q.rot for q in state.qs])
-    rs0 = np.concatenate([q.r for q in state.qs])
-    v0 = state.V
-    t0 = state.t
+    if config.scheme == BASELINE_QUAT_RK4:
+        _require_baseline_state(model, state)
+        y0 = np.concatenate(
+            [q.rot for q in state.qs] + [q.r for q in state.qs] + [state.V]
+        )
+        y = _rk4(
+            lambda t, yy: _baseline_rate(model, t, yy), state.t, y0, h,
+            lambda yy: None,
+        )
+        qs, norms = _unit_quat_coords(y, n_bodies)
+        return MbsState(qs, y[7 * n_bodies :], state.t + h), np.abs(norms - 1.0)
 
-    vd1, qd1, rd1 = _baseline_rates(model, quats0, rs0, v0, t0)
-    vd2, qd2, rd2 = _baseline_rates(
-        model,
-        quats0 + (0.5 * h) * qd1,
-        rs0 + (0.5 * h) * rd1,
-        v0 + (0.5 * h) * vd1,
-        t0 + 0.5 * h,
+    # The chart restarts at X = 0, so y = (X, V) is an ordinary ODE state.
+    cmb = combo(config.combo)
+    n = state.V.size
+
+    def rate(t, y):
+        vdot, xdot = local_rhs(model, cmb, state.qs, y[:n], y[n:], t)
+        return np.concatenate([xdot, vdot])
+
+    y = _rk4(
+        rate, state.t, np.concatenate([np.zeros(n), state.V]), h,
+        lambda yy: _guard_chart(yy[:n], n_bodies),
     )
-    vd3, qd3, rd3 = _baseline_rates(
-        model,
-        quats0 + (0.5 * h) * qd2,
-        rs0 + (0.5 * h) * rd2,
-        v0 + (0.5 * h) * vd2,
-        t0 + 0.5 * h,
-    )
-    vd4, qd4, rd4 = _baseline_rates(
-        model, quats0 + h * qd3, rs0 + h * rd3, v0 + h * vd3, t0 + h
-    )
-
-    quats = quats0 + (h / 6.0) * (qd1 + 2.0 * qd2 + 2.0 * qd3 + qd4)
-    rs = rs0 + (h / 6.0) * (rd1 + 2.0 * rd2 + 2.0 * rd3 + rd4)
-    v = v0 + (h / 6.0) * (vd1 + 2.0 * vd2 + 2.0 * vd3 + vd4)
-
-    drift = np.empty(n_bodies)
-    qs_end = []
-    for i in range(n_bodies):
-        quat = quats[4 * i : 4 * i + 4]
-        norm = math.sqrt(float(quat @ quat))
-        drift[i] = abs(norm - 1.0)
-        qs_end.append(quat_pos(quat / norm, rs[3 * i : 3 * i + 3]))
-    return MbsState(tuple(qs_end), v, t0 + h), drift
-
-
-def step_baseline_quat(model, state, h):
-    """Advance one step with the classical renormalized quaternion RK4."""
-    new_state, _ = _baseline_step_with_drift(model, state, h)
-    return new_state
+    qs = apply_lgt_stacked(cmb, state.qs, y[:n])
+    state = MbsState(tuple(qs), y[n:], state.t + h)
+    if config.projection == PROJECTION_POSITION_VELOCITY:
+        state = project(
+            model, cmb, state, config.projection_tol, config.projection_max_iter
+        )
+    return state, None
 
 
 def _chart_increment_scale(cmb, n_bodies):
@@ -380,19 +357,7 @@ def integrate(model, config, state0):
     _record(0)
     for k in range(n_steps):
         try:
-            if baseline:
-                state, drift = _baseline_step_with_drift(model, state, config.h)
-            else:
-                drift = None
-                state = _rk4_local_step(model, cmb, state, config.h)
-                if config.projection == PROJECTION_POSITION_VELOCITY:
-                    state = project(
-                        model,
-                        cmb,
-                        state,
-                        config.projection_tol,
-                        config.projection_max_iter,
-                    )
+            state, drift = step(model, config, state)
         except LiembsError as exc:
             raise StepFailed(k, state.t, exc) from exc
         _record(k + 1, drift)

@@ -1,4 +1,9 @@
-"""Concrete rigid body models: free body, pinned body, two-body chain.
+"""Rigid body models: bodies coupled by spherical joints.
+
+One class, :class:`SphericalJointSystem`, holds N bodies and any number of
+spherical joints between two bodies or between a body and the ground. The
+constructors ``free_rigid_body``, ``pinned_body`` and ``two_body_chain``
+build the shipped models with it.
 
 Every model picks one group model for its twists:
 
@@ -18,6 +23,7 @@ dynamics layer stays representation-agnostic.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor
 
 from .lgt import alpha_map
 from .motiongroups import DIRECT_PRODUCT, GROUP_MODELS, SEMIDIRECT
@@ -73,18 +79,21 @@ def _mass_block(params, group_model):
     return out
 
 
-class _RigidBodySystem:
-    """Shared assembly for N-body models under one group model.
+class SphericalJointSystem:
+    """Rigid bodies under one group model, coupled by spherical joints.
 
-    Subclasses add constraints by overriding n_constraints, constraints,
-    jacobian, and adotv.
+    Each joint is ``(body_a, point_a, body_b, point_b)``: the body-frame
+    point point_a of body body_a coincides with point_b of body body_b, or,
+    when body_b is None, with the world point point_b. A joint contributes
+    three constraint rows ``(r_a + R_a p_a) - (r_b + R_b p_b)``. Every
+    method builds each body's pose once per call.
     """
 
-    def __init__(self, body_params, group_model):
+    def __init__(self, bodies, joints, group_model):
         if group_model not in GROUP_MODELS:
             raise ValueError(f"unknown group model {group_model!r}")
         self.group_model = group_model
-        self.bodies = tuple(body_params)
+        self.bodies = tuple(bodies)
         self.n_bodies = len(self.bodies)
         for i, params in enumerate(self.bodies):
             s = _vec3(params.com_offset, "com_offset")
@@ -94,13 +103,15 @@ class _RigidBodySystem:
                     "the body frame at the center of mass; move the frame or "
                     "use the semidirect model"
                 )
+        self.joints = tuple(joints)
+        self.n_constraints = 3 * len(self.joints)
         blocks = [_mass_block(p, group_model) for p in self.bodies]
         self.mass_matrix = np.zeros((6 * self.n_bodies, 6 * self.n_bodies))
         for i, block in enumerate(blocks):
             self.mass_matrix[6 * i : 6 * i + 6, 6 * i : 6 * i + 6] = block
         self._mass_blocks = blocks
-
-    n_constraints = 0
+        # The mass matrix is constant: factor it once for unconstrained solves.
+        self.mass_factor = cho_factor(self.mass_matrix)
 
     def forces(self, qs, v, t):
         """Gyroscopic bias plus gravity, stacked over bodies."""
@@ -128,13 +139,57 @@ class _RigidBodySystem:
         return out
 
     def constraints(self, qs):
-        return np.zeros(0)
+        poses = [alpha_map(q) for q in qs]
+        out = np.empty(self.n_constraints)
+        for j, (a, p_a, b, p_b) in enumerate(self.joints):
+            rot_a, r_a = poses[a]
+            if b is not None:
+                rot_b, r_b = poses[b]
+                p_b = r_b + rot_b @ p_b
+            out[3 * j : 3 * j + 3] = (r_a + rot_a @ p_a) - p_b
+        return out
+
+    def _point_rows(self, rot, point):
+        """Jacobian block of d/dt (r + R point) w.r.t. one body's twist."""
+        rows = np.zeros((3, 6))
+        rows[:, :3] = -rot @ hat(point)
+        if self.group_model == SEMIDIRECT:
+            rows[:, 3:] = rot
+        else:
+            rows[:, 3:] = np.eye(3)
+        return rows
 
     def jacobian(self, qs):
-        return np.zeros((0, 6 * self.n_bodies))
+        rots = [alpha_map(q)[0] for q in qs]
+        out = np.zeros((self.n_constraints, 6 * self.n_bodies))
+        for j, (a, p_a, b, p_b) in enumerate(self.joints):
+            out[3 * j : 3 * j + 3, 6 * a : 6 * a + 6] = self._point_rows(rots[a], p_a)
+            if b is not None:
+                out[3 * j : 3 * j + 3, 6 * b : 6 * b + 6] = -self._point_rows(
+                    rots[b], p_b
+                )
+        return out
+
+    def _point_curvature(self, rot, point, vi):
+        """(d/dt of the point-velocity rows) acting on the body's twist."""
+        omega = vi[:3]
+        swing = cross3(omega, point)
+        if self.group_model == SEMIDIRECT:
+            return rot @ cross3(omega, vi[3:] + swing)
+        return rot @ cross3(omega, swing)
 
     def adotv(self, qs, v):
-        return np.zeros(0)
+        rots = [alpha_map(q)[0] for q in qs]
+        out = np.empty(self.n_constraints)
+        for j, (a, p_a, b, p_b) in enumerate(self.joints):
+            out[3 * j : 3 * j + 3] = self._point_curvature(
+                rots[a], p_a, v[6 * a : 6 * a + 6]
+            )
+            if b is not None:
+                out[3 * j : 3 * j + 3] -= self._point_curvature(
+                    rots[b], p_b, v[6 * b : 6 * b + 6]
+                )
+        return out
 
     def energy(self, qs, v):
         """Kinetic plus gravitational potential energy."""
@@ -148,133 +203,31 @@ class _RigidBodySystem:
             )
         return total
 
-
-class FreeRigidBody(_RigidBodySystem):
-    """Unconstrained single body; requires the frame at the center of mass."""
-
-    def __init__(self, params, group_model):
-        s = _vec3(params.com_offset, "com_offset")
-        if float(s @ s) > 0.0:
-            raise ValueError(
-                "free_rigid_body expects the body frame at the center of mass"
-            )
-        super().__init__([params], group_model)
-
     def angular_momentum(self, qs, v):
         """Spatial angular momentum about the world origin."""
-        params = self.bodies[0]
-        rot, r = alpha_map(qs[0])
-        omega = v[:3]
-        if self.group_model == SEMIDIRECT:
-            rdot = rot @ v[3:]
-        else:
-            rdot = v[3:]
-        return rot @ (np.diag(params.inertia) @ omega) + params.mass * cross3(
-            r, rdot
-        )
-
-
-class PinnedBody(_RigidBodySystem):
-    """Single body with one point fixed in space through a spherical joint."""
-
-    n_constraints = 3
-
-    def __init__(self, params, pin_point_body, anchor_world, group_model):
-        super().__init__([params], group_model)
-        self.pin_point_body = _vec3(pin_point_body, "pin_point_body")
-        self.anchor_world = _vec3(anchor_world, "anchor_world")
-
-    def constraints(self, qs):
-        rot, r = alpha_map(qs[0])
-        return r + rot @ self.pin_point_body - self.anchor_world
-
-    def jacobian(self, qs):
-        rot, _ = alpha_map(qs[0])
-        out = np.zeros((3, 6))
-        out[:, :3] = -rot @ hat(self.pin_point_body)
-        if self.group_model == SEMIDIRECT:
-            out[:, 3:] = rot
-        else:
-            out[:, 3:] = np.eye(3)
-        return out
-
-    def adotv(self, qs, v):
-        rot, _ = alpha_map(qs[0])
-        omega = v[:3]
-        swing = cross3(omega, self.pin_point_body)
-        if self.group_model == SEMIDIRECT:
-            return rot @ cross3(omega, v[3:] + swing)
-        return rot @ cross3(omega, swing)
-
-
-class TwoBodyChain(_RigidBodySystem):
-    """Ground-body1 and body1-body2 spherical joints (six constraint rows)."""
-
-    n_constraints = 6
-
-    def __init__(
-        self, params1, params2, joint_points, anchor_world, group_model
-    ):
-        super().__init__([params1, params2], group_model)
-        p_ground, p_joint1, p_joint2 = joint_points
-        self.p_ground = _vec3(p_ground, "joint_points[0]")
-        self.p_joint1 = _vec3(p_joint1, "joint_points[1]")
-        self.p_joint2 = _vec3(p_joint2, "joint_points[2]")
-        self.anchor_world = _vec3(anchor_world, "anchor_world")
-
-    def constraints(self, qs):
-        rot1, r1 = alpha_map(qs[0])
-        rot2, r2 = alpha_map(qs[1])
-        return np.concatenate(
-            [
-                r1 + rot1 @ self.p_ground - self.anchor_world,
-                (r1 + rot1 @ self.p_joint1) - (r2 + rot2 @ self.p_joint2),
-            ]
-        )
-
-    def _point_rows(self, rot, point):
-        """Jacobian block of d/dt (r + R point) w.r.t. one body's twist."""
-        rows = np.zeros((3, 6))
-        rows[:, :3] = -rot @ hat(point)
-        if self.group_model == SEMIDIRECT:
-            rows[:, 3:] = rot
-        else:
-            rows[:, 3:] = np.eye(3)
-        return rows
-
-    def jacobian(self, qs):
-        rot1, _ = alpha_map(qs[0])
-        rot2, _ = alpha_map(qs[1])
-        out = np.zeros((6, 12))
-        out[:3, :6] = self._point_rows(rot1, self.p_ground)
-        out[3:, :6] = self._point_rows(rot1, self.p_joint1)
-        out[3:, 6:] = -self._point_rows(rot2, self.p_joint2)
-        return out
-
-    def _point_curvature(self, rot, point, vi):
-        """(d/dt of the point-velocity rows) acting on the body's twist."""
-        omega = vi[:3]
-        swing = cross3(omega, point)
-        if self.group_model == SEMIDIRECT:
-            return rot @ cross3(omega, vi[3:] + swing)
-        return rot @ cross3(omega, swing)
-
-    def adotv(self, qs, v):
-        rot1, _ = alpha_map(qs[0])
-        rot2, _ = alpha_map(qs[1])
-        v1, v2 = v[:6], v[6:]
-        return np.concatenate(
-            [
-                self._point_curvature(rot1, self.p_ground, v1),
-                self._point_curvature(rot1, self.p_joint1, v1)
-                - self._point_curvature(rot2, self.p_joint2, v2),
-            ]
-        )
+        total = np.zeros(3)
+        for i, params in enumerate(self.bodies):
+            rot, r = alpha_map(qs[i])
+            vi = v[6 * i : 6 * i + 6]
+            omega = vi[:3]
+            rdot = rot @ vi[3:] if self.group_model == SEMIDIRECT else vi[3:]
+            s = np.asarray(params.com_offset, dtype=float)
+            com = r + rot @ s
+            com_dot = rdot + rot @ cross3(omega, s)
+            total += rot @ (np.diag(params.inertia) @ omega) + params.mass * cross3(
+                com, com_dot
+            )
+        return total
 
 
 def free_rigid_body(params, group_model=SEMIDIRECT):
     """Unconstrained rigid body with the frame at the center of mass."""
-    return FreeRigidBody(params, group_model)
+    s = _vec3(params.com_offset, "com_offset")
+    if float(s @ s) > 0.0:
+        raise ValueError(
+            "free_rigid_body expects the body frame at the center of mass"
+        )
+    return SphericalJointSystem([params], [], group_model)
 
 
 def pinned_body(
@@ -282,7 +235,13 @@ def pinned_body(
 ):
     """Rigid body with the body point pin_point_body welded to anchor_world
     through a spherical joint (three constraint equations)."""
-    return PinnedBody(params, pin_point_body, anchor_world, group_model)
+    joint = (
+        0,
+        _vec3(pin_point_body, "pin_point_body"),
+        None,
+        _vec3(anchor_world, "anchor_world"),
+    )
+    return SphericalJointSystem([params], [joint], group_model)
 
 
 def two_body_chain(
@@ -297,4 +256,11 @@ def two_body_chain(
     joint_points is a triple (ground pin on body 1, chain joint on body 1,
     chain joint on body 2), all in body frames.
     """
-    return TwoBodyChain(params1, params2, joint_points, anchor_world, group_model)
+    p_ground, p_joint1, p_joint2 = (
+        _vec3(p, f"joint_points[{i}]") for i, p in enumerate(joint_points)
+    )
+    joints = [
+        (0, p_ground, None, _vec3(anchor_world, "anchor_world")),
+        (0, p_joint1, 1, p_joint2),
+    ]
+    return SphericalJointSystem([params1, params2], joints, group_model)

@@ -29,7 +29,6 @@ from .rotmaps import (
     dexp_inv_so3,
     dexp_so3,
     exp_so3,
-    exp_sp1,
     hat,
     trig_coefficients,
 )
@@ -160,12 +159,6 @@ def dcay_inv_dp(cd):
     return out
 
 
-def exp_sp1xr3(xy):
-    """Exponential on Sp(1) x R^3: a (unit quaternion, position) pair."""
-    xy = np.asarray(xy, dtype=float)
-    return exp_sp1(xy[:3]), np.array(xy[3:], dtype=float)
-
-
 def compose(group_model, pose1, pose2):
     """Group composition of two (rotation, position) pairs."""
     r1, p1 = pose1
@@ -175,38 +168,6 @@ def compose(group_model, pose1, pose2):
     if group_model == DIRECT_PRODUCT:
         return r1 @ r2, np.asarray(p1, dtype=float) + p2
     raise ValueError(f"unknown group model {group_model!r}")
-
-
-def inverse(group_model, pose):
-    """Group inverse of a (rotation, position) pair."""
-    r, p = pose
-    if group_model == SEMIDIRECT:
-        return r.T, -(r.T @ p)
-    if group_model == DIRECT_PRODUCT:
-        return r.T, -np.asarray(p, dtype=float)
-    raise ValueError(f"unknown group model {group_model!r}")
-
-
-def identity_pose():
-    """The identity (R, r) pair."""
-    return np.eye(3), np.zeros(3)
-
-
-def ad(group_model, v):
-    """Adjoint representation of a twist, ad(v) w = [v, w], as 6x6.
-
-    For the direct product the translational factor is abelian and the
-    linear rows vanish; for SE(3) the full semidirect bracket applies.
-    """
-    v = np.asarray(v, dtype=float)
-    out = np.zeros((6, 6))
-    out[:3, :3] = hat(v[:3])
-    if group_model == SEMIDIRECT:
-        out[3:, :3] = hat(v[3:])
-        out[3:, 3:] = hat(v[:3])
-    elif group_model != DIRECT_PRODUCT:
-        raise ValueError(f"unknown group model {group_model!r}")
-    return out
 
 
 _MAPS = {

@@ -191,15 +191,8 @@ def cay_so3(c):
     return np.eye(3) + sigma * (ch + ch @ ch)
 
 
-def dcay_so3(c):
-    """Right-trivialized differential of :func:`cay_so3` as a 3x3 matrix."""
-    c = np.asarray(c, dtype=float)
-    sigma = 2.0 / (1.0 + float(c @ c))
-    return sigma * (np.eye(3) + hat(c))
-
-
 def dcay_inv_so3(c):
-    """Inverse of :func:`dcay_so3`, polynomial in c."""
+    """Inverse right differential of :func:`cay_so3`, polynomial in c."""
     c = np.asarray(c, dtype=float)
     ch = hat(c)
     return (0.5 * (1.0 + float(c @ c))) * np.eye(3) + 0.5 * (ch @ ch - ch)
@@ -217,11 +210,6 @@ def quat_mul(p, q):
             p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
         ]
     )
-
-
-def quat_conj(q):
-    """Conjugate (= inverse, for unit quaternions)."""
-    return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
 def exp_sp1(x):

@@ -124,6 +124,25 @@ def fd_right_differential_dp(psi_pair, xy, h=1e-6):
     return np.column_stack(cols)
 
 
+def dcay_so3(c):
+    """Right-trivialized differential of the Cayley map on SO(3), 3x3."""
+    c = np.asarray(c, dtype=float)
+    return (2.0 / (1.0 + float(c @ c))) * (np.eye(3) + skew(c))
+
+
+def pose_inverse(group_model, pose):
+    """Group inverse of a (rotation, position) pair.
+
+    group_model is "se3" (semidirect) or "so3xr3" (direct product).
+    """
+    r, p = pose
+    if group_model == "se3":
+        return r.T, -(r.T @ p)
+    if group_model == "so3xr3":
+        return r.T, -np.asarray(p, dtype=float)
+    raise ValueError(f"unknown group model {group_model!r}")
+
+
 def quat_to_matrix(q):
     """Rotation matrix of a unit quaternion, textbook component form."""
     w, x, y, z = q

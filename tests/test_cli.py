@@ -92,6 +92,33 @@ def test_missing_field_exits_2_with_path(tmp_path, capsys):
     assert "model.bodies[0].mass_kg" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section,key,value,field",
+    [
+        ("integrator", "t_end_s", float("inf"), "integrator.t_end_s"),
+        ("integrator", "t_end_s", float("nan"), "integrator.t_end_s"),
+        ("integrator", "h_s", float("inf"), "integrator.h_s"),
+        (
+            "body",
+            "angular_velocity_radps",
+            [float("nan"), 0.0, 0.0],
+            "initial_state.bodies[0].angular_velocity_radps",
+        ),
+    ],
+)
+def test_non_finite_number_exits_2_with_path(
+    tmp_path, capsys, section, key, value, field
+):
+    doc = _load("free_tumble.json")
+    if section == "body":
+        doc["initial_state"]["bodies"][0][key] = value
+    else:
+        doc[section][key] = value
+    path = _write(tmp_path, doc)  # json.dumps writes NaN and Infinity
+    assert main(["run", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_bad_combo_exits_2(tmp_path, capsys):
     doc = _load("free_tumble.json")
     doc["integrator"]["combo"] = "3z"

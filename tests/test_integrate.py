@@ -21,9 +21,7 @@ from liembs.integrate import (
     IntegratorConfig,
     integrate,
     project,
-    step_baseline_quat,
-    step_local_vector,
-    step_munthe_kaas,
+    step,
 )
 from liembs.lgt import (
     AXIS_ANGLE_POS,
@@ -54,6 +52,11 @@ def _free_model(cmb, params=_FREE):
     return free_rigid_body(params, combo(cmb).group_model)
 
 
+def _step(model, cid, state, h, scheme=MUNTHE_KAAS_RK4):
+    """One step without projection; the drift output is dropped."""
+    return step(model, IntegratorConfig(scheme, cid, h=h), state)[0]
+
+
 def _tumble_start(cmb):
     model = _free_model(cmb)
     q0 = identity_coords(combo(cmb).abs_kind)
@@ -65,7 +68,7 @@ def test_zero_velocity_zero_force_is_fixed_point():
     for cid in ("1a", "2c"):
         model = _free_model(cid)
         state = make_state([identity_coords(combo(cid).abs_kind)], np.zeros(6))
-        out = step_munthe_kaas(model, cid, state, 0.1)
+        out = _step(model, cid, state, 0.1)
         assert np.allclose(out.V, 0.0)
         rot0, r0 = alpha_map(state.qs[0])
         rot1, r1 = alpha_map(out.qs[0])
@@ -90,7 +93,7 @@ def test_spherical_body_advances_by_exact_exponential(cid):
     )
     rot_exact = np.eye(3)
     for _ in range(10):
-        state = step_munthe_kaas(model, cid, state, h)
+        state = _step(model, cid, state, h)
         rot_exact = rot_exact @ exp_so3(h * omega)
     rot, _ = alpha_map(state.qs[0])
     assert np.max(np.abs(rot - rot_exact)) < 1e-12
@@ -98,8 +101,8 @@ def test_spherical_body_advances_by_exact_exponential(cid):
 
 def test_local_vector_scheme_is_bit_identical():
     model, state = _tumble_start("1a")
-    a = step_munthe_kaas(model, "1a", state, 1e-2)
-    b = step_local_vector(model, "1a", state, 1e-2)
+    a = _step(model, "1a", state, 1e-2, MUNTHE_KAAS_RK4)
+    b = _step(model, "1a", state, 1e-2, LOCAL_VECTOR_RK4)
     assert np.array_equal(a.V, b.V)
     for qa, qb in zip(a.qs, b.qs):
         assert np.array_equal(qa.rot, qb.rot)
@@ -133,10 +136,8 @@ def test_one_step_equals_two_half_steps_to_fifth_order():
     # changes the result at the local truncation level O(h^5).
     model, state = _tumble_start("2a")
     for h in (1e-2, 5e-3):
-        one = step_munthe_kaas(model, "2a", state, h)
-        half = step_munthe_kaas(
-            model, "2a", step_munthe_kaas(model, "2a", state, h / 2), h / 2
-        )
+        one = _step(model, "2a", state, h)
+        half = _step(model, "2a", _step(model, "2a", state, h / 2), h / 2)
         gap = np.max(np.abs(one.V - half.V))
         assert gap < 5.0 * h**5
     assert gap > 0.0
@@ -192,8 +193,8 @@ def test_baseline_single_step_error_is_fifth_order_not_exact():
     errs = []
     for h in (0.1, 0.05):
         exact = exp_so3(h * omega)
-        lgt_rot, _ = alpha_map(step_munthe_kaas(model, "1b", state, h).qs[0])
-        base_rot, _ = alpha_map(step_baseline_quat(model, state, h).qs[0])
+        lgt_rot, _ = alpha_map(_step(model, "1b", state, h).qs[0])
+        base_rot, _ = alpha_map(_step(model, None, state, h, BASELINE_QUAT_RK4).qs[0])
         assert np.max(np.abs(lgt_rot - exact)) < 1e-14
         errs.append(np.max(np.abs(base_rot - exact)))
     assert errs[0] > 1e-9
@@ -203,12 +204,13 @@ def test_baseline_single_step_error_is_fifth_order_not_exact():
 def test_baseline_requires_quatpos_direct_product():
     sd_model = _free_model("1a")
     state = make_state([identity_coords("quatpos")], np.zeros(6))
+    cfg = IntegratorConfig(BASELINE_QUAT_RK4, h=1e-2)
     with pytest.raises(VariantMismatch):
-        step_baseline_quat(sd_model, state, 1e-2)
+        step(sd_model, cfg, state)
     dp_model = _free_model("2b")
     aa_state = make_state([identity_coords(AXIS_ANGLE_POS)], np.zeros(6))
     with pytest.raises(VariantMismatch):
-        step_baseline_quat(dp_model, aa_state, 1e-2)
+        step(dp_model, cfg, aa_state)
 
 
 def test_chart_boundary_guard_fires_on_oversized_step():
@@ -217,7 +219,7 @@ def test_chart_boundary_guard_fires_on_oversized_step():
         [identity_coords("quatpos")], np.array([0.0, 0.0, 5.0, 0.0, 0.0, 0.0])
     )
     with pytest.raises(ChartBoundary):
-        step_munthe_kaas(model, "1a", state, 1.0)
+        step(model, IntegratorConfig(MUNTHE_KAAS_RK4, "1a", h=1.0), state)
     with pytest.raises(StepFailed) as info:
         integrate(
             model, IntegratorConfig(MUNTHE_KAAS_RK4, "1a", h=1.0, t_end=2.0), state
@@ -381,8 +383,16 @@ def test_config_validation():
         IntegratorConfig("RK4", "1a")
     with pytest.raises(ValueError):
         IntegratorConfig(MUNTHE_KAAS_RK4, "9z")
-    with pytest.raises(ValueError):
-        IntegratorConfig(MUNTHE_KAAS_RK4, "1a", h=0.0)
+    for bad in (
+        {"h": 0.0},
+        {"h": math.inf},
+        {"h": math.nan},
+        {"t_end": math.inf},
+        {"t_end": math.nan},
+        {"t_end": -1.0},
+    ):
+        with pytest.raises(ValueError):
+            IntegratorConfig(MUNTHE_KAAS_RK4, "1a", **bad)
     with pytest.raises(ValueError):
         IntegratorConfig(MUNTHE_KAAS_RK4, "1a", projection="sometimes")
     with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from liembs import ChartBoundary
 from liembs.motiongroups import (
     DIRECT_PRODUCT,
     SEMIDIRECT,
-    ad,
     cay_dp,
     cay_se3,
     compose,
@@ -20,16 +19,12 @@ from liembs.motiongroups import (
     dexp_inv_se3,
     exp_dp,
     exp_se3,
-    exp_sp1xr3,
-    identity_pose,
-    inverse,
 )
 from liembs.rotmaps import (
     cay_so3,
     dexp_inv_so3,
     exp_so3,
     hat,
-    quat_to_rotmat,
 )
 
 import oracles
@@ -183,20 +178,8 @@ def test_cay_dp_components_and_differential():
     assert np.allclose(dcay_inv_dp(cd) @ fd, np.eye(6), atol=1e-6)
 
 
-def test_exp_sp1xr3():
-    rng = np.random.default_rng(27)
-    xy = _random_xy(rng, 2.5)
-    q, p = exp_sp1xr3(xy)
-    assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-14)
-    assert np.allclose(quat_to_rotmat(q), exp_so3(xy[:3]), atol=1e-13)
-    assert np.allclose(p, xy[3:])
-    q0, p0 = exp_sp1xr3(np.zeros(6))
-    assert np.allclose(q0, [1.0, 0.0, 0.0, 0.0])
-    assert np.allclose(p0, 0.0)
-
-
 def test_compose_identity_and_quarter_turn():
-    ident = identity_pose()
+    ident = (np.eye(3), np.zeros(3))
     c = (exp_so3(np.array([0.0, 0.0, 0.5])), np.array([1.0, 2.0, 3.0]))
     r, p = compose(SEMIDIRECT, ident, c)
     assert np.allclose(r, c[0])
@@ -223,7 +206,7 @@ def test_compose_inverse_gives_identity_both_models():
     for model in (SEMIDIRECT, DIRECT_PRODUCT):
         for _ in range(20):
             c = (oracles.random_rotation(rng), rng.normal(size=3))
-            r, p = compose(model, c, inverse(model, c))
+            r, p = compose(model, c, oracles.pose_inverse(model, c))
             assert np.allclose(r, np.eye(3), atol=1e-13)
             assert np.allclose(p, 0.0, atol=1e-13)
 
@@ -244,34 +227,9 @@ def test_exp_se3_one_parameter_subgroup_under_semidirect():
         xy = _random_xy(rng, 2.0)
         fwd = exp_se3(xy)
         bwd = exp_se3(-xy)
-        inv = inverse(SEMIDIRECT, fwd)
+        inv = oracles.pose_inverse(SEMIDIRECT, fwd)
         assert np.allclose(bwd[0], inv[0], atol=1e-12)
         assert np.allclose(bwd[1], inv[1], atol=1e-12)
-
-
-def test_ad_matches_matrix_commutator_se3():
-    rng = np.random.default_rng(32)
-
-    def hat4(v):
-        out = np.zeros((4, 4))
-        out[:3, :3] = hat(v[:3])
-        out[:3, 3] = v[3:]
-        return out
-
-    for _ in range(20):
-        v = rng.normal(size=6)
-        w = rng.normal(size=6)
-        bracket = ad(SEMIDIRECT, v) @ w
-        comm = hat4(v) @ hat4(w) - hat4(w) @ hat4(v)
-        assert np.allclose(hat4(bracket), comm, atol=1e-13)
-
-
-def test_ad_direct_product_kills_linear_rows():
-    v = np.array([0.3, -0.2, 0.9, 1.0, 2.0, 3.0])
-    w = np.array([0.1, 0.5, -0.4, 4.0, 5.0, 6.0])
-    bracket = ad(DIRECT_PRODUCT, v) @ w
-    assert np.allclose(bracket[:3], np.cross(v[:3], w[:3]))
-    assert np.allclose(bracket[3:], 0.0)
 
 
 def test_kinematic_reconstruction_convention():
