@@ -17,6 +17,7 @@ from .errors import (
     LiembsError,
     NearPiAmbiguity,
     NoConvergence,
+    NonFiniteState,
     SingularKkt,
     StepFailed,
     VariantMismatch,
@@ -29,6 +30,7 @@ __all__ = [
     "LiembsError",
     "NearPiAmbiguity",
     "NoConvergence",
+    "NonFiniteState",
     "SingularKkt",
     "StepFailed",
     "VariantMismatch",

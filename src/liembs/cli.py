@@ -301,6 +301,10 @@ class Scenario:
         )
         self.h = _number(ispec, "integrator", "h_s")
         self.t_end = _number(ispec, "integrator", "t_end_s")
+        if self.h > 0.0 and not math.isfinite(self.t_end / self.h):
+            raise SchemaError(
+                "integrator.t_end_s: t_end_s / h_s overflows the step count"
+            )
         self.projection = _string(
             ispec, "integrator", "projection",
             required=False, default=PROJECTION_OFF,

@@ -9,16 +9,22 @@ point system
     [ M  A^T ] [Vdot  ]   [ Q     ]
     [ A   0  ] [lambda] = [ -adotv]
 
-for accelerations and multipliers, and rewrites the state derivative in the
-local chart coordinates of a transition-map combo:
+for accelerations and multipliers through its Schur complement: with the
+constant inverse M^-1 the multipliers solve the small symmetric positive
+definite system
+
+    (A M^-1 A^T) lambda = A M^-1 Q + adotv,    Vdot = M^-1 (Q - A^T lambda),
+
+factored by Cholesky. Without constraints Vdot = M^-1 Q. The state
+derivative is then rewritten in the local chart coordinates of a
+transition-map combo:
 
     qdot  -> Xdot = dpsi_inv(-X) V   (per body)
     Vdot  -> from the saddle system evaluated at q = apply_lgt(combo, q_k, X)
 
 Models are duck-typed; see :mod:`liembs.models` for the interface in use:
-attributes ``n_bodies``, ``group_model``, ``mass_matrix``, ``n_constraints``,
-``mass_factor`` (the Cholesky factor of ``mass_matrix`` as ``cho_factor``
-returns it; read only when ``n_constraints`` is 0) and methods
+attributes ``n_bodies``, ``group_model``, ``mass_matrix``, ``mass_inverse``
+(the inverse of ``mass_matrix``), ``n_constraints`` and methods
 ``forces(qs, V, t)``, ``constraints(qs)``, ``jacobian(qs)``,
 ``adotv(qs, V)``, ``energy(qs, V)``.
 """
@@ -26,8 +32,7 @@ returns it; read only when ``n_constraints`` is 0) and methods
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, lu_factor, lu_solve
-from scipy.linalg.lapack import dgecon
+from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
 from .errors import SingularKkt, VariantMismatch
 from .lgt import apply_lgt_stacked, combo, combo_dpsi_inv
@@ -59,32 +64,34 @@ def solve_kkt(model, state):
     """Accelerations and constraint multipliers at a state.
 
     Returns (Vdot, lam) with lam empty for unconstrained models. Raises
-    SingularKkt when the saddle matrix has reciprocal condition estimate
-    below 1e-12 (redundant constraints or a singular configuration).
+    SingularKkt when the Schur complement A M^-1 A^T is not positive
+    definite or its reciprocal condition estimate is below 1e-12
+    (redundant constraints or a singular configuration), and when the
+    multipliers come out non-finite.
     """
     q = model.forces(state.qs, state.V, state.t)
-    m_bar = model.n_constraints
-    if m_bar == 0:
-        return cho_solve(model.mass_factor, q), np.zeros(0)
+    m_inv = model.mass_inverse
+    m_inv_q = m_inv @ q
+    if model.n_constraints == 0:
+        return m_inv_q, np.zeros(0)
 
-    n = 6 * model.n_bodies
     a = model.jacobian(state.qs)
-    kkt = np.zeros((n + m_bar, n + m_bar))
-    kkt[:n, :n] = model.mass_matrix
-    kkt[:n, n:] = a.T
-    kkt[n:, :n] = a
-    rhs = np.concatenate([q, -model.adotv(state.qs, state.V)])
-
-    anorm = np.linalg.norm(kkt, 1)
-    lu, piv = lu_factor(kkt)
-    rcond, info = dgecon(lu, anorm, norm="1")
-    if info != 0 or rcond < _RCOND_LIMIT:
+    m_inv_at = m_inv @ a.T
+    schur = a @ m_inv_at
+    chol, info = dpotrf(schur)
+    # A failed factorization counts as rcond 0; the negated test catches NaN.
+    anorm = np.abs(schur).sum(axis=0).max()
+    rcond = dpocon(chol, anorm)[0] if info == 0 else 0.0
+    if not rcond >= _RCOND_LIMIT:
         raise SingularKkt(
-            f"saddle matrix reciprocal condition {rcond:.3e} below "
-            f"{_RCOND_LIMIT:.0e}"
+            f"Schur complement A M^-1 A^T reciprocal condition {rcond:.3e} "
+            f"below {_RCOND_LIMIT:.0e}"
         )
-    sol = lu_solve((lu, piv), rhs)
-    return sol[:n], sol[n:]
+    rhs = a @ m_inv_q + model.adotv(state.qs, state.V)
+    lam, _ = dpotrs(chol, rhs)
+    if not np.isfinite(lam).all():
+        raise SingularKkt("saddle-point solve gave non-finite multipliers")
+    return m_inv_q - m_inv_at @ lam, lam
 
 
 def forward_dynamics(model, state):

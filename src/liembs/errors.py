@@ -35,9 +35,15 @@ class VariantMismatch(LiembsError, TypeError):
 class SingularKkt(LiembsError):
     """The constrained-dynamics saddle-point matrix is numerically singular.
 
-    Signalled when the reciprocal condition estimate of the KKT matrix falls
-    below 1e-12 (redundant constraints, singular mass matrix, ...).
+    Signalled when the Schur complement A M^-1 A^T of the saddle matrix is
+    not positive definite or its reciprocal condition estimate falls below
+    1e-12 (redundant constraints, a singular configuration, ...), and when
+    the solve gives non-finite multipliers.
     """
+
+
+class NonFiniteState(LiembsError):
+    """A step produced a NaN or infinite coordinate or twist."""
 
 
 class NoConvergence(LiembsError):

@@ -32,6 +32,7 @@ from .errors import (
     InconsistentState,
     LiembsError,
     NoConvergence,
+    NonFiniteState,
     SingularKkt,
     StepFailed,
     VariantMismatch,
@@ -81,6 +82,8 @@ class IntegratorConfig:
             raise ValueError("step size h must be positive and finite")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise ValueError("t_end must be finite and nonnegative")
+        if not math.isfinite(self.t_end / self.h):
+            raise ValueError("t_end / h overflows the step count")
         if not self.projection_tol > 0.0:
             raise ValueError("projection_tol must be positive")
         if self.projection_max_iter < 1:
@@ -125,7 +128,7 @@ def _guard_chart(x, n_bodies):
     for i in range(n_bodies):
         rot = x[6 * i : 6 * i + 3]
         norm = math.sqrt(float(rot @ rot))
-        if norm > math.pi:
+        if not norm <= math.pi:  # NaN trips the guard too
             raise ChartBoundary(
                 f"local rotation norm {norm:.6f} exceeds the per-step chart "
                 "budget pi; reduce the step size"
@@ -146,6 +149,11 @@ def _rk4(rate, t0, y0, h, guard):
     y = y0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     guard(y)
     return y
+
+
+def _require_finite(name, values):
+    if not np.isfinite(values).all():
+        raise NonFiniteState(f"non-finite {name} after the step")
 
 
 def _require_baseline_state(model, state):
@@ -195,7 +203,9 @@ def step(model, config, state):
 
     Returns ``(state, qnorm_drift)``. For the baseline the drift is the
     per-body quaternion norm error before renormalization; the chart
-    schemes preserve the norm by construction and return None.
+    schemes preserve the norm by construction and return None. Raises
+    NonFiniteState, naming the quantity, when the new state has a NaN or
+    infinite entry, so no such value reaches a projection or a record.
     """
     h = config.h
     n_bodies = model.n_bodies
@@ -208,6 +218,9 @@ def step(model, config, state):
             lambda t, yy: _baseline_rate(model, t, yy), state.t, y0, h,
             lambda yy: None,
         )
+        _require_finite("quaternions", y[: 4 * n_bodies])
+        _require_finite("positions r", y[4 * n_bodies : 7 * n_bodies])
+        _require_finite("twists V", y[7 * n_bodies :])
         qs, norms = _unit_quat_coords(y, n_bodies)
         return MbsState(qs, y[7 * n_bodies :], state.t + h), np.abs(norms - 1.0)
 
@@ -223,7 +236,10 @@ def step(model, config, state):
         rate, state.t, np.concatenate([np.zeros(n), state.V]), h,
         lambda yy: _guard_chart(yy[:n], n_bodies),
     )
+    _require_finite("twists V", y[n:])
     qs = apply_lgt_stacked(cmb, state.qs, y[:n])
+    # The chart guard has passed X, so only a position can overflow here.
+    _require_finite("positions r", np.concatenate([q.r for q in qs]))
     state = MbsState(tuple(qs), y[n:], state.t + h)
     if config.projection == PROJECTION_POSITION_VELOCITY:
         state = project(
@@ -355,6 +371,8 @@ def integrate(model, config, state0):
                 qn_arr[k] = [abs(quat_norm_error(q)) for q in state.qs]
 
     _record(0)
+    if not math.isfinite(e_arr[0]):
+        raise InconsistentState(f"initial energy {e_arr[0]} is not finite")
     for k in range(n_steps):
         try:
             state, drift = step(model, config, state)

@@ -27,6 +27,7 @@ the combo's coordinate map.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,11 +61,30 @@ class AbsCoords:
     rot is a scalar-first unit quaternion (4,) for QUAT_POS or a scaled
     rotation vector (3,) with norm <= pi for AXIS_ANGLE_POS; r is the body
     frame position in the inertial frame.
+
+    Coordinates are immutable values: a transition map returns new ones and
+    never writes into rot or r. The pose (R, r) is therefore built once, on
+    first use of :attr:`pose`, and shared by every later reader; R is
+    read-only.
     """
 
     kind: str
     rot: np.ndarray
     r: np.ndarray
+
+    @cached_property
+    def pose(self):
+        """Pose (R, r); R is computed on first access, then cached."""
+        if self.kind == QUAT_POS:
+            rot = quat_to_rotmat(self.rot)
+        elif self.kind == AXIS_ANGLE_POS:
+            rot = exp_so3(self.rot)
+        else:
+            raise VariantMismatch(
+                f"unknown absolute-coordinate kind {self.kind!r}"
+            )
+        rot.flags.writeable = False
+        return rot, self.r
 
 
 def quat_pos(q, r):
@@ -141,12 +161,8 @@ def combo(combo_id):
 
 
 def alpha_map(q):
-    """Pose (R, r) of absolute coordinates."""
-    if q.kind == QUAT_POS:
-        return quat_to_rotmat(q.rot), q.r
-    if q.kind == AXIS_ANGLE_POS:
-        return exp_so3(q.rot), q.r
-    raise VariantMismatch(f"unknown absolute-coordinate kind {q.kind!r}")
+    """Pose (R, r) of absolute coordinates; R is shared and read-only."""
+    return q.pose
 
 
 def tau_R_quat(q_rot, rot_local, chart):

@@ -23,11 +23,13 @@ dynamics layer stays representation-agnostic.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor
 
 from .lgt import alpha_map
 from .motiongroups import DIRECT_PRODUCT, GROUP_MODELS, SEMIDIRECT
 from .rotmaps import cross3, hat
+
+
+_EYE3 = np.eye(3)
 
 
 def _vec3(value, name):
@@ -85,8 +87,9 @@ class SphericalJointSystem:
     Each joint is ``(body_a, point_a, body_b, point_b)``: the body-frame
     point point_a of body body_a coincides with point_b of body body_b, or,
     when body_b is None, with the world point point_b. A joint contributes
-    three constraint rows ``(r_a + R_a p_a) - (r_b + R_b p_b)``. Every
-    method builds each body's pose once per call.
+    three constraint rows ``(r_a + R_a p_a) - (r_b + R_b p_b)``. Methods
+    read each body's pose through ``alpha_map``, which the coordinates cache,
+    so every method evaluated at the same coordinates shares one R per body.
     """
 
     def __init__(self, bodies, joints, group_model):
@@ -105,13 +108,24 @@ class SphericalJointSystem:
                 )
         self.joints = tuple(joints)
         self.n_constraints = 3 * len(self.joints)
+        # Skew matrices of the body-frame joint points, for the Jacobian.
+        self._joint_hats = [
+            (hat(p_a), None if b is None else hat(p_b))
+            for _, p_a, b, p_b in self.joints
+        ]
         blocks = [_mass_block(p, group_model) for p in self.bodies]
-        self.mass_matrix = np.zeros((6 * self.n_bodies, 6 * self.n_bodies))
+        n = 6 * self.n_bodies
+        # The mass matrix is constant and block diagonal: invert it once,
+        # block by block, for every later solve.
+        self.mass_matrix = np.zeros((n, n))
+        self.mass_inverse = np.zeros((n, n))
         for i, block in enumerate(blocks):
-            self.mass_matrix[6 * i : 6 * i + 6, 6 * i : 6 * i + 6] = block
+            sl = slice(6 * i, 6 * i + 6)
+            self.mass_matrix[sl, sl] = block
+            self.mass_inverse[sl, sl] = np.linalg.inv(block)
         self._mass_blocks = blocks
-        # The mass matrix is constant: factor it once for unconstrained solves.
-        self.mass_factor = cho_factor(self.mass_matrix)
+        self._gravity = [np.asarray(p.gravity, dtype=float) for p in self.bodies]
+        self._com = [np.asarray(p.com_offset, dtype=float) for p in self.bodies]
 
     def forces(self, qs, v, t):
         """Gyroscopic bias plus gravity, stacked over bodies."""
@@ -121,12 +135,12 @@ class SphericalJointSystem:
             vi = v[sl]
             omega = vi[:3]
             mu = self._mass_blocks[i] @ vi
-            g = np.asarray(params.gravity, dtype=float)
+            g = self._gravity[i]
             m = params.mass
             if self.group_model == SEMIDIRECT:
                 rot, _ = alpha_map(qs[i])
                 g_body = rot.T @ g
-                s = np.asarray(params.com_offset, dtype=float)
+                s = self._com[i]
                 out[6 * i : 6 * i + 3] = (
                     cross3(mu[:3], omega)
                     + cross3(mu[3:], vi[3:])
@@ -149,24 +163,22 @@ class SphericalJointSystem:
             out[3 * j : 3 * j + 3] = (r_a + rot_a @ p_a) - p_b
         return out
 
-    def _point_rows(self, rot, point):
+    def _point_rows(self, rot, point_hat):
         """Jacobian block of d/dt (r + R point) w.r.t. one body's twist."""
-        rows = np.zeros((3, 6))
-        rows[:, :3] = -rot @ hat(point)
-        if self.group_model == SEMIDIRECT:
-            rows[:, 3:] = rot
-        else:
-            rows[:, 3:] = np.eye(3)
+        rows = np.empty((3, 6))
+        rows[:, :3] = -rot @ point_hat
+        rows[:, 3:] = rot if self.group_model == SEMIDIRECT else _EYE3
         return rows
 
     def jacobian(self, qs):
         rots = [alpha_map(q)[0] for q in qs]
         out = np.zeros((self.n_constraints, 6 * self.n_bodies))
-        for j, (a, p_a, b, p_b) in enumerate(self.joints):
-            out[3 * j : 3 * j + 3, 6 * a : 6 * a + 6] = self._point_rows(rots[a], p_a)
+        for j, (a, _, b, _) in enumerate(self.joints):
+            hat_a, hat_b = self._joint_hats[j]
+            out[3 * j : 3 * j + 3, 6 * a : 6 * a + 6] = self._point_rows(rots[a], hat_a)
             if b is not None:
                 out[3 * j : 3 * j + 3, 6 * b : 6 * b + 6] = -self._point_rows(
-                    rots[b], p_b
+                    rots[b], hat_b
                 )
         return out
 
@@ -197,10 +209,8 @@ class SphericalJointSystem:
         total = 0.5 * float(v @ (self.mass_matrix @ v))
         for i, params in enumerate(self.bodies):
             rot, r = alpha_map(qs[i])
-            com = r + rot @ np.asarray(params.com_offset, dtype=float)
-            total -= params.mass * float(
-                np.asarray(params.gravity, dtype=float) @ com
-            )
+            com = r + rot @ self._com[i]
+            total -= params.mass * float(self._gravity[i] @ com)
         return total
 
     def angular_momentum(self, qs, v):
@@ -211,7 +221,7 @@ class SphericalJointSystem:
             vi = v[6 * i : 6 * i + 6]
             omega = vi[:3]
             rdot = rot @ vi[3:] if self.group_model == SEMIDIRECT else vi[3:]
-            s = np.asarray(params.com_offset, dtype=float)
+            s = self._com[i]
             com = r + rot @ s
             com_dot = rdot + rot @ cross3(omega, s)
             total += rot @ (np.diag(params.inertia) @ omega) + params.mass * cross3(

@@ -13,6 +13,8 @@ skew block top-left.
 import math
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgecon
 
 
 def skew(v):
@@ -141,6 +143,32 @@ def pose_inverse(group_model, pose):
     if group_model == "so3xr3":
         return r.T, -np.asarray(p, dtype=float)
     raise ValueError(f"unknown group model {group_model!r}")
+
+
+def dense_kkt_solve(model, state, rcond_limit=1e-12):
+    """Accelerations and multipliers from one dense LU of the saddle matrix
+
+        [ M  A^T ] [Vdot  ]   [ Q     ]
+        [ A   0  ] [lambda] = [ -adotv]
+
+    built from the model's mass matrix, forces, Jacobian and curvature term.
+    Raises LinAlgError when the LU's reciprocal condition estimate is below
+    rcond_limit.
+    """
+    q = model.forces(state.qs, state.V, state.t)
+    a = model.jacobian(state.qs)
+    n, m = q.size, a.shape[0]
+    kkt = np.zeros((n + m, n + m))
+    kkt[:n, :n] = model.mass_matrix
+    kkt[:n, n:] = a.T
+    kkt[n:, :n] = a
+    rhs = np.concatenate([q, -model.adotv(state.qs, state.V)])
+    lu, piv = lu_factor(kkt)
+    rcond, info = dgecon(lu, np.linalg.norm(kkt, 1), norm="1")
+    if info != 0 or rcond < rcond_limit:
+        raise np.linalg.LinAlgError(f"saddle matrix rcond {rcond:.3e}")
+    sol = lu_solve((lu, piv), rhs)
+    return sol[:n], sol[n:]
 
 
 def quat_to_matrix(q):

@@ -147,6 +147,16 @@ def test_inconsistent_state_exits_3(tmp_path, capsys):
     assert "inconsistent initial state" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_initial_energy_exits_3(tmp_path, capsys):
+    doc = _load("free_tumble.json")
+    doc["initial_state"]["bodies"][0]["angular_velocity_radps"] = [1e160, 0.0, 0.0]
+    doc["integrator"]["t_end_s"] = 0.0
+    path = _write(tmp_path, doc)
+    assert main(["run", str(path)]) == 3
+    assert "initial energy" in capsys.readouterr().err
+
+
 def test_integration_failure_exits_4_with_step_index(tmp_path, capsys):
     doc = _load("free_tumble.json")
     doc["integrator"]["h_s"] = 1.0
@@ -155,6 +165,27 @@ def test_integration_failure_exits_4_with_step_index(tmp_path, capsys):
     assert main(["run", str(path)]) == 4
     err = capsys.readouterr().err
     assert "step 0" in err
+
+
+def test_overflowing_step_count_exits_2_with_path(tmp_path, capsys):
+    doc = _load("free_tumble.json")
+    doc["integrator"]["t_end_s"] = 1e308  # t_end_s / h_s overflows to inf
+    path = _write(tmp_path, doc)
+    assert main(["run", str(path)]) == 2
+    assert "integrator.t_end_s" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_state_exits_4_with_step_index(tmp_path, capsys):
+    doc = _load("free_tumble.json")
+    doc["initial_state"]["bodies"][0]["angular_velocity_radps"] = [1e150, 1e150, 0.0]
+    doc["integrator"] = {"scheme": "BaselineQuatRK4", "h_s": 1e-3, "t_end_s": 0.01}
+    path = _write(tmp_path, doc)
+    out = tmp_path / "traj.csv"
+    assert main(["run", str(path), "--out", str(out)]) == 4
+    assert "step 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pinned_scenario_runs_with_projection(tmp_path, capsys):

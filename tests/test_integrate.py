@@ -1,15 +1,20 @@
 """Tests for the fixed-step integrators and the constraint projection."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from liembs.dynamics import make_state
+from liembs import lgt
+from liembs.cli import load_scenario
+from liembs.dynamics import make_state, solve_kkt
 from liembs.errors import (
     ChartBoundary,
     InconsistentState,
     NoConvergence,
+    NonFiniteState,
+    SingularKkt,
     StepFailed,
     VariantMismatch,
 )
@@ -32,7 +37,7 @@ from liembs.lgt import (
     quat_pos,
 )
 from liembs.models import BodyParams, free_rigid_body, pinned_body
-from liembs.motiongroups import SEMIDIRECT
+from liembs.motiongroups import DIRECT_PRODUCT, SEMIDIRECT
 from liembs.rotmaps import exp_so3, exp_sp1
 
 
@@ -390,6 +395,7 @@ def test_config_validation():
         {"t_end": math.inf},
         {"t_end": math.nan},
         {"t_end": -1.0},
+        {"t_end": 1e308, "h": 1e-3},  # t_end / h overflows to inf
     ):
         with pytest.raises(ValueError):
             IntegratorConfig(MUNTHE_KAAS_RK4, "1a", **bad)
@@ -418,3 +424,74 @@ def test_pendulum_matches_small_oscillation_frequency():
     theta_pivot = 0.12 + 2.0 * 0.25
     expected = 2.0 * math.pi / math.sqrt(2.0 * 9.81 * 0.5 / theta_pivot)
     assert period == pytest.approx(expected, rel=1e-3)
+
+
+class _NanForces:
+    """A model whose forces are NaN; everything else comes from base."""
+
+    def __init__(self, base):
+        self._base = base
+
+    def __getattr__(self, name):
+        return getattr(self._base, name)
+
+    def forces(self, qs, v, t):
+        return np.full(6 * self._base.n_bodies, math.nan)
+
+
+@pytest.mark.parametrize(
+    "group, scheme, cid",
+    [
+        (SEMIDIRECT, MUNTHE_KAAS_RK4, "1a"),
+        (DIRECT_PRODUCT, BASELINE_QUAT_RK4, None),
+    ],
+)
+def test_nan_forces_fail_the_unconstrained_step(group, scheme, cid):
+    model = _NanForces(free_rigid_body(_FREE, group))
+    state = make_state([identity_coords("quatpos")], np.ones(6))
+    cfg = IntegratorConfig(scheme, cid, h=1e-3, t_end=0.01)
+    with pytest.raises(StepFailed) as info:
+        integrate(model, cfg, state)
+    assert info.value.step_index == 0
+    # The chart guard sees the NaN rotation increment first; the baseline
+    # has no chart and trips the finiteness check on the new state.
+    cause = ChartBoundary if scheme == MUNTHE_KAAS_RK4 else NonFiniteState
+    assert isinstance(info.value.__cause__, cause)
+
+
+def test_nan_forces_fail_the_constrained_solve():
+    params = BodyParams(mass=1.0, inertia=(0.1, 0.1, 0.05))
+    model = _NanForces(pinned_body(params, (0.0, 0.0, 0.3)))
+    q0 = quat_pos([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, -0.3])
+    state = make_state([q0], np.zeros(6))
+    with pytest.raises(SingularKkt):
+        solve_kkt(model, state)
+    cfg = IntegratorConfig(MUNTHE_KAAS_RK4, "1a", h=1e-3, t_end=0.01)
+    with pytest.raises(StepFailed) as info:
+        integrate(model, cfg, state)
+    assert info.value.step_index == 0
+    assert isinstance(info.value.__cause__, SingularKkt)
+
+
+@pytest.mark.parametrize("cid, kernel", [("1a", "quat_to_rotmat"), ("2d", "exp_so3")])
+def test_each_pose_is_built_once(monkeypatch, cid, kernel):
+    calls = []
+    kernel_fn = getattr(lgt, kernel)
+
+    def counted(rot):
+        calls.append(1)
+        return kernel_fn(rot)
+
+    monkeypatch.setattr(lgt, kernel, counted)
+    scenario = Path(__file__).resolve().parent.parent / "scenarios/chain_swing.json"
+    model, state, cfg = load_scenario(scenario).build(combo_id=cid, t_end=0.1)
+    rec = integrate(model, cfg, state)
+    assert len(rec) == 101
+    # Two bodies: the start pose once, then per step four RK stages and the
+    # new configuration, each posed once for every reader.
+    assert len(calls) == 2 + 10 * 100
+
+    rot, _ = alpha_map(rec.final_state.qs[0])
+    assert alpha_map(rec.final_state.qs[0])[0] is rot
+    with pytest.raises(ValueError):
+        rot[0, 0] = 2.0
