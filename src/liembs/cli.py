@@ -5,11 +5,14 @@ Subcommands:
 * ``run <file>`` — integrate one scenario, write the trajectory CSV, print
   a summary (final constraint residual, energy drift, quaternion drift);
 * ``convergence <file> --h <list>`` — rerun the scenario over a list of
-  step sizes against a reference at min(h)/10 and report the global error
-  per h together with the fitted log-log slope and its R²;
+  step sizes, each a whole number of steps to t_end_s, against a reference
+  at min(h)/10 and report the global error per h together with the fitted
+  log-log slope and its R²;
 * ``compare <file>`` — run the same physical problem under all eight
   coordinate combinations plus the renormalized quaternion baseline and
-  report pairwise final-pose discrepancies and quaternion norm drift.
+  report pairwise final-pose discrepancies and quaternion norm drift; a
+  label whose model or config the scenario cannot build is skipped with a
+  ``skipped:`` line on stderr.
 
 Flags: ``--out <path>`` redirects the CSV, ``--quiet`` suppresses the
 stdout summary. Exit codes: 0 success, 2 malformed scenario (the message
@@ -76,6 +79,8 @@ from .integrate import (
     PROJECTION_OFF,
     IntegratorConfig,
     integrate,
+    scheme_kinds,
+    step_count,
 )
 from .lgt import (
     AXIS_ANGLE_POS,
@@ -83,11 +88,10 @@ from .lgt import (
     QUAT_POS,
     alpha_map,
     axis_angle_pos,
-    combo,
     quat_pos,
 )
 from .models import BodyParams, free_rigid_body, pinned_body, two_body_chain
-from .motiongroups import DIRECT_PRODUCT, GROUP_MODELS, SEMIDIRECT
+from .motiongroups import GROUP_MODELS, SEMIDIRECT
 from .rotmaps import exp_sp1, log_so3, quat_to_rotmat
 
 _BASELINE_LABEL = "baseline"
@@ -301,10 +305,11 @@ class Scenario:
         )
         self.h = _number(ispec, "integrator", "h_s")
         self.t_end = _number(ispec, "integrator", "t_end_s")
-        if self.h > 0.0 and not math.isfinite(self.t_end / self.h):
-            raise SchemaError(
-                "integrator.t_end_s: t_end_s / h_s overflows the step count"
-            )
+        if self.h > 0.0:
+            try:
+                step_count(self.t_end, self.h)
+            except ValueError as exc:
+                raise SchemaError(f"integrator.t_end_s: {exc}") from exc
         self.projection = _string(
             ispec, "integrator", "projection",
             required=False, default=PROJECTION_OFF,
@@ -316,9 +321,11 @@ class Scenario:
             ispec, "integrator", "projection_max_iter", required=False, default=20
         )
         try:
-            self.config()
+            cfg = self.config()
         except ValueError as exc:
             raise SchemaError(f"integrator: {exc}") from exc
+        self._models = {}
+        self.model(scheme_kinds(cfg)[2])  # a rejected body fails the load
 
         self.output_csv = _string(root, "scenario", "output_csv", required=False)
 
@@ -339,7 +346,17 @@ class Scenario:
         )
 
     def model(self, group_model=None):
+        """The model under group_model, built once; SchemaError naming the
+        body when the model rejects the scenario's bodies."""
         group_model = group_model or self.group_model
+        if group_model not in self._models:
+            try:
+                self._models[group_model] = self._build_model(group_model)
+            except ValueError as exc:
+                raise SchemaError(f"model: {exc}") from exc
+        return self._models[group_model]
+
+    def _build_model(self, group_model):
         if self.model_kind == "free_rigid_body":
             return free_rigid_body(self.body_params[0], group_model)
         if self.model_kind == "pinned_body":
@@ -379,11 +396,7 @@ class Scenario:
     def build(self, combo_id=None, h=None, t_end=None, scheme=None):
         """Model, initial state, and config for one run."""
         cfg = self.config(combo_id, h, t_end, scheme)
-        if cfg.scheme == BASELINE_QUAT_RK4:
-            abs_kind, group_model = QUAT_POS, DIRECT_PRODUCT
-        else:
-            cmb = combo(cfg.combo)
-            abs_kind, group_model = cmb.abs_kind, cmb.group_model
+        _, abs_kind, group_model = scheme_kinds(cfg)
         return self.model(group_model), self.state(abs_kind, group_model), cfg
 
 
@@ -507,6 +520,12 @@ def _cmd_convergence(scenario, args):
     if len(h_list) < 2:
         print("convergence needs at least two step sizes", file=sys.stderr)
         return 2
+    for h in h_list:
+        try:
+            scenario.config(h=h)
+        except ValueError as exc:
+            print(f"--h {h!r}: {exc}", file=sys.stderr)
+            return 2
     h_ref = min(h_list) / 10.0
     model, state0, cfg_ref = scenario.build(h=h_ref)
     ref = integrate(model, cfg_ref, state0)
@@ -540,19 +559,25 @@ def _cmd_convergence(scenario, args):
 
 
 def _cmd_compare(scenario, args):
-    labels = list(COMBO_IDS) + [_BASELINE_LABEL]
     finals, drifts = {}, {}
-    for label in labels:
-        if label == _BASELINE_LABEL:
-            model, state0, cfg = scenario.build(scheme=BASELINE_QUAT_RK4)
-        else:
-            model, state0, cfg = scenario.build(combo_id=label)
+    for label in list(COMBO_IDS) + [_BASELINE_LABEL]:
+        try:
+            if label == _BASELINE_LABEL:
+                model, state0, cfg = scenario.build(scheme=BASELINE_QUAT_RK4)
+            else:
+                model, state0, cfg = scenario.build(
+                    combo_id=label, scheme=MUNTHE_KAAS_RK4
+                )
+        except ValueError as exc:  # the model or the config rejects the label
+            print(f"skipped: {label}: {exc}", file=sys.stderr)
+            continue
         rec = integrate(model, cfg, state0)
         finals[label] = rec.final_state
         drifts[label] = (
             float(np.max(rec.qnorm_err)) if rec.qnorm_err is not None else math.nan
         )
 
+    labels = list(finals)
     rows = [
         (a, b, _pose_discrepancy(finals[a], finals[b]))
         for a, b in itertools.combinations_with_replacement(labels, 2)

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
-from .errors import SingularKkt, VariantMismatch
-from .lgt import apply_lgt_stacked, combo, combo_dpsi_inv
+from .errors import SingularKkt
+from .lgt import apply_lgt_stacked, combo, combo_dpsi_inv, require_compatible
 
 _RCOND_LIMIT = 1.0e-12
 
@@ -60,6 +60,15 @@ def make_state(qs, v, t=0.0):
     return MbsState(qs, v, float(t))
 
 
+def cholesky(matrix, message):
+    """Upper Cholesky factor of a symmetric positive definite matrix, for
+    ``dpotrs``; raises SingularKkt(message) when LAPACK ``dpotrf`` fails."""
+    chol, info = dpotrf(matrix)
+    if info != 0:
+        raise SingularKkt(message)
+    return chol
+
+
 def solve_kkt(model, state):
     """Accelerations and constraint multipliers at a state.
 
@@ -78,11 +87,9 @@ def solve_kkt(model, state):
     a = model.jacobian(state.qs)
     m_inv_at = m_inv @ a.T
     schur = a @ m_inv_at
-    chol, info = dpotrf(schur)
-    # A failed factorization counts as rcond 0; the negated test catches NaN.
-    anorm = np.abs(schur).sum(axis=0).max()
-    rcond = dpocon(chol, anorm)[0] if info == 0 else 0.0
-    if not rcond >= _RCOND_LIMIT:
+    chol = cholesky(schur, "Schur complement A M^-1 A^T is not positive definite")
+    rcond = dpocon(chol, np.abs(schur).sum(axis=0).max())[0]
+    if not rcond >= _RCOND_LIMIT:  # the negated test catches NaN
         raise SingularKkt(
             f"Schur complement A M^-1 A^T reciprocal condition {rcond:.3e} "
             f"below {_RCOND_LIMIT:.0e}"
@@ -109,11 +116,9 @@ def local_rhs(model, cmb, qs_k, x, v, t):
     from the saddle system at the reconstructed configuration.
     """
     cmb = combo(cmb)
-    if cmb.group_model != model.group_model:
-        raise VariantMismatch(
-            f"combo {cmb.id} uses {cmb.group_model} twists but the model "
-            f"is built for {model.group_model}"
-        )
+    require_compatible(
+        f"combo {cmb.id}", cmb.abs_kind, cmb.group_model, model, qs_k
+    )
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     qs = apply_lgt_stacked(cmb, qs_k, x)

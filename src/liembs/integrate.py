@@ -23,22 +23,33 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrs
 
-from .dynamics import MbsState, constraint_residuals, forward_dynamics, local_rhs
+from .dynamics import (
+    MbsState,
+    cholesky,
+    constraint_residuals,
+    forward_dynamics,
+    local_rhs,
+)
 from .errors import (
     ChartBoundary,
     InconsistentState,
     LiembsError,
     NoConvergence,
     NonFiniteState,
-    SingularKkt,
     StepFailed,
-    VariantMismatch,
 )
-from .lgt import QUAT_POS, apply_lgt_stacked, combo, quat_norm_error, quat_pos
-from .motiongroups import DIRECT_PRODUCT, SEMIDIRECT
+from .lgt import (
+    QUAT_POS,
+    apply_lgt_stacked,
+    combo,
+    combo_dpsi_inv,
+    quat_norm_error,
+    quat_pos,
+    require_compatible,
+)
+from .motiongroups import DIRECT_PRODUCT
 from .rotmaps import quat_mul
 
 MUNTHE_KAAS_RK4 = "MuntheKaasRK4"
@@ -54,6 +65,16 @@ PROJECTION_MODES = (PROJECTION_OFF, PROJECTION_POSITION_VELOCITY)
 
 # Residuals of the initial state must sit below this bound before a run.
 _CONSISTENCY_TOL = 1.0e-10
+
+
+def step_count(t_end, h):
+    """The number n of steps of size h to t_end; ValueError unless t_end / h
+    is finite and within 1e-9 * max(1, n) of n, so no run stops short."""
+    ratio = t_end / h
+    n = round(ratio) if math.isfinite(ratio) else 0
+    if not abs(ratio - n) <= 1.0e-9 * max(1, n):
+        raise ValueError(f"t_end / h = {ratio:.9g} is not a whole number of steps")
+    return n
 
 
 @dataclass(frozen=True)
@@ -82,8 +103,7 @@ class IntegratorConfig:
             raise ValueError("step size h must be positive and finite")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise ValueError("t_end must be finite and nonnegative")
-        if not math.isfinite(self.t_end / self.h):
-            raise ValueError("t_end / h overflows the step count")
+        step_count(self.t_end, self.h)
         if not self.projection_tol > 0.0:
             raise ValueError("projection_tol must be positive")
         if self.projection_max_iter < 1:
@@ -102,7 +122,7 @@ class TrajectoryRecord:
     """Uniformly sampled trajectory with per-step diagnostics.
 
     Arrays are indexed by record (row k is time t[k]; row count equals
-    floor(t_end/h)+1). ``q`` stacks each body's numeric coordinates
+    t_end/h + 1). ``q`` stacks each body's numeric coordinates
     (rotation part first), ``qnorm_err`` holds the per-body quaternion norm
     drift |  ||Q|| - 1 | and is None for axis-angle coordinates. For the
     baseline scheme the drift is measured before renormalization.
@@ -156,18 +176,13 @@ def _require_finite(name, values):
         raise NonFiniteState(f"non-finite {name} after the step")
 
 
-def _require_baseline_state(model, state):
-    if model.group_model != DIRECT_PRODUCT:
-        raise VariantMismatch(
-            "the baseline quaternion scheme integrates rdot = v and needs "
-            "the direct-product twist convention"
-        )
-    for q in state.qs:
-        if q.kind != QUAT_POS:
-            raise VariantMismatch(
-                "the baseline quaternion scheme needs QuatPos absolute "
-                f"coordinates, got {q.kind!r}"
-            )
+def scheme_kinds(config):
+    """(label, absolute-coordinate kind, twist group model) of the scheme a
+    config runs; the baseline integrates rdot = v on quaternions."""
+    if config.scheme == BASELINE_QUAT_RK4:
+        return "the baseline quaternion scheme", QUAT_POS, DIRECT_PRODUCT
+    cmb = combo(config.combo)
+    return f"combo {cmb.id}", cmb.abs_kind, cmb.group_model
 
 
 def _unit_quat_coords(y, n_bodies):
@@ -210,7 +225,7 @@ def step(model, config, state):
     h = config.h
     n_bodies = model.n_bodies
     if config.scheme == BASELINE_QUAT_RK4:
-        _require_baseline_state(model, state)
+        require_compatible(*scheme_kinds(config), model, state.qs)
         y0 = np.concatenate(
             [q.rot for q in state.qs] + [q.r for q in state.qs] + [state.V]
         )
@@ -248,25 +263,6 @@ def step(model, config, state):
     return state, None
 
 
-def _chart_increment_scale(cmb, n_bodies):
-    """Diagonal of the chart differential at zero, stacked over bodies.
-
-    Gauss-Newton corrections move the configuration through
-    ``apply_lgt(cmb, q, dX)``; to first order that changes the constraint
-    by ``A J dX`` where ``J`` is the coordinate map's differential at the
-    origin: the identity for the exponential charts, doubled on the blocks
-    a Cayley chart covers (both for the extended-Rodrigues chart, only the
-    rotation block when the translation factor is the identity chart).
-    """
-    if cmb.chart == "exp":
-        per_body = np.ones(6)
-    elif cmb.group_model == SEMIDIRECT:
-        per_body = np.full(6, 2.0)
-    else:
-        per_body = np.array([2.0, 2.0, 2.0, 1.0, 1.0, 1.0])
-    return np.tile(per_body, n_bodies)
-
-
 def project(model, cmb, state, tol, max_iter):
     """Return the state pulled back onto the constraint manifold.
 
@@ -278,7 +274,6 @@ def project(model, cmb, state, tol, max_iter):
         return state
     cmb = combo(cmb)
     qs = list(state.qs)
-    scale = _chart_increment_scale(cmb, model.n_bodies)
 
     iterations = 0
     while True:
@@ -290,19 +285,19 @@ def project(model, cmb, state, tol, max_iter):
                 f"position projection still at |g|={np.max(np.abs(g)):.3e} "
                 f"after {max_iter} iterations (tol {tol:.3e})"
             )
-        a_chart = model.jacobian(qs) * scale[np.newaxis, :]
+        # To first order apply_lgt(cmb, q, dX) moves the constraint by
+        # A dpsi(0) dX, and dpsi(0) is diagonal.
+        dpsi_inv_0 = np.diag(combo_dpsi_inv(cmb, np.zeros(6)))
+        a_chart = model.jacobian(qs) / np.tile(dpsi_inv_0, model.n_bodies)
         dx = np.linalg.lstsq(a_chart, -g, rcond=None)[0]
         qs = apply_lgt_stacked(cmb, qs, dx)
         iterations += 1
 
     a = model.jacobian(qs)
-    try:
-        factor = cho_factor(a @ a.T)
-    except LinAlgError as exc:
-        raise SingularKkt(
-            "constraint Jacobian is rank deficient; cannot project velocity"
-        ) from exc
-    v = state.V - a.T @ cho_solve(factor, a @ state.V)
+    chol = cholesky(
+        a @ a.T, "constraint Jacobian is rank deficient; cannot project velocity"
+    )
+    v = state.V - a.T @ dpotrs(chol, a @ state.V)[0]
     return MbsState(tuple(qs), v, state.t)
 
 
@@ -317,25 +312,9 @@ def integrate(model, config, state0):
     residuals below 1e-10). Failures inside a step are re-raised as
     StepFailed with the step index and time attached.
     """
-    baseline = config.scheme == BASELINE_QUAT_RK4
-    if baseline:
-        cmb = None
-        _require_baseline_state(model, state0)
-        quat_diag = True
-    else:
-        cmb = combo(config.combo)
-        if cmb.group_model != model.group_model:
-            raise VariantMismatch(
-                f"combo {cmb.id} uses {cmb.group_model} twists but the "
-                f"model is built for {model.group_model}"
-            )
-        for q in state0.qs:
-            if q.kind != cmb.abs_kind:
-                raise VariantMismatch(
-                    f"combo {cmb.id} transports {cmb.abs_kind} coordinates, "
-                    f"got {q.kind!r}"
-                )
-        quat_diag = cmb.abs_kind == QUAT_POS
+    label, abs_kind, group_model = scheme_kinds(config)
+    require_compatible(label, abs_kind, group_model, model, state0.qs)
+    quat_diag = abs_kind == QUAT_POS
 
     gnorm0, gvnorm0 = constraint_residuals(model, state0)
     if gnorm0 > _CONSISTENCY_TOL or gvnorm0 > _CONSISTENCY_TOL:
@@ -344,7 +323,7 @@ def integrate(model, config, state0):
             f"exceed {_CONSISTENCY_TOL:.0e}"
         )
 
-    n_steps = int(math.floor(config.t_end / config.h + 1.0e-9))
+    n_steps = step_count(config.t_end, config.h)
     n_records = n_steps + 1
     n_bodies = model.n_bodies
 
@@ -390,5 +369,7 @@ def integrate(model, config, state0):
         qnorm_err=qn_arr,
         final_state=state,
         scheme=config.scheme,
-        combo_id=None if baseline else cmb.id,
+        combo_id=None
+        if config.scheme == BASELINE_QUAT_RK4
+        else combo(config.combo).id,
     )

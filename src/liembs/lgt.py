@@ -4,9 +4,9 @@ A body's absolute coordinates are either a unit quaternion plus position
 (``QUAT_POS``, 7 parameters) or a scaled rotation vector plus position
 (``AXIS_ANGLE_POS``, 6 parameters). Within a time step the motion is
 described by local chart coordinates X (a 6-vector, rotation part first).
-The transition map ``apply_lgt`` advances absolute coordinates by a local
-increment entirely in vector parameters: no rotation matrix is built and no
-renormalization is ever applied.
+The transition map ``apply_lgt`` advances the stored rotation by a local
+increment entirely in vector parameters: no rotation matrix is built for it
+and no renormalization is ever applied.
 
 Eight combinations are supported, named like table cells: the digit picks
 the absolute coordinates (1 = quaternion, 2 = rotation vector), the letter
@@ -20,9 +20,13 @@ picks the local chart and with it the motion group model:
     d: extended Rodrigues coordinates, Cayley chart on SE(3)
        (body-fixed twists)
 
+``COMBOS`` is the one place that choice is made: each :class:`LgtCombo`
+carries its coordinate map psi and inverse differential dpsi_inv from
+:mod:`liembs.motiongroups`, ``apply_lgt`` branches on its fields, and
+``require_compatible`` checks a model and coordinates against it.
+
 The defining contract: for every combo, ``alpha_map(apply_lgt(combo, q, X))
-== compose(combo.group_model, alpha_map(q), psi(combo, X))`` where psi is
-the combo's coordinate map.
+== compose(combo.group_model, alpha_map(q), combo.psi(X))``.
 """
 
 import math
@@ -32,7 +36,18 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InconsistentState, VariantMismatch
-from .motiongroups import DIRECT_PRODUCT, SEMIDIRECT, coordinate_map
+from .motiongroups import (
+    DIRECT_PRODUCT,
+    SEMIDIRECT,
+    cay_dp,
+    cay_se3,
+    dcay_inv_dp,
+    dcay_inv_se3,
+    dexp_inv_dp,
+    dexp_inv_se3,
+    exp_dp,
+    exp_se3,
+)
 from .rotmaps import (
     bch_so3,
     cay_so3,
@@ -47,11 +62,6 @@ from .rotmaps import (
 
 QUAT_POS = "quatpos"
 AXIS_ANGLE_POS = "axisanglepos"
-
-SCREW = "screw"
-AXIS_ANGLE_DELTA = "axisangledelta"
-RODRIGUES_DELTA = "rodriguesdelta"
-EXT_RODRIGUES = "extrodrigues"
 
 
 @dataclass(frozen=True)
@@ -117,29 +127,30 @@ def axis_angle_pos(rho, r):
 
 @dataclass(frozen=True)
 class LgtCombo:
-    """One cell of the combination table."""
+    """One cell of the combination table, with its column's coordinate map
+    psi and inverse right-trivialized differential dpsi_inv (6x6)."""
 
     id: str
     abs_kind: str
-    local_kind: str
     group_model: str
     chart: str
+    psi: object
+    dpsi_inv: object
 
 
 def _make_combos():
     rows = {"1": QUAT_POS, "2": AXIS_ANGLE_POS}
     cols = {
-        "a": (SCREW, SEMIDIRECT, "exp"),
-        "b": (AXIS_ANGLE_DELTA, DIRECT_PRODUCT, "exp"),
-        "c": (RODRIGUES_DELTA, DIRECT_PRODUCT, "cay"),
-        "d": (EXT_RODRIGUES, SEMIDIRECT, "cay"),
+        "a": (SEMIDIRECT, "exp", exp_se3, dexp_inv_se3),
+        "b": (DIRECT_PRODUCT, "exp", exp_dp, dexp_inv_dp),
+        "c": (DIRECT_PRODUCT, "cay", cay_dp, dcay_inv_dp),
+        "d": (SEMIDIRECT, "cay", cay_se3, dcay_inv_se3),
     }
-    table = {}
-    for digit, abs_kind in rows.items():
-        for letter, (local_kind, group_model, chart) in cols.items():
-            cid = digit + letter
-            table[cid] = LgtCombo(cid, abs_kind, local_kind, group_model, chart)
-    return table
+    return {
+        digit + letter: LgtCombo(digit + letter, abs_kind, *col)
+        for digit, abs_kind in rows.items()
+        for letter, col in cols.items()
+    }
 
 
 COMBOS = _make_combos()
@@ -160,54 +171,24 @@ def combo(combo_id):
         ) from None
 
 
+def require_compatible(label, abs_kind, group_model, model, qs):
+    """Raise VariantMismatch unless the model's twists are group_model and
+    every body's coordinates in qs are abs_kind, as the scheme label needs."""
+    if model.group_model != group_model:
+        raise VariantMismatch(
+            f"{label} uses {group_model} twists but the model is built for "
+            f"{model.group_model}"
+        )
+    for q in qs:
+        if q.kind != abs_kind:
+            raise VariantMismatch(
+                f"{label} transports {abs_kind} coordinates, got {q.kind!r}"
+            )
+
+
 def alpha_map(q):
     """Pose (R, r) of absolute coordinates; R is shared and read-only."""
     return q.pose
-
-
-def tau_R_quat(q_rot, rot_local, chart):
-    """Quaternion update by a local rotation increment.
-
-    Right-multiplies by the increment quaternion: exp chart turns the
-    rotation-vector increment into a quaternion through the Sp(1)
-    exponential, cay chart through the Rodrigues-vector correspondence.
-    Unit norm is preserved by the product itself.
-    """
-    if chart == "exp":
-        return quat_mul(q_rot, exp_sp1(rot_local))
-    if chart == "cay":
-        return quat_mul(q_rot, rodrigues_to_quat(rot_local))
-    raise ValueError(f"unknown chart {chart!r}")
-
-
-def tau_R_axisangle(rho, rot_local, chart):
-    """Rotation-vector update by a local rotation increment.
-
-    Closed-form composition in vector parameters; the result is wrapped to
-    the pi-ball. Raises CompoundAnglePi near the 2*pi parametrization
-    boundary.
-    """
-    if chart == "exp":
-        return bch_so3(rho, rot_local)
-    if chart == "cay":
-        return compose_axisangle_rodrigues(rho, rot_local)
-    raise ValueError(f"unknown chart {chart!r}")
-
-
-def delta_r_screw(x_rot, y):
-    """Body-frame displacement of the screw chart: dexp_so3(x) @ y."""
-    return dexp_so3(x_rot) @ y
-
-
-def delta_r_cayley(c, d):
-    """Body-frame displacement of the SE(3) Cayley chart: (I + cay(c)) d."""
-    return d + cay_so3(c) @ d
-
-
-def tau_T(q, dr_body):
-    """Position update by a body-frame displacement: r + R(q) dr_body."""
-    rot, _ = alpha_map(q)
-    return q.r + rot @ dr_body
 
 
 def apply_lgt(cmb, q, x):
@@ -216,7 +197,8 @@ def apply_lgt(cmb, q, x):
     cmb is an LgtCombo (or id string), q the body's AbsCoords (its kind
     must match the combo, else VariantMismatch), x the 6-vector of local
     coordinates (rotation part first). Returns new AbsCoords; q is not
-    modified.
+    modified. Rotation-vector coordinates raise CompoundAnglePi when the
+    composed angle comes near 2*pi.
     """
     cmb = combo(cmb)
     if q.kind != cmb.abs_kind:
@@ -228,19 +210,29 @@ def apply_lgt(cmb, q, x):
     rot_local = x[:3]
     trans_local = x[3:]
 
+    # tau_R. The quaternion product keeps the unit norm without
+    # renormalization; the rotation-vector compositions wrap to the pi-ball.
     if cmb.abs_kind == QUAT_POS:
-        rot_new = tau_R_quat(q.rot, rot_local, cmb.chart)
+        if cmb.chart == "exp":
+            rot_new = quat_mul(q.rot, exp_sp1(rot_local))
+        else:
+            rot_new = quat_mul(q.rot, rodrigues_to_quat(rot_local))
+    elif cmb.chart == "exp":
+        rot_new = bch_so3(q.rot, rot_local)
     else:
-        rot_new = tau_R_axisangle(q.rot, rot_local, cmb.chart)
+        rot_new = compose_axisangle_rodrigues(q.rot, rot_local)
 
-    if cmb.local_kind == SCREW:
-        r_new = tau_T(q, delta_r_screw(rot_local, trans_local))
-    elif cmb.local_kind == EXT_RODRIGUES:
-        r_new = tau_T(q, delta_r_cayley(rot_local, trans_local))
-    else:
-        # Mixed-twist charts carry the position increment directly in the
-        # inertial frame.
+    # tau_T. Mixed twists carry an inertial-frame position increment, the
+    # SE(3) charts a body-frame displacement that R(q) turns into one.
+    if cmb.group_model == DIRECT_PRODUCT:
         r_new = q.r + trans_local
+    else:
+        if cmb.chart == "exp":
+            dr_body = dexp_so3(rot_local) @ trans_local
+        else:
+            dr_body = trans_local + cay_so3(rot_local) @ trans_local
+        rot, _ = alpha_map(q)
+        r_new = q.r + rot @ dr_body
     return AbsCoords(cmb.abs_kind, rot_new, r_new)
 
 
@@ -260,16 +252,12 @@ def apply_lgt_stacked(cmb, qs, x_stacked):
 
 def combo_psi(cmb, x):
     """The combo's coordinate map psi as a (rotation, position) pose."""
-    cmb = combo(cmb)
-    psi, _ = coordinate_map(cmb.group_model, cmb.chart)
-    return psi(x)
+    return combo(cmb).psi(x)
 
 
 def combo_dpsi_inv(cmb, x):
     """The combo's inverse right-trivialized differential (6x6) at x."""
-    cmb = combo(cmb)
-    _, dpsi_inv = coordinate_map(cmb.group_model, cmb.chart)
-    return dpsi_inv(x)
+    return combo(cmb).dpsi_inv(x)
 
 
 def identity_coords(kind):

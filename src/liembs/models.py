@@ -235,7 +235,8 @@ def free_rigid_body(params, group_model=SEMIDIRECT):
     s = _vec3(params.com_offset, "com_offset")
     if float(s @ s) > 0.0:
         raise ValueError(
-            "free_rigid_body expects the body frame at the center of mass"
+            "body 0: free_rigid_body expects the body frame at the center "
+            "of mass"
         )
     return SphericalJointSystem([params], [], group_model)
 

@@ -10,8 +10,10 @@ A rigid body pose (R, r) composes under two different group structures:
   and linear part resolved in the inertial frame.
 
 Each model carries an exponential and a Cayley coordinate map from R^6 with
-closed-form inverse right-trivialized differentials (6x6). The kinematic
-reconstruction convention throughout the package is
+closed-form inverse right-trivialized differentials (6x6); the combination
+table in :mod:`liembs.lgt` pairs each (model, chart) column with its map
+and differential. The kinematic reconstruction convention throughout the
+package is
 
     Xdot = dpsi_inv(-X) @ V,        V = C^{-1} Cdot  (left-trivialized),
 
@@ -26,6 +28,7 @@ import numpy as np
 from .rotmaps import (
     cay_so3,
     dcay_inv_so3,
+    dexp_inv_quad,
     dexp_inv_so3,
     dexp_so3,
     exp_so3,
@@ -38,20 +41,11 @@ DIRECT_PRODUCT = "so3xr3"
 
 GROUP_MODELS = (SEMIDIRECT, DIRECT_PRODUCT)
 
-# Below this rotation angle the two singular coefficients of the B block
-# switch to Taylor series; the matrix-level effect of the switch is far
-# below every tolerance in the package because both coefficients multiply
-# terms that are themselves O(phi) small.
+# Below this rotation angle the quartic coefficient of the B block switches
+# to its Taylor series; the matrix-level effect of the switch is far below
+# every tolerance in the package because the coefficient multiplies terms
+# that are themselves O(phi**3) small.
 _B_SERIES_ANGLE = 1.0e-3
-
-
-def _b_quad(phi):
-    """(1 - gamma(phi)) / phi**2 with a series branch below 1e-3."""
-    if abs(phi) < _B_SERIES_ANGLE:
-        phi2 = phi * phi
-        return 1.0 / 12.0 + phi2 / 720.0 + phi2 * phi2 / 30240.0
-    half = 0.5 * phi
-    return (1.0 - half / math.tan(half)) / (phi * phi)
 
 
 def _b_quartic(phi):
@@ -82,7 +76,7 @@ def _b_block(x, y):
     yh = hat(y)
     return (
         -0.5 * yh
-        + _b_quad(phi) * (xh @ yh + yh @ xh)
+        + dexp_inv_quad(phi) * (xh @ yh + yh @ xh)
         + (float(x @ y) * _b_quartic(phi)) * (xh @ xh)
     )
 
@@ -168,26 +162,3 @@ def compose(group_model, pose1, pose2):
     if group_model == DIRECT_PRODUCT:
         return r1 @ r2, np.asarray(p1, dtype=float) + p2
     raise ValueError(f"unknown group model {group_model!r}")
-
-
-_MAPS = {
-    (SEMIDIRECT, "exp"): (exp_se3, dexp_inv_se3),
-    (SEMIDIRECT, "cay"): (cay_se3, dcay_inv_se3),
-    (DIRECT_PRODUCT, "exp"): (exp_dp, dexp_inv_dp),
-    (DIRECT_PRODUCT, "cay"): (cay_dp, dcay_inv_dp),
-}
-
-
-def coordinate_map(group_model, chart):
-    """Look up (psi, dpsi_inv) for a group model and chart ("exp" or "cay").
-
-    psi maps a 6-vector to a (rotation, position) pair; dpsi_inv returns the
-    6x6 inverse right-trivialized differential at a 6-vector.
-    """
-    try:
-        return _MAPS[(group_model, chart)]
-    except KeyError:
-        raise ValueError(
-            f"no coordinate map for group model {group_model!r}, "
-            f"chart {chart!r}"
-        ) from None

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from liembs.cli import main
+from liembs.lgt import COMBO_IDS
 
 _SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -175,6 +176,41 @@ def test_overflowing_step_count_exits_2_with_path(tmp_path, capsys):
     assert "integrator.t_end_s" in capsys.readouterr().err
 
 
+def test_partial_last_step_exits_2_with_path(tmp_path, capsys):
+    doc = _load("free_tumble.json")
+    doc["integrator"]["h_s"] = 0.3
+    doc["integrator"]["t_end_s"] = 1.0  # 3.33 steps: would stop at t = 0.9
+    path = _write(tmp_path, doc)
+    assert main(["run", str(path)]) == 2
+    assert "integrator.t_end_s" in capsys.readouterr().err
+
+
+def test_convergence_rejects_h_that_does_not_reach_t_end(tmp_path, capsys):
+    doc = _load("free_tumble.json")
+    doc["integrator"]["t_end_s"] = 0.05  # 16.67 steps of 0.003
+    path = _write(tmp_path, doc)
+    assert main(["convergence", str(path), "--h", "0.003,0.0015,0.00075"]) == 2
+    assert "--h 0.003:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name,group_model,combo",
+    [("free_tumble.json", "se3", "1a"), ("pendulum_pinned.json", "so3xr3", "1b")],
+)
+def test_off_centre_frame_the_model_rejects_exits_2(
+    tmp_path, capsys, name, group_model, combo
+):
+    doc = _load(name)
+    doc["model"]["group_model"] = group_model
+    doc["model"]["bodies"][0]["com_offset_m"] = [0.0, 0.0, -0.5]
+    doc["integrator"]["combo"] = combo
+    path = _write(tmp_path, doc)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: model")
+    assert "body 0" in err
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_state_exits_4_with_step_index(tmp_path, capsys):
@@ -280,6 +316,39 @@ def test_compare_baseline_drifts_where_lgt_does_not(tmp_path, capsys):
     assert drifts["baseline"] > 1e-12
     for cid in ("1a", "1b", "1c", "1d"):
         assert drifts[cid] < 1e-12
+
+
+def test_compare_runs_the_combos_of_a_baseline_scenario(tmp_path, capsys):
+    doc = _load("free_tumble.json")
+    doc["integrator"] = {"scheme": "BaselineQuatRK4", "h_s": 2e-2, "t_end_s": 0.5}
+    path = _write(tmp_path, doc)
+    assert main(["compare", str(path)]) == 0
+    drifts = _parse_drifts(capsys.readouterr().out)
+    assert drifts["baseline"] > 1e-12
+    for cid in ("1a", "1b", "1c", "1d"):
+        assert drifts[cid] < 1e-12
+
+
+@pytest.mark.parametrize(
+    "name", ["free_tumble.json", "pendulum_pinned.json", "chain_swing.json"]
+)
+def test_compare_runs_what_the_model_admits(tmp_path, capsys, name):
+    doc = _load(name)
+    doc["integrator"]["t_end_s"] = 20 * doc["integrator"]["h_s"]
+    path = _write(tmp_path, doc)
+    assert main(["compare", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "max pairwise pose discrepancy" in captured.out
+    skipped = {
+        line.split(":")[1].strip()
+        for line in captured.err.splitlines()
+        if line.startswith("skipped: ")
+    }
+    drifts = _parse_drifts(captured.out)
+    assert skipped.isdisjoint(drifts)
+    assert skipped | set(drifts) == set(COMBO_IDS) | {"baseline"}
+    if name == "pendulum_pinned.json":  # frame off the CoM, with projection
+        assert skipped == {"1b", "1c", "2b", "2c", "baseline"}
 
 
 def test_console_entry_point_runs(tumble, tmp_path):

@@ -396,6 +396,7 @@ def test_config_validation():
         {"t_end": math.nan},
         {"t_end": -1.0},
         {"t_end": 1e308, "h": 1e-3},  # t_end / h overflows to inf
+        {"t_end": 1.0, "h": 0.3},  # no whole number of steps reaches t_end
     ):
         with pytest.raises(ValueError):
             IntegratorConfig(MUNTHE_KAAS_RK4, "1a", **bad)

@@ -17,14 +17,9 @@ from liembs.lgt import (
     axis_angle_pos,
     combo,
     combo_psi,
-    delta_r_cayley,
-    delta_r_screw,
     identity_coords,
     quat_norm_error,
     quat_pos,
-    tau_R_axisangle,
-    tau_R_quat,
-    tau_T,
 )
 from liembs.motiongroups import compose, exp_se3
 from liembs.rotmaps import (
@@ -95,67 +90,81 @@ def test_axis_angle_pos_wraps_into_pi_ball():
     assert np.allclose(exp_so3(q.rot), exp_so3(1.5 * math.pi * e), atol=1e-13)
 
 
+def _rotated(cid, q, x_rot):
+    """Rotation coordinates after a pure-rotation increment (tau_R)."""
+    return apply_lgt(cid, q, np.concatenate([x_rot, np.zeros(3)])).rot
+
+
+def _displaced(cid, x):
+    """Position after the increment x from the identity pose: the chart's
+    inertial-frame displacement (tau_T with R = I)."""
+    return apply_lgt(cid, identity_coords(COMBOS[cid].abs_kind), x).r
+
+
 def test_tau_R_quat_exp_and_cay():
     rng = np.random.default_rng(41)
     for _ in range(50):
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
         x = oracles.random_vector(rng, 2.5)
-        qe = tau_R_quat(q, x, "exp")
+        qe = _rotated("1a", quat_pos(q, np.zeros(3)), x)
         assert np.allclose(
             quat_to_rotmat(qe), quat_to_rotmat(q) @ exp_so3(x), atol=1e-12
         )
-        qc = tau_R_quat(q, x, "cay")
+        qc = _rotated("1c", quat_pos(q, np.zeros(3)), x)
         assert np.allclose(
             quat_to_rotmat(qc), quat_to_rotmat(q) @ cay_so3(x), atol=1e-12
         )
         assert np.linalg.norm(qe) == pytest.approx(1.0, abs=1e-13)
         assert np.linalg.norm(qc) == pytest.approx(1.0, abs=1e-13)
-    ident = np.array([1.0, 0.0, 0.0, 0.0])
+    ident = identity_coords(QUAT_POS)
     x = np.array([0.3, -0.2, 0.5])
-    assert np.array_equal(tau_R_quat(ident, np.zeros(3), "exp"), ident)
-    assert np.allclose(tau_R_quat(ident, x, "exp"), exp_sp1(x))
+    assert np.array_equal(_rotated("1a", ident, np.zeros(3)), ident.rot)
+    assert np.allclose(_rotated("1a", ident, x), exp_sp1(x))
 
 
 def test_tau_R_axisangle_exp_and_cay():
     rng = np.random.default_rng(42)
     for _ in range(50):
         rho = oracles.random_vector(rng, 0.9 * math.pi)
+        q = axis_angle_pos(rho, np.zeros(3))
         x = oracles.random_vector(rng, 0.9 * math.pi)
-        out = tau_R_axisangle(rho, x, "exp")
+        out = _rotated("2a", q, x)
         assert np.allclose(exp_so3(out), exp_so3(rho) @ exp_so3(x), atol=1e-10)
         c = oracles.random_vector(rng, 2.0)
-        out = tau_R_axisangle(rho, c, "cay")
+        out = _rotated("2c", q, c)
         assert np.allclose(exp_so3(out), exp_so3(rho) @ cay_so3(c), atol=1e-10)
     rho = np.array([0.4, 0.1, -0.2])
-    assert np.allclose(tau_R_axisangle(rho, np.zeros(3), "exp"), rho, atol=1e-14)
+    out = _rotated("2a", axis_angle_pos(rho, np.zeros(3)), np.zeros(3))
+    assert np.allclose(out, rho, atol=1e-14)
 
 
 def test_tau_R_axisangle_coaxial_adds_then_wraps():
     e = np.array([1.0, 0.0, 0.0])
-    out = tau_R_axisangle(0.25 * math.pi * e, 0.5 * math.pi * e, "exp")
+    zero = np.zeros(3)
+    out = _rotated("2a", axis_angle_pos(0.25 * math.pi * e, zero), 0.5 * math.pi * e)
     assert np.allclose(out, 0.75 * math.pi * e, atol=1e-13)
-    out = tau_R_axisangle(0.75 * math.pi * e, 0.75 * math.pi * e, "exp")
+    out = _rotated("2a", axis_angle_pos(0.75 * math.pi * e, zero), 0.75 * math.pi * e)
     assert np.allclose(out, -0.5 * math.pi * e, atol=1e-12)
 
 
 def test_delta_r_screw_matches_exp_se3_translation():
     rng = np.random.default_rng(43)
     y = np.array([1.0, -0.5, 2.0])
-    assert np.allclose(delta_r_screw(np.zeros(3), y), y)
-    assert np.allclose(delta_r_screw(np.array([0.3, 0.2, -1.0]), np.zeros(3)), 0.0)
+    assert np.allclose(_displaced("1a", np.concatenate([np.zeros(3), y])), y)
+    assert np.allclose(_displaced("1a", np.array([0.3, 0.2, -1.0, 0.0, 0.0, 0.0])), 0.0)
     for _ in range(20):
         xy = np.concatenate(
             [oracles.random_vector(rng, 2.5), oracles.random_vector(rng, 2.0)]
         )
         _, p = exp_se3(xy)
-        assert np.array_equal(delta_r_screw(xy[:3], xy[3:]), p)
+        assert np.array_equal(_displaced("1a", xy), p)
 
 
 def test_delta_r_cayley_matches_cay_se3_translation():
     d = np.array([0.4, 0.2, -0.9])
-    assert np.allclose(delta_r_cayley(np.zeros(3), d), 2.0 * d)
-    assert np.allclose(delta_r_cayley(np.array([1.0, 2.0, 0.5]), np.zeros(3)), 0.0)
+    assert np.allclose(_displaced("1d", np.concatenate([np.zeros(3), d])), 2.0 * d)
+    assert np.allclose(_displaced("1d", np.array([1.0, 2.0, 0.5, 0.0, 0.0, 0.0])), 0.0)
 
 
 def test_tau_T_and_quaternion_sandwich():
@@ -163,15 +172,15 @@ def test_tau_T_and_quaternion_sandwich():
     for _ in range(50):
         q = _random_q(rng, QUAT_POS)
         dr = rng.normal(size=3)
-        out = tau_T(q, dr)
+        out = apply_lgt("1a", q, np.concatenate([np.zeros(3), dr])).r
         # Same transport via the quaternion sandwich Q (0, dr) Q*.
         sandwich = quat_mul(
             quat_mul(q.rot, np.concatenate([[0.0], dr])),
             np.array([q.rot[0], -q.rot[1], -q.rot[2], -q.rot[3]]),
         )
         assert np.allclose(out, q.r + sandwich[1:], atol=1e-13)
-    ident = identity_coords(QUAT_POS)
-    assert np.allclose(tau_T(ident, np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
+    out = _displaced("1a", np.array([0.0, 0.0, 0.0, 1.0, 2.0, 3.0]))
+    assert np.allclose(out, [1.0, 2.0, 3.0])
 
 
 def test_apply_lgt_zero_increment_is_identity():

@@ -12,7 +12,6 @@ from liembs.motiongroups import (
     cay_dp,
     cay_se3,
     compose,
-    coordinate_map,
     dcay_inv_dp,
     dcay_inv_se3,
     dexp_inv_dp,
@@ -239,26 +238,22 @@ def test_kinematic_reconstruction_convention():
     # chart path alone covers C(t) = C_k psi(X(t))).
     rng = np.random.default_rng(33)
     h = 1e-6
-    for model in (SEMIDIRECT, DIRECT_PRODUCT):
-        for chart in ("exp", "cay"):
-            psi, dpsi_inv = coordinate_map(model, chart)
-            for _ in range(10):
-                x = _random_xy(rng, 1.5)
-                v = rng.normal(size=6)
-                xdot = dpsi_inv(-x) @ v
-                rp, pp = psi(x + h * xdot)
-                rm, pm = psi(x - h * xdot)
-                r0, p0 = psi(x)
-                omega = oracles.unskew(r0.T @ ((rp - rm) / (2 * h)))
-                if model == SEMIDIRECT:
-                    lin = r0.T @ ((pp - pm) / (2 * h))
-                else:
-                    lin = (pp - pm) / (2 * h)
-                assert np.allclose(np.concatenate([omega, lin]), v, atol=1e-6)
-
-
-def test_coordinate_map_lookup_errors():
-    with pytest.raises(ValueError):
-        coordinate_map("nonsense", "exp")
-    with pytest.raises(ValueError):
-        coordinate_map(SEMIDIRECT, "log")
+    for model, psi, dpsi_inv in (
+        (SEMIDIRECT, exp_se3, dexp_inv_se3),
+        (SEMIDIRECT, cay_se3, dcay_inv_se3),
+        (DIRECT_PRODUCT, exp_dp, dexp_inv_dp),
+        (DIRECT_PRODUCT, cay_dp, dcay_inv_dp),
+    ):
+        for _ in range(10):
+            x = _random_xy(rng, 1.5)
+            v = rng.normal(size=6)
+            xdot = dpsi_inv(-x) @ v
+            rp, pp = psi(x + h * xdot)
+            rm, pm = psi(x - h * xdot)
+            r0, p0 = psi(x)
+            omega = oracles.unskew(r0.T @ ((rp - rm) / (2 * h)))
+            if model == SEMIDIRECT:
+                lin = r0.T @ ((pp - pm) / (2 * h))
+            else:
+                lin = (pp - pm) / (2 * h)
+            assert np.allclose(np.concatenate([omega, lin]), v, atol=1e-6)

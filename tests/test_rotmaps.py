@@ -13,6 +13,7 @@ from liembs.rotmaps import (
     cay_so3,
     compose_axisangle_rodrigues,
     dcay_inv_so3,
+    dexp_inv_quad,
     dexp_inv_so3,
     dexp_so3,
     exp_so3,
@@ -58,6 +59,14 @@ def test_trig_coefficients_continuous_at_series_switch():
         assert a_lo == pytest.approx(a_hi, rel=1e-13)
         assert b_lo == pytest.approx(b_hi, rel=1e-13)
         assert g_lo == pytest.approx(g_hi, rel=1e-13)
+
+
+def test_dexp_inv_quad_matches_series_below_switch():
+    # (1 - gamma)/phi^2 = 1/12 + phi^2/720 + phi^4/30240 + phi^6/1209600 + ...
+    for phi in (1e-4, 2e-4, 5e-4):
+        p2 = phi * phi
+        series = 1 / 12 + p2 / 720 + p2**2 / 30240 + p2**3 / 1209600
+        assert dexp_inv_quad(phi) == pytest.approx(series, rel=1e-12, abs=0.0)
 
 
 def test_exp_so3_matches_power_series():
