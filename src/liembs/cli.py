@@ -645,12 +645,15 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        scenario = load_scenario(args.scenario)
-        if args.command == "run":
-            return _cmd_run(scenario, args)
-        if args.command == "convergence":
-            return _cmd_convergence(scenario, args)
-        return _cmd_compare(scenario, args)
+        # Overflow and NaN are caught by the finiteness checks and reported
+        # with an exit code; numpy's warnings about them would only add noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            scenario = load_scenario(args.scenario)
+            if args.command == "run":
+                return _cmd_run(scenario, args)
+            if args.command == "convergence":
+                return _cmd_convergence(scenario, args)
+            return _cmd_compare(scenario, args)
     except SchemaError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

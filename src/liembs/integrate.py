@@ -145,9 +145,10 @@ class TrajectoryRecord:
 
 def _guard_chart(x, n_bodies):
     """Abort the step if any body's local rotation leaves the pi-ball."""
-    for i in range(n_bodies):
-        rot = x[6 * i : 6 * i + 3]
-        norm = math.sqrt(float(rot @ rot))
+    x = x.tolist()
+    for i in range(0, 6 * n_bodies, 6):
+        a, b, c = x[i : i + 3]
+        norm = math.sqrt(a * a + b * b + c * c)
         if not norm <= math.pi:  # NaN trips the guard too
             raise ChartBoundary(
                 f"local rotation norm {norm:.6f} exceeds the per-step chart "
@@ -309,8 +310,9 @@ def integrate(model, config, state0):
     """Run the fixed-step loop and record diagnostics at every step.
 
     The initial state must satisfy the constraints (position and velocity
-    residuals below 1e-10). Failures inside a step are re-raised as
-    StepFailed with the step index and time attached.
+    residuals below 1e-10). Failures inside a step (a LiembsError, an
+    ArithmeticError or a ValueError, which includes numpy's LinAlgError)
+    are re-raised as StepFailed with the step index and time attached.
     """
     label, abs_kind, group_model = scheme_kinds(config)
     require_compatible(label, abs_kind, group_model, model, state0.qs)
@@ -355,7 +357,9 @@ def integrate(model, config, state0):
     for k in range(n_steps):
         try:
             state, drift = step(model, config, state)
-        except LiembsError as exc:
+        # Float kernels raise ValueError (math.cos(inf)) or OverflowError
+        # where numpy would return NaN; LinAlgError is a ValueError.
+        except (LiembsError, ArithmeticError, ValueError) as exc:
             raise StepFailed(k, state.t, exc) from exc
         _record(k + 1, drift)
 

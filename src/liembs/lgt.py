@@ -200,7 +200,8 @@ def apply_lgt(cmb, q, x):
     modified. Rotation-vector coordinates raise CompoundAnglePi when the
     composed angle comes near 2*pi.
     """
-    cmb = combo(cmb)
+    if not isinstance(cmb, LgtCombo):
+        cmb = combo(cmb)
     if q.kind != cmb.abs_kind:
         raise VariantMismatch(
             f"combo {cmb.id} needs {cmb.abs_kind} absolute coordinates, "
@@ -223,7 +224,8 @@ def apply_lgt(cmb, q, x):
         rot_new = compose_axisangle_rodrigues(q.rot, rot_local)
 
     # tau_T. Mixed twists carry an inertial-frame position increment, the
-    # SE(3) charts a body-frame displacement that R(q) turns into one.
+    # SE(3) charts a body-frame displacement that R(q) turns into one; it is
+    # the translation of exp_se3 / cay_se3, computed by the same expression.
     if cmb.group_model == DIRECT_PRODUCT:
         r_new = q.r + trans_local
     else:

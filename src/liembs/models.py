@@ -123,34 +123,56 @@ class SphericalJointSystem:
             sl = slice(6 * i, 6 * i + 6)
             self.mass_matrix[sl, sl] = block
             self.mass_inverse[sl, sl] = np.linalg.inv(block)
-        self._mass_blocks = blocks
         self._gravity = [np.asarray(p.gravity, dtype=float) for p in self.bodies]
         self._com = [np.asarray(p.com_offset, dtype=float) for p in self.bodies]
+        self._com_offsets = [tuple(s.tolist()) for s in self._com]
+        self._weights = [
+            tuple((p.mass * g).tolist()) for p, g in zip(self.bodies, self._gravity)
+        ]
 
     def forces(self, qs, v, t):
-        """Gyroscopic bias plus gravity, stacked over bodies."""
-        out = np.empty(6 * self.n_bodies)
+        """Gyroscopic bias plus gravity, stacked over bodies.
+
+        Per body, in closed form: with the momenta p = m (v - s x omega) and
+        h = Theta_c omega + s x p, the body-fixed twist model gives
+        (h x omega + p x v + s x m g_body, p x omega + m g_body), where
+        g_body = R^T g; the mixed-twist model gives
+        ((Theta_c omega) x omega, m g).
+        """
+        v = np.asarray(v, dtype=float).tolist()
+        semidirect = self.group_model == SEMIDIRECT
+        out = []
         for i, params in enumerate(self.bodies):
-            sl = slice(6 * i, 6 * i + 6)
-            vi = v[sl]
-            omega = vi[:3]
-            mu = self._mass_blocks[i] @ vi
-            g = self._gravity[i]
+            w0, w1, w2, u0, u1, u2 = v[6 * i : 6 * i + 6]
             m = params.mass
-            if self.group_model == SEMIDIRECT:
-                rot, _ = alpha_map(qs[i])
-                g_body = rot.T @ g
-                s = self._com[i]
-                out[6 * i : 6 * i + 3] = (
-                    cross3(mu[:3], omega)
-                    + cross3(mu[3:], vi[3:])
-                    + m * cross3(s, g_body)
+            j0, j1, j2 = params.inertia
+            if not semidirect:
+                out += (
+                    (j1 - j2) * w1 * w2,
+                    (j2 - j0) * w2 * w0,
+                    (j0 - j1) * w0 * w1,
+                    *self._weights[i],
                 )
-                out[6 * i + 3 : 6 * i + 6] = cross3(mu[3:], omega) + m * g_body
-            else:
-                out[6 * i : 6 * i + 3] = cross3(mu[:3], omega)
-                out[6 * i + 3 : 6 * i + 6] = m * g
-        return out
+                continue
+            s0, s1, s2 = self._com_offsets[i]
+            p0 = m * (u0 - (s1 * w2 - s2 * w1))
+            p1 = m * (u1 - (s2 * w0 - s0 * w2))
+            p2 = m * (u2 - (s0 * w1 - s1 * w0))
+            h0 = j0 * w0 + s1 * p2 - s2 * p1
+            h1 = j1 * w1 + s2 * p0 - s0 * p2
+            h2 = j2 * w2 + s0 * p1 - s1 * p0
+            rot, _ = alpha_map(qs[i])
+            g0, g1, g2 = (self._gravity[i] @ rot).tolist()
+            g0, g1, g2 = m * g0, m * g1, m * g2
+            out += (
+                h1 * w2 - h2 * w1 + p1 * u2 - p2 * u1 + s1 * g2 - s2 * g1,
+                h2 * w0 - h0 * w2 + p2 * u0 - p0 * u2 + s2 * g0 - s0 * g2,
+                h0 * w1 - h1 * w0 + p0 * u1 - p1 * u0 + s0 * g1 - s1 * g0,
+                p1 * w2 - p2 * w1 + g0,
+                p2 * w0 - p0 * w2 + g1,
+                p0 * w1 - p1 * w0 + g2,
+            )
+        return np.array(out)
 
     def constraints(self, qs):
         poses = [alpha_map(q) for q in qs]

@@ -19,6 +19,16 @@ package is
 
 so only the inverse differentials are public; forward differentials appear
 in tests through finite differences. 6-vectors are (angular, linear).
+
+The 6x6 inverse differentials are closed-form float expressions built into
+one array from a tuple; skew products enter through
+``hat(x) hat(y) = y x^T - (x.y) I``. Accuracy of the SE(3) B block near its
+coefficient switches (mpmath, 80 random x and y per switch, phi within 10%
+of the switch, error per unit |y|): 4.6e-21 near 1e-4; 2.2e-13 near 1e-3,
+where ``(1 - gamma) / phi**2`` switches from its series to a closed form
+that is good to 8.7e-10 relative; 3.8e-16 near 0.7, where the quartic
+coefficient switches. That coefficient is good to 6e-13 relative just above
+0.7 and to 4e-15 below it.
 """
 
 import math
@@ -27,12 +37,11 @@ import numpy as np
 
 from .rotmaps import (
     cay_so3,
-    dcay_inv_so3,
-    dexp_inv_quad,
-    dexp_inv_so3,
+    dcay_inv_so3_entries,
+    dexp_inv_so3_entries,
     dexp_so3,
     exp_so3,
-    hat,
+    so3_poly_entries,
     trig_coefficients,
 )
 
@@ -41,20 +50,48 @@ DIRECT_PRODUCT = "so3xr3"
 
 GROUP_MODELS = (SEMIDIRECT, DIRECT_PRODUCT)
 
-# Below this rotation angle the quartic coefficient of the B block switches
-# to its Taylor series; the matrix-level effect of the switch is far below
-# every tolerance in the package because the coefficient multiplies terms
-# that are themselves O(phi**3) small.
-_B_SERIES_ANGLE = 1.0e-3
+# Below this rotation angle the quartic coefficient of the B block is its
+# Taylor series in phi**2, above it the closed form (see the module notes).
+_B_SERIES_ANGLE = 0.7
+
+_ZERO3 = (0.0, 0.0, 0.0)
+_EYE3 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+_ZERO9 = _ZERO3 * 3
 
 
 def _b_quartic(phi):
-    """(1/beta + gamma - 2) / phi**4 with a series branch below 1e-3."""
+    """(1/beta + gamma - 2) / phi**4: its Taylor series to phi**14 below 0.7,
+    where the closed form would cancel, and the closed form above. The
+    coefficients come from Bernoulli numbers; the series converges for
+    phi < 2*pi."""
+    phi2 = phi * phi
     if abs(phi) < _B_SERIES_ANGLE:
-        phi2 = phi * phi
-        return 1.0 / 360.0 + phi2 / 7560.0
+        return 1.0 / 360.0 + phi2 * (
+            1.0 / 7560.0 + phi2 * (
+                1.0 / 201600.0 + phi2 * (
+                    1.0 / 5987520.0 + phi2 * (
+                        691.0 / 130767436800.0 + phi2 * (
+                            1.0 / 6227020800.0 + phi2 * (
+                                3617.0 / 762187345920000.0
+                                + phi2 * (43867.0 / 319318388573184000.0)
+                            )
+                        )
+                    )
+                )
+            )
+        )
     _, beta, gamma = trig_coefficients(phi)
-    return (1.0 / beta + gamma - 2.0) / (phi * phi * phi * phi)
+    return (1.0 / beta + gamma - 2.0) / (phi2 * phi2)
+
+
+def _blocks(upper_left, lower_left, lower_right):
+    """The 6x6 array [[upper_left, 0], [lower_left, lower_right]] from
+    row-major 3x3 entry tuples."""
+    ul, ll, lr = upper_left, lower_left, lower_right
+    return np.array(
+        ul[0:3] + _ZERO3 + ul[3:6] + _ZERO3 + ul[6:9] + _ZERO3
+        + ll[0:3] + lr[0:3] + ll[3:6] + lr[3:6] + ll[6:9] + lr[6:9]
+    ).reshape(6, 6)
 
 
 def exp_se3(xy):
@@ -65,19 +102,32 @@ def exp_se3(xy):
     """
     xy = np.asarray(xy, dtype=float)
     x = xy[:3]
-    y = xy[3:]
-    return exp_so3(x), dexp_so3(x) @ y
+    return exp_so3(x), dexp_so3(x) @ xy[3:]
 
 
-def _b_block(x, y):
-    """Lower-left block of :func:`dexp_inv_se3`; linear in y."""
-    phi = math.sqrt(float(x @ x))
-    xh = hat(x)
-    yh = hat(y)
+def _b_entries(x, y, quad):
+    """Row-major entries of the lower-left block of :func:`dexp_inv_se3`,
+
+        -hat(y)/2 + quad*(hat(x) hat(y) + hat(y) hat(x)) + (x.y) b4 hat(x)**2,
+
+    linear in y, with hat(x) hat(y) = y x^T - (x.y) I and b4 = _b_quartic."""
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    phi2 = x0 * x0 + x1 * x1 + x2 * x2
+    xy = x0 * y0 + x1 * y1 + x2 * y2
+    s = xy * _b_quartic(math.sqrt(phi2))
+    q2 = 2.0 * quad
+    e = -(q2 * xy + s * phi2)
+    m01 = quad * (x0 * y1 + y0 * x1) + s * x0 * x1
+    m02 = quad * (x0 * y2 + y0 * x2) + s * x0 * x2
+    m12 = quad * (x1 * y2 + y1 * x2) + s * x1 * x2
+    hy0 = 0.5 * y0
+    hy1 = 0.5 * y1
+    hy2 = 0.5 * y2
     return (
-        -0.5 * yh
-        + dexp_inv_quad(phi) * (xh @ yh + yh @ xh)
-        + (float(x @ y) * _b_quartic(phi)) * (xh @ xh)
+        e + q2 * x0 * y0 + s * x0 * x0, m01 + hy2, m02 - hy1,
+        m01 - hy2, e + q2 * x1 * y1 + s * x1 * x1, m12 + hy0,
+        m02 + hy1, m12 - hy0, e + q2 * x2 * y2 + s * x2 * x2,
     )
 
 
@@ -88,39 +138,39 @@ def dexp_inv_se3(xy):
     the y-linear B block in the lower left. Raises :class:`ChartBoundary`
     (through dexp_inv_so3) at ``||x|| >= 2*pi``.
     """
-    xy = np.asarray(xy, dtype=float)
+    xy = np.asarray(xy, dtype=float).tolist()
     x = xy[:3]
-    d_inv = dexp_inv_so3(x)
-    out = np.zeros((6, 6))
-    out[:3, :3] = d_inv
-    out[3:, 3:] = d_inv
-    out[3:, :3] = _b_block(x, xy[3:])
-    return out
+    d_inv, quad = dexp_inv_so3_entries(x)
+    return _blocks(d_inv, _b_entries(x, xy[3:], quad), d_inv)
 
 
 def cay_se3(cd):
     """Cayley map on SE(3) in extended Rodrigues coordinates, as (R, r)."""
     cd = np.asarray(cd, dtype=float)
-    c = cd[:3]
     d = cd[3:]
-    r = cay_so3(c)
+    r = cay_so3(cd[:3])
     return r, d + r @ d
 
 
 def dcay_inv_se3(cd):
     """Inverse right-trivialized differential of :func:`cay_se3` (6x6).
 
-    Uses ``(I + cay_so3(c))^{-1} = (I - hat(c)) / 2``, exact for every c.
+    Uses ``(I + cay_so3(c))^{-1} = (I - hat(c)) / 2``, exact for every c,
+    and ``hat(c) hat(d) = d c^T - (c.d) I`` in the lower-left block
+    ``-(I - hat(c)) hat(d) / 2``.
     """
-    cd = np.asarray(cd, dtype=float)
-    c = cd[:3]
-    d = cd[3:]
-    half_ic = 0.5 * (np.eye(3) - hat(c))
-    out = np.zeros((6, 6))
-    out[:3, :3] = dcay_inv_so3(c)
-    out[3:, :3] = -half_ic @ hat(d)
-    out[3:, 3:] = half_ic
-    return out
+    c0, c1, c2, d0, d1, d2 = np.asarray(cd, dtype=float).tolist()
+    h = -0.5 * (c0 * d0 + c1 * d1 + c2 * d2)
+    lower_left = (
+        0.5 * d0 * c0 + h, 0.5 * (d0 * c1 + d2), 0.5 * (d0 * c2 - d1),
+        0.5 * (d1 * c0 - d2), 0.5 * d1 * c1 + h, 0.5 * (d1 * c2 + d0),
+        0.5 * (d2 * c0 + d1), 0.5 * (d2 * c1 - d0), 0.5 * d2 * c2 + h,
+    )
+    return _blocks(
+        dcay_inv_so3_entries((c0, c1, c2)),
+        lower_left,
+        so3_poly_entries((c0, c1, c2), 0.5, -0.5, 0.0),
+    )
 
 
 def exp_dp(xy):
@@ -131,11 +181,8 @@ def exp_dp(xy):
 
 def dexp_inv_dp(xy):
     """Inverse right-trivialized differential of :func:`exp_dp` (6x6)."""
-    xy = np.asarray(xy, dtype=float)
-    out = np.zeros((6, 6))
-    out[:3, :3] = dexp_inv_so3(xy[:3])
-    out[3:, 3:] = np.eye(3)
-    return out
+    x = np.asarray(xy, dtype=float).tolist()[:3]
+    return _blocks(dexp_inv_so3_entries(x)[0], _ZERO9, _EYE3)
 
 
 def cay_dp(cd):
@@ -146,11 +193,8 @@ def cay_dp(cd):
 
 def dcay_inv_dp(cd):
     """Inverse right-trivialized differential of :func:`cay_dp` (6x6)."""
-    cd = np.asarray(cd, dtype=float)
-    out = np.zeros((6, 6))
-    out[:3, :3] = dcay_inv_so3(cd[:3])
-    out[3:, 3:] = np.eye(3)
-    return out
+    c = np.asarray(cd, dtype=float).tolist()[:3]
+    return _blocks(dcay_inv_so3_entries(c), _ZERO9, _EYE3)
 
 
 def compose(group_model, pose1, pose2):

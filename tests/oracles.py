@@ -3,7 +3,9 @@
 Everything here is deliberately dumb and slow: truncated power series for
 group exponentials, central finite differences for differentials, rejection
 sampling for random inputs. None of it shares code with the package under
-test, so agreement is meaningful.
+test, so agreement is meaningful; the one exception, the matrix forms of the
+per-body kernels at the end, takes the package's scalar coefficients and
+checks how the closed forms assemble them.
 
 Conventions match the package: quaternions are scalar-first (4,) arrays,
 6-vectors are (angular, linear), se(3) elements are 4x4 homogeneous with the
@@ -13,8 +15,12 @@ skew block top-left.
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon
+
+from liembs.motiongroups import _b_quartic
+from liembs.rotmaps import _dexp_quad, dexp_inv_quad, sinc, trig_coefficients
 
 
 def skew(v):
@@ -190,6 +196,37 @@ def random_vector(rng, max_norm, dim=3):
     return v * rng.uniform(0.0, max_norm)
 
 
+# Norms where a kernel coefficient switches between series and closed form
+# (1e-4, 1e-3, and 0.7 for the quartic SE(3) coefficient), drawn on either side.
+SWITCH_NORMS = (0.0, 1e-9) + tuple(
+    s * f for s in (1e-4, 1e-3, 0.7) for f in (1.0 - 1e-6, 1.0 + 1e-6)
+)
+
+
+def vectors(max_norm):
+    """Hypothesis strategy for 3-vectors: norms at SWITCH_NORMS up to
+    max_norm, at max_norm itself, and uniform in [0, max_norm]."""
+    norms = st.one_of(
+        st.sampled_from([n for n in SWITCH_NORMS if n < max_norm] + [max_norm]),
+        st.floats(0.0, max_norm),
+    )
+    directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+        lambda d: d[0] * d[0] + d[1] * d[1] + d[2] * d[2] > 1e-2
+    )
+    return st.builds(
+        lambda n, d: n * np.array(d) / math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]),
+        norms,
+        directions,
+    )
+
+
+def assert_close_to_scale(got, want, tol):
+    """max |got - want| <= tol * max(1, max |want|)."""
+    want = np.asarray(want, dtype=float)
+    err = float(np.max(np.abs(np.asarray(got) - want)))
+    assert err <= tol * max(1.0, float(np.max(np.abs(want)))), err
+
+
 def random_rotation(rng):
     """Haar-ish random rotation via a random unit quaternion."""
     q = rng.normal(size=4)
@@ -205,3 +242,187 @@ def rotation_angle(r):
 def rotation_distance(r1, r2):
     """Geodesic angle between two rotations."""
     return rotation_angle(r1.T @ r2)
+
+
+# ----------------------------------------------------------------------
+# Matrix forms of the per-body kernels, as the package computed them before
+# they became closed-form float expressions: products of skew matrices,
+# identity matrices and numpy vector arithmetic. They take their scalar
+# coefficients from the package (whose accuracy the series, finite-difference
+# and mpmath tests check), so comparing against them checks the assembly of
+# each closed form.
+
+
+def matrix_exp_so3(x):
+    x = np.asarray(x, dtype=float)
+    alpha, beta, _ = trig_coefficients(math.sqrt(float(x @ x)))
+    xh = skew(x)
+    return np.eye(3) + alpha * xh + (0.5 * beta) * (xh @ xh)
+
+
+def matrix_dexp_so3(x):
+    x = np.asarray(x, dtype=float)
+    phi = math.sqrt(float(x @ x))
+    _, beta, _ = trig_coefficients(phi)
+    xh = skew(x)
+    return np.eye(3) + (0.5 * beta) * xh + _dexp_quad(phi) * (xh @ xh)
+
+
+def matrix_dexp_inv_so3(x):
+    x = np.asarray(x, dtype=float)
+    xh = skew(x)
+    return np.eye(3) - 0.5 * xh + dexp_inv_quad(math.sqrt(float(x @ x))) * (xh @ xh)
+
+
+def matrix_cay_so3(c):
+    c = np.asarray(c, dtype=float)
+    ch = skew(c)
+    return np.eye(3) + (2.0 / (1.0 + float(c @ c))) * (ch + ch @ ch)
+
+
+def matrix_dcay_inv_so3(c):
+    c = np.asarray(c, dtype=float)
+    ch = skew(c)
+    return (0.5 * (1.0 + float(c @ c))) * np.eye(3) + 0.5 * (ch @ ch - ch)
+
+
+def matrix_quat_to_rotmat(q):
+    ph = skew(q[1:])
+    return np.eye(3) + 2.0 * (q[0] * ph + ph @ ph)
+
+
+def vector_quat_mul(p, q):
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    out = np.empty(4)
+    out[0] = p[0] * q[0] - p[1:] @ q[1:]
+    out[1:] = p[0] * q[1:] + q[0] * p[1:] + np.cross(p[1:], q[1:])
+    return out
+
+
+def vector_exp_sp1(x):
+    x = np.asarray(x, dtype=float)
+    half = 0.5 * math.sqrt(float(x @ x))
+    out = np.empty(4)
+    out[0] = math.cos(half)
+    out[1:] = (0.5 * sinc(half)) * x
+    return out
+
+
+def vector_rodrigues_to_quat(c):
+    c = np.asarray(c, dtype=float)
+    w = 1.0 / math.sqrt(1.0 + float(c @ c))
+    out = np.empty(4)
+    out[0] = w
+    out[1:] = w * c
+    return out
+
+
+def _wrap_compound(phi, x):
+    if phi > math.pi:
+        x = x * ((phi - 2.0 * math.pi) / phi)
+    return x
+
+
+def vector_bch_so3(x1, x2):
+    """Rotation vector of exp(x1) exp(x2) from the quaternion product in
+    axis-angle data, wrapped into the pi-ball (no 2*pi edge check)."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    phi1 = math.sqrt(float(x1 @ x1))
+    phi2 = math.sqrt(float(x2 @ x2))
+    s1 = sinc(0.5 * phi1)
+    s2 = sinc(0.5 * phi2)
+    c1 = math.cos(0.5 * phi1)
+    c2 = math.cos(0.5 * phi2)
+    cos_half = c1 * c2 - 0.25 * s1 * s2 * float(x1 @ x2)
+    phi = 2.0 * math.acos(min(1.0, max(-1.0, cos_half)))
+    s = sinc(0.5 * phi)
+    x = (
+        (s1 * c2 / s) * x1
+        + (c1 * s2 / s) * x2
+        + (0.5 * s1 * s2 / s) * np.cross(x1, x2)
+    )
+    return _wrap_compound(phi, x)
+
+
+def vector_compose_axisangle_rodrigues(rho, c):
+    """Rotation vector of exp(rho) cay(c), wrapped into the pi-ball."""
+    rho = np.asarray(rho, dtype=float)
+    c = np.asarray(c, dtype=float)
+    phi1 = math.sqrt(float(rho @ rho))
+    s1 = sinc(0.5 * phi1)
+    c1 = math.cos(0.5 * phi1)
+    w = 1.0 / math.sqrt(1.0 + float(c @ c))
+    cos_half = w * (c1 - 0.5 * s1 * float(rho @ c))
+    phi = 2.0 * math.acos(min(1.0, max(-1.0, cos_half)))
+    s = sinc(0.5 * phi)
+    x = (w * s1 / s) * rho + (2.0 * w * c1 / s) * c + (w * s1 / s) * np.cross(rho, c)
+    return _wrap_compound(phi, x)
+
+
+def matrix_dexp_inv_se3(xy):
+    xy = np.asarray(xy, dtype=float)
+    x, y = xy[:3], xy[3:]
+    phi = math.sqrt(float(x @ x))
+    xh, yh = skew(x), skew(y)
+    d_inv = matrix_dexp_inv_so3(x)
+    out = np.zeros((6, 6))
+    out[:3, :3] = d_inv
+    out[3:, 3:] = d_inv
+    out[3:, :3] = (
+        -0.5 * yh
+        + dexp_inv_quad(phi) * (xh @ yh + yh @ xh)
+        + (float(x @ y) * _b_quartic(phi)) * (xh @ xh)
+    )
+    return out
+
+
+def matrix_dcay_inv_se3(cd):
+    cd = np.asarray(cd, dtype=float)
+    c, d = cd[:3], cd[3:]
+    half_ic = 0.5 * (np.eye(3) - skew(c))
+    out = np.zeros((6, 6))
+    out[:3, :3] = matrix_dcay_inv_so3(c)
+    out[3:, :3] = -half_ic @ skew(d)
+    out[3:, 3:] = half_ic
+    return out
+
+
+def matrix_dexp_inv_dp(xy):
+    out = np.eye(6)
+    out[:3, :3] = matrix_dexp_inv_so3(np.asarray(xy, dtype=float)[:3])
+    return out
+
+
+def matrix_dcay_inv_dp(cd):
+    out = np.eye(6)
+    out[:3, :3] = matrix_dcay_inv_so3(np.asarray(cd, dtype=float)[:3])
+    return out
+
+
+def matrix_forces(model, qs, v):
+    """Gyroscopic bias plus gravity of a SphericalJointSystem, from each
+    body's 6x6 mass block: (mu_w x w + mu_v x v + m s x g_b, mu_v x w + m g_b)
+    with mu = M_i V_i and g_b = R^T g for body-fixed twists, and
+    (mu_w x w, m g) for mixed twists."""
+    out = np.empty(6 * model.n_bodies)
+    for i, params in enumerate(model.bodies):
+        block = model.mass_matrix[6 * i : 6 * i + 6, 6 * i : 6 * i + 6]
+        vi = np.asarray(v[6 * i : 6 * i + 6], dtype=float)
+        omega = vi[:3]
+        mu = block @ vi
+        g = np.asarray(params.gravity, dtype=float)
+        m = params.mass
+        if model.group_model == "se3":
+            rot = qs[i].pose[0]
+            g_body = rot.T @ g
+            s = np.asarray(params.com_offset, dtype=float)
+            out[6 * i : 6 * i + 3] = (
+                np.cross(mu[:3], omega) + np.cross(mu[3:], vi[3:]) + m * np.cross(s, g_body)
+            )
+            out[6 * i + 3 : 6 * i + 6] = np.cross(mu[3:], omega) + m * g_body
+        else:
+            out[6 * i : 6 * i + 3] = np.cross(mu[:3], omega)
+            out[6 * i + 3 : 6 * i + 6] = m * g
+    return out

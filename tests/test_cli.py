@@ -224,6 +224,39 @@ def test_non_finite_state_exits_4_with_step_index(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "omega, integrator, code",
+    [
+        (
+            [1e150, 1e150, 0.0],
+            {"scheme": "BaselineQuatRK4", "h_s": 1e-3, "t_end_s": 0.01},
+            4,
+        ),
+        (
+            [1e300, 0.0, 0.0],
+            {"scheme": "MuntheKaasRK4", "combo": "1a", "h_s": 1e-3, "t_end_s": 0.01},
+            3,
+        ),
+    ],
+    ids=["overflow-in-step", "overflowing-initial-energy"],
+)
+def test_overflow_exits_with_one_message_and_no_numpy_warning(
+    tmp_path, omega, integrator, code
+):
+    doc = _load("free_tumble.json")
+    doc["initial_state"]["bodies"][0]["angular_velocity_radps"] = omega
+    doc["integrator"] = integrator
+    path = _write(tmp_path, doc)
+    proc = subprocess.run(
+        [sys.executable, "-m", "liembs.cli", "run", str(path), "--out", str(tmp_path / "t.csv")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Warning" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
 def test_pinned_scenario_runs_with_projection(tmp_path, capsys):
     doc = _load("pendulum_pinned.json")
     doc["integrator"]["t_end_s"] = 0.5

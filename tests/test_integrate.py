@@ -474,6 +474,38 @@ def test_nan_forces_fail_the_constrained_solve():
     assert isinstance(info.value.__cause__, SingularKkt)
 
 
+class _RaisingForces(_NanForces):
+    """A model whose forces raise the given exception."""
+
+    def __init__(self, base, exc):
+        super().__init__(base)
+        self._exc = exc
+
+    def forces(self, qs, v, t):
+        raise self._exc
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        OverflowError("math range error"),
+        ValueError("math domain error"),
+        np.linalg.LinAlgError("SVD did not converge"),
+    ],
+    ids=["overflow", "domain", "linalg"],
+)
+@pytest.mark.parametrize("scheme, cid", [(MUNTHE_KAAS_RK4, "1a"), (BASELINE_QUAT_RK4, None)])
+def test_float_errors_in_a_step_become_step_failed(exc, scheme, cid):
+    group = SEMIDIRECT if cid else DIRECT_PRODUCT
+    model = _RaisingForces(free_rigid_body(_FREE, group), exc)
+    state = make_state([identity_coords("quatpos")], np.ones(6))
+    cfg = IntegratorConfig(scheme, cid, h=1e-3, t_end=0.01)
+    with pytest.raises(StepFailed) as info:
+        integrate(model, cfg, state)
+    assert info.value.step_index == 0
+    assert info.value.__cause__ is exc
+
+
 @pytest.mark.parametrize("cid, kernel", [("1a", "quat_to_rotmat"), ("2d", "exp_so3")])
 def test_each_pose_is_built_once(monkeypatch, cid, kernel):
     calls = []

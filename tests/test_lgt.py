@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liembs import VariantMismatch
 from liembs.lgt import (
@@ -305,3 +307,25 @@ def test_quat_norm_error_axis_angle_is_nan():
     q = identity_coords(AXIS_ANGLE_POS)
     assert math.isnan(quat_norm_error(q))
     assert quat_norm_error(identity_coords(QUAT_POS)) == 0.0
+
+
+@pytest.mark.parametrize("cid", COMBO_IDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lgt_contract_property(cid, data):
+    # alpha(tau(q, X)) == compose(G, alpha(q), psi(X)) to 1e-12, with norms
+    # at the kernels' series switches. Compound rotations stay below
+    # 0.95*pi + 0.9*pi (exp) or 0.95*pi + 2*atan(2) (cay), clear of 2*pi.
+    cmb = COMBOS[cid]
+    rot = data.draw(oracles.vectors(0.95 * math.pi))
+    r = data.draw(oracles.vectors(3.0))
+    if cmb.abs_kind == QUAT_POS:
+        q = quat_pos(exp_sp1(rot), r)
+    else:
+        q = axis_angle_pos(rot, r)
+    x_rot = data.draw(oracles.vectors(0.9 * math.pi if cmb.chart == "exp" else 2.0))
+    x = np.concatenate([x_rot, data.draw(oracles.vectors(2.0))])
+    got_r, got_p = alpha_map(apply_lgt(cmb, q, x))
+    want_r, want_p = compose(cmb.group_model, alpha_map(q), combo_psi(cmb, x))
+    np.testing.assert_allclose(got_r, want_r, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(got_p, want_p, rtol=0.0, atol=1e-12)

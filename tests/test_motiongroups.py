@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from liembs import ChartBoundary
 from liembs.motiongroups import (
     DIRECT_PRODUCT,
     SEMIDIRECT,
+    _b_quartic,
     cay_dp,
     cay_se3,
     compose,
@@ -257,3 +259,33 @@ def test_kinematic_reconstruction_convention():
             else:
                 lin = (pp - pm) / (2 * h)
             assert np.allclose(np.concatenate([omega, lin]), v, atol=1e-6)
+
+
+def test_b_quartic_matches_mpmath_across_series_switch():
+    # (1/beta + gamma - 2)/phi^4 at 50 digits; the closed form used to cancel
+    # to a relative error of 0.11 just above its old 1e-3 switch.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    for phi in np.logspace(-4.0, math.log10(2e-2), 200):
+        u = mpmath.mpf(float(phi)) / 2
+        want = (u * u / mpmath.sin(u) ** 2 + u * mpmath.cot(u) - 2) / (2 * u) ** 4
+        assert abs(_b_quartic(float(phi)) - want) <= 1e-12 * abs(want), phi
+
+
+_SIX_BY_SIX_KERNELS = [
+    (dexp_inv_se3, oracles.matrix_dexp_inv_se3),
+    (dcay_inv_se3, oracles.matrix_dcay_inv_se3),
+    (dexp_inv_dp, oracles.matrix_dexp_inv_dp),
+    (dcay_inv_dp, oracles.matrix_dcay_inv_dp),
+]
+
+
+@pytest.mark.parametrize(
+    "kernel, oracle", _SIX_BY_SIX_KERNELS,
+    ids=["dexp_inv_se3", "dcay_inv_se3", "dexp_inv_dp", "dcay_inv_dp"],
+)
+@settings(max_examples=200, deadline=None)
+@given(x=oracles.vectors(math.pi), y=oracles.vectors(3.0))
+def test_six_by_six_kernel_matches_matrix_form(kernel, oracle, x, y):
+    xy = np.concatenate([x, y])
+    oracles.assert_close_to_scale(kernel(xy), oracle(xy), 1e-13)

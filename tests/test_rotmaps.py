@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liembs import ChartBoundary, CompoundAnglePi, NearPiAmbiguity
@@ -12,6 +12,7 @@ from liembs.rotmaps import (
     bch_so3,
     cay_so3,
     compose_axisangle_rodrigues,
+    cross3,
     dcay_inv_so3,
     dexp_inv_quad,
     dexp_inv_so3,
@@ -310,3 +311,84 @@ def test_quat_mul_norm_property(p, q):
     nq = np.linalg.norm(np.concatenate([[1.0], q]))
     prod = quat_mul(np.concatenate([[1.0], p]), np.concatenate([[1.0], q]))
     assert np.linalg.norm(prod) == pytest.approx(np_ * nq, rel=1e-12)
+
+
+# The closed-form kernels against the matrix forms they replaced, at norms
+# on either side of every series switch, to 1e-13 times the largest entry
+# (entries are of order one except for dexp_inv_so3 near its chart edge).
+
+_ONE_VECTOR_KERNELS = [
+    (exp_so3, oracles.matrix_exp_so3, math.pi),
+    (dexp_so3, oracles.matrix_dexp_so3, math.pi),
+    (dexp_inv_so3, oracles.matrix_dexp_inv_so3, 2.0 * math.pi - 1e-6),
+    (cay_so3, oracles.matrix_cay_so3, math.pi),
+    (dcay_inv_so3, oracles.matrix_dcay_inv_so3, math.pi),
+    (exp_sp1, oracles.vector_exp_sp1, math.pi),
+    (rodrigues_to_quat, oracles.vector_rodrigues_to_quat, math.pi),
+    (lambda x: quat_to_rotmat(oracles.vector_exp_sp1(x)),
+     lambda x: oracles.matrix_quat_to_rotmat(oracles.vector_exp_sp1(x)), math.pi),
+]
+
+
+@pytest.mark.parametrize(
+    "kernel, oracle, max_norm",
+    _ONE_VECTOR_KERNELS,
+    ids=["exp_so3", "dexp_so3", "dexp_inv_so3", "cay_so3", "dcay_inv_so3",
+         "exp_sp1", "rodrigues_to_quat", "quat_to_rotmat"],
+)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_matrix_form(kernel, oracle, max_norm, data):
+    x = data.draw(oracles.vectors(max_norm))
+    tol = 1e-13
+    if kernel is dexp_inv_so3:
+        # Near 2*pi the map itself is ill-conditioned: the two forms round
+        # ||x|| one ulp apart, which moves every entry by about
+        # eps * phi / (2*pi - phi) relative (9e-10 at 2*pi - 1e-6).
+        phi = float(np.linalg.norm(x))
+        tol += 8.0 * np.finfo(float).eps * phi / (2.0 * math.pi - phi)
+    oracles.assert_close_to_scale(kernel(x), oracle(x), tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracles.vectors(math.pi), oracles.vectors(math.pi))
+def test_quat_mul_and_cross3_match_vector_forms(x1, x2):
+    p, q = oracles.vector_exp_sp1(x1), 2.0 * oracles.vector_exp_sp1(x2)
+    oracles.assert_close_to_scale(quat_mul(p, q), oracles.vector_quat_mul(p, q), 1e-13)
+    oracles.assert_close_to_scale(cross3(x1, x2), np.cross(x1, x2), 1e-13)
+
+
+def _check_composition(got, want, cos_half):
+    # Compound angles within 0.5 of 2*pi divide by sinc(phi/2) < 0.09, which
+    # amplifies rounding in both forms past 1e-13; CompoundAnglePi and the
+    # matrix-product tests cover that end.
+    assume(2.0 * math.acos(min(1.0, max(-1.0, cos_half))) < 2.0 * math.pi - 0.5)
+    if abs(np.linalg.norm(want) - math.pi) < 1e-9:
+        # At angle pi the wrap may pick either of the two equal vectors.
+        if np.linalg.norm(got + want) < np.linalg.norm(got - want):
+            got = -got
+    oracles.assert_close_to_scale(got, want, 1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracles.vectors(math.pi), oracles.vectors(math.pi))
+def test_bch_so3_matches_vector_form(x1, x2):
+    cos_half = oracles.vector_quat_mul(
+        oracles.vector_exp_sp1(x1), oracles.vector_exp_sp1(x2)
+    )[0]
+    assume(cos_half > -1.0 + 1e-12)
+    _check_composition(bch_so3(x1, x2), oracles.vector_bch_so3(x1, x2), cos_half)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracles.vectors(math.pi), oracles.vectors(math.pi))
+def test_compose_axisangle_rodrigues_matches_vector_form(rho, c):
+    cos_half = oracles.vector_quat_mul(
+        oracles.vector_exp_sp1(rho), oracles.vector_rodrigues_to_quat(c)
+    )[0]
+    assume(cos_half > -1.0 + 1e-12)
+    _check_composition(
+        compose_axisangle_rodrigues(rho, c),
+        oracles.vector_compose_axisangle_rodrigues(rho, c),
+        cos_half,
+    )
