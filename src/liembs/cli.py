@@ -24,7 +24,6 @@ Scenario files are JSON with units spelled in the field names::
     {
       "model": {
         "kind": "free_rigid_body",          # pinned_body, two_body_chain
-        "group_model": "se3",               # or "so3xr3"
         "bodies": [
           {"mass_kg": 1.0, "inertia_kgm2": [1.0, 2.0, 3.0],
            "com_offset_m": [0.0, 0.0, 0.0],           # optional
@@ -58,7 +57,10 @@ Scenario files are JSON with units spelled in the field names::
 Orientations are accepted in either representation and converted to what
 the selected combination transports; velocities are given physically
 (body-frame angular rate, world-frame origin velocity) and converted to
-the group model's twist convention.
+the group model's twist convention. The combo alone picks the group model:
+letters a and d run on SE(3), b and c on SO(3)xR3 (the baseline's). A field
+that is present must have its type (null included); only an absent optional
+field takes its default, and unknown keys are ignored.
 """
 
 import argparse
@@ -67,6 +69,8 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +95,7 @@ from .lgt import (
     quat_pos,
 )
 from .models import BodyParams, free_rigid_body, pinned_body, two_body_chain
-from .motiongroups import GROUP_MODELS, SEMIDIRECT
+from .motiongroups import SEMIDIRECT
 from .rotmaps import exp_sp1, log_so3, quat_to_rotmat
 
 _BASELINE_LABEL = "baseline"
@@ -102,13 +106,11 @@ class SchemaError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# schema helpers
+# scenario loading
 
-
-def _require_mapping(obj, path):
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: expected an object")
-    return obj
+_REQUIRED = object()
+_ORIGIN = (0.0, 0.0, 0.0)
+_TYPE_NAMES = {int: "an integer", str: "a string", dict: "an object", list: "a list"}
 
 
 def _is_finite_number(value):
@@ -119,90 +121,69 @@ def _is_finite_number(value):
     return abs(value) <= sys.float_info.max
 
 
-def _field(mapping, path, key, required=True, default=None):
+def _check(value, where, kind):
+    """value as kind: float, int, str, dict, a tuple of allowed strings, or
+    a length n for a list of n finite numbers (returned as an array)."""
+    if kind is float:
+        if not _is_finite_number(value):
+            raise SchemaError(f"{where}: expected a finite number")
+        return float(value)
+    if isinstance(kind, tuple):
+        if not isinstance(value, str) or value not in kind:
+            raise SchemaError(f"{where}: got {value!r}, expected one of {sorted(kind)}")
+        return value
+    if isinstance(kind, int):
+        if not isinstance(value, list) or len(value) != kind:
+            raise SchemaError(f"{where}: expected a list of {kind} numbers")
+        if not all(_is_finite_number(item) for item in value):
+            raise SchemaError(f"{where}: expected a list of {kind} finite numbers")
+        return np.asarray(value, dtype=float)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise SchemaError(f"{where}: expected {_TYPE_NAMES[kind]}")
+    return value
+
+
+def _read(mapping, path, key, kind, default=_REQUIRED):
+    """mapping[key] checked as kind (path "" for a top-level key); an absent
+    key gives default. A present key must have its kind, so null is an
+    error and never a default."""
+    where = f"{path}.{key}" if path else key
     if key in mapping:
-        return mapping[key]
-    if required:
-        raise SchemaError(f"{path}.{key}: missing required field")
+        return _check(mapping[key], where, kind)
+    if default is _REQUIRED:
+        raise SchemaError(f"{where}: missing required field")
     return default
 
 
-def _number(mapping, path, key, required=True, default=None):
-    value = _field(mapping, path, key, required, default)
-    if value is default and not required:
-        return default
-    if not _is_finite_number(value):
-        raise SchemaError(f"{path}.{key}: expected a finite number")
-    return float(value)
-
-
-def _integer(mapping, path, key, required=True, default=None):
-    value = _field(mapping, path, key, required, default)
-    if value is default and not required:
-        return default
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{path}.{key}: expected an integer")
-    return value
-
-
-def _string(mapping, path, key, required=True, default=None, allowed=None):
-    value = _field(mapping, path, key, required, default)
-    if value is default and not required and value is None:
-        return default
-    if not isinstance(value, str):
-        raise SchemaError(f"{path}.{key}: expected a string")
-    if allowed is not None and value not in allowed:
-        raise SchemaError(
-            f"{path}.{key}: got {value!r}, expected one of {sorted(allowed)}"
-        )
-    return value
-
-
-def _vector(mapping, path, key, size, required=True, default=None):
-    value = _field(mapping, path, key, required, None)
-    if value is None:
-        return None if default is None else np.asarray(default, dtype=float)
-    if not isinstance(value, list) or len(value) != size:
-        raise SchemaError(f"{path}.{key}: expected a list of {size} numbers")
-    if not all(_is_finite_number(item) for item in value):
-        raise SchemaError(
-            f"{path}.{key}: expected a list of {size} finite numbers"
-        )
-    return np.asarray(value, dtype=float)
-
-
-def _body_list(mapping, path, key, count):
-    value = _field(mapping, path, key)
-    if not isinstance(value, list) or len(value) != count:
-        raise SchemaError(f"{path}.{key}: expected a list of {count} objects")
-    return [
-        _require_mapping(item, f"{path}.{key}[{i}]")
-        for i, item in enumerate(value)
-    ]
-
-
-# ----------------------------------------------------------------------
-# scenario loading
-
-_MODEL_BODY_COUNT = {"free_rigid_body": 1, "pinned_body": 1, "two_body_chain": 2}
+def _items(mapping, path, key, count, kind):
+    """mapping[key] as a list of count entries, each checked as kind."""
+    value = _read(mapping, path, key, list)
+    if len(value) != count:
+        raise SchemaError(f"{path}.{key}: expected a list of {count} entries")
+    return [_check(item, f"{path}.{key}[{i}]", kind) for i, item in enumerate(value)]
 
 
 def _body_params(spec, path):
-    mass = _number(spec, path, "mass_kg")
-    inertia = _vector(spec, path, "inertia_kgm2", 3)
-    com = _vector(spec, path, "com_offset_m", 3, required=False, default=(0, 0, 0))
-    gravity = _vector(
-        spec, path, "gravity_mps2", 3, required=False, default=(0, 0, -9.81)
+    fields = (
+        _read(spec, path, "mass_kg", float),
+        tuple(_read(spec, path, "inertia_kgm2", 3)),
+        tuple(_read(spec, path, "com_offset_m", 3, _ORIGIN)),
+        tuple(_read(spec, path, "gravity_mps2", 3, (0.0, 0.0, -9.81))),
     )
     try:
-        return BodyParams(
-            mass=mass,
-            inertia=tuple(inertia),
-            com_offset=tuple(com),
-            gravity=tuple(gravity),
-        )
+        return BodyParams(*fields)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+
+
+# kind -> (constructor, body count, the fields it takes after the bodies as
+# (reader, key, *reader arguments)); the group model is its last argument.
+_ANCHOR = (_read, "anchor_world_m", 3, _ORIGIN)
+_MODEL_KINDS = {
+    "free_rigid_body": (free_rigid_body, 1, ()),
+    "pinned_body": (pinned_body, 1, ((_read, "pin_point_body_m", 3), _ANCHOR)),
+    "two_body_chain": (two_body_chain, 2, ((_items, "joint_points_m", 3, 3), _ANCHOR)),
+}
 
 
 class Scenario:
@@ -215,62 +196,24 @@ class Scenario:
     """
 
     def __init__(self, raw, source_path=None):
-        root = _require_mapping(raw, "scenario")
+        root = _check(raw, "scenario", dict)
         self.source_path = source_path
 
-        mspec = _require_mapping(_field(root, "scenario", "model"), "model")
-        self.model_kind = _string(
-            mspec, "model", "kind", allowed=set(_MODEL_BODY_COUNT)
-        )
-        self.group_model = _string(
-            mspec, "model", "group_model", allowed=set(GROUP_MODELS)
-        )
-        n_bodies = _MODEL_BODY_COUNT[self.model_kind]
-        self.body_params = [
+        mspec = _read(root, "", "model", dict)
+        kind = _read(mspec, "model", "kind", tuple(_MODEL_KINDS))
+        self._constructor, n_bodies, extras = _MODEL_KINDS[kind]
+        self._model_args = [
             _body_params(spec, f"model.bodies[{i}]")
-            for i, spec in enumerate(_body_list(mspec, "model", "bodies", n_bodies))
-        ]
-        if self.model_kind == "pinned_body":
-            self.pin_point = _vector(mspec, "model", "pin_point_body_m", 3)
-        else:
-            self.pin_point = None
-        if self.model_kind == "two_body_chain":
-            joints = _field(mspec, "model", "joint_points_m")
-            if not isinstance(joints, list) or len(joints) != 3:
-                raise SchemaError(
-                    "model.joint_points_m: expected a list of 3 points"
-                )
-            self.joint_points = tuple(
-                _vector(
-                    {"point": joints[i]},
-                    f"model.joint_points_m[{i}]",
-                    "point",
-                    3,
-                )
-                for i in range(3)
-            )
-        else:
-            self.joint_points = None
-        if self.model_kind in ("pinned_body", "two_body_chain"):
-            self.anchor = _vector(
-                mspec, "model", "anchor_world_m", 3, required=False,
-                default=(0, 0, 0),
-            )
-        else:
-            self.anchor = None
+            for i, spec in enumerate(_items(mspec, "model", "bodies", n_bodies, dict))
+        ] + [reader(mspec, "model", *field) for reader, *field in extras]
 
-        sspec = _require_mapping(
-            _field(root, "scenario", "initial_state"), "initial_state"
-        )
+        sspec = _read(root, "", "initial_state", dict)
+        bodies = _items(sspec, "initial_state", "bodies", n_bodies, dict)
         self.initial_bodies = []
-        for i, body in enumerate(
-            _body_list(sspec, "initial_state", "bodies", n_bodies)
-        ):
+        for i, body in enumerate(bodies):
             path = f"initial_state.bodies[{i}]"
-            quat = _vector(body, path, "orientation_quat", 4, required=False)
-            axis = _vector(
-                body, path, "orientation_axisangle_rad", 3, required=False
-            )
+            quat = _read(body, path, "orientation_quat", 4, None)
+            axis = _read(body, path, "orientation_axisangle_rad", 3, None)
             if (quat is None) == (axis is None):
                 raise SchemaError(
                     f"{path}: give exactly one of orientation_quat or "
@@ -280,99 +223,67 @@ class Scenario:
                 {
                     "quat": quat,
                     "axis": axis,
-                    "r": _vector(body, path, "position_m", 3),
-                    "omega": _vector(
-                        body, path, "angular_velocity_radps", 3,
-                        required=False, default=(0, 0, 0),
-                    ),
-                    "rdot": _vector(
-                        body, path, "linear_velocity_mps", 3,
-                        required=False, default=(0, 0, 0),
-                    ),
+                    "r": _read(body, path, "position_m", 3),
+                    "omega": _read(body, path, "angular_velocity_radps", 3, _ORIGIN),
+                    "rdot": _read(body, path, "linear_velocity_mps", 3, _ORIGIN),
                 }
             )
 
-        ispec = _require_mapping(
-            _field(root, "scenario", "integrator"), "integrator"
+        read = partial(_read, _read(root, "", "integrator", dict), "integrator")
+        scheme = read("scheme", str, MUNTHE_KAAS_RK4)
+        fields = dict(
+            scheme=scheme,
+            combo=read(
+                "combo", str, None if scheme == BASELINE_QUAT_RK4 else _REQUIRED
+            ),
+            h=read("h_s", float),
+            t_end=read("t_end_s", float),
+            projection=read("projection", str, PROJECTION_OFF),
+            projection_tol=read("projection_tol", float, 1e-10),
+            projection_max_iter=read("projection_max_iter", int, 20),
         )
-        self.scheme = _string(
-            ispec, "integrator", "scheme",
-            required=False, default=MUNTHE_KAAS_RK4,
-        )
-        self.combo_id = _string(
-            ispec, "integrator", "combo",
-            required=self.scheme != BASELINE_QUAT_RK4, default=None,
-        )
-        self.h = _number(ispec, "integrator", "h_s")
-        self.t_end = _number(ispec, "integrator", "t_end_s")
-        if self.h > 0.0:
+        if fields["h"] > 0.0:
             try:
-                step_count(self.t_end, self.h)
+                step_count(fields["t_end"], fields["h"])
             except ValueError as exc:
                 raise SchemaError(f"integrator.t_end_s: {exc}") from exc
-        self.projection = _string(
-            ispec, "integrator", "projection",
-            required=False, default=PROJECTION_OFF,
-        )
-        self.projection_tol = _number(
-            ispec, "integrator", "projection_tol", required=False, default=1e-10
-        )
-        self.projection_max_iter = _integer(
-            ispec, "integrator", "projection_max_iter", required=False, default=20
-        )
         try:
-            cfg = self.config()
+            self._config = IntegratorConfig(**fields)
         except ValueError as exc:
             raise SchemaError(f"integrator: {exc}") from exc
         self._models = {}
-        self.model(scheme_kinds(cfg)[2])  # a rejected body fails the load
+        self.model(scheme_kinds(self._config)[2])  # a rejected body fails the load
 
-        self.output_csv = _string(root, "scenario", "output_csv", required=False)
+        self.output_csv = _read(root, "", "output_csv", str, None)
 
     # -- instantiation -------------------------------------------------
 
-    def config(self, combo_id=None, h=None, t_end=None, scheme=None):
-        scheme = scheme if scheme is not None else self.scheme
-        return IntegratorConfig(
-            scheme=scheme,
-            combo=None
-            if scheme == BASELINE_QUAT_RK4
-            else (combo_id if combo_id is not None else self.combo_id),
-            h=h if h is not None else self.h,
-            t_end=t_end if t_end is not None else self.t_end,
-            projection=self.projection,
-            projection_tol=self.projection_tol,
-            projection_max_iter=self.projection_max_iter,
-        )
+    @property
+    def h(self):
+        return self._config.h
 
-    def model(self, group_model=None):
+    def config(self, combo_id=None, h=None, t_end=None, scheme=None):
+        """The scenario's integrator config with the given fields replaced;
+        the baseline scheme carries no combo."""
+        changes = {"combo": combo_id, "h": h, "t_end": t_end, "scheme": scheme}
+        cfg = replace(
+            self._config, **{k: v for k, v in changes.items() if v is not None}
+        )
+        return replace(cfg, combo=None) if cfg.scheme == BASELINE_QUAT_RK4 else cfg
+
+    def model(self, group_model):
         """The model under group_model, built once; SchemaError naming the
         body when the model rejects the scenario's bodies."""
-        group_model = group_model or self.group_model
         if group_model not in self._models:
             try:
-                self._models[group_model] = self._build_model(group_model)
+                self._models[group_model] = self._constructor(
+                    *self._model_args, group_model
+                )
             except ValueError as exc:
                 raise SchemaError(f"model: {exc}") from exc
         return self._models[group_model]
 
-    def _build_model(self, group_model):
-        if self.model_kind == "free_rigid_body":
-            return free_rigid_body(self.body_params[0], group_model)
-        if self.model_kind == "pinned_body":
-            return pinned_body(
-                self.body_params[0], self.pin_point, self.anchor, group_model
-            )
-        return two_body_chain(
-            self.body_params[0],
-            self.body_params[1],
-            self.joint_points,
-            self.anchor,
-            group_model,
-        )
-
-    def state(self, abs_kind, group_model=None):
-        group_model = group_model or self.group_model
+    def state(self, abs_kind, group_model):
         qs, twists = [], []
         for body in self.initial_bodies:
             if body["quat"] is not None:
@@ -394,7 +305,8 @@ class Scenario:
         return make_state(qs, np.concatenate(twists))
 
     def build(self, combo_id=None, h=None, t_end=None, scheme=None):
-        """Model, initial state, and config for one run."""
+        """Model, initial state, and config for one run; the config's
+        combo fixes the coordinates and the group model."""
         cfg = self.config(combo_id, h, t_end, scheme)
         _, abs_kind, group_model = scheme_kinds(cfg)
         return self.model(group_model), self.state(abs_kind, group_model), cfg

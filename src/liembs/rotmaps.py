@@ -47,7 +47,9 @@ import numpy as np
 from .errors import ChartBoundary, CompoundAnglePi, NearPiAmbiguity
 
 _SMALL_ANGLE = 1.0e-4
-_QUAD_SERIES_ANGLE = 1.0e-3
+# Below this angle dexp_inv_quad is its Taylor series, above it the closed
+# form, whose cancellation costs about 12 eps / phi**2 relative.
+_QUAD_SERIES_ANGLE = 0.7
 _CHART_EDGE = 2.0 * math.pi - 1.0e-9
 _COMPOUND_EDGE = 2.0 * math.pi - 1.0e-6
 _NEAR_PI_TRACE = 1.0e-8
@@ -143,10 +145,27 @@ def _dexp_quad(phi):
 
 def dexp_inv_quad(phi):
     """(1 - gamma(phi)) / phi**2, the coefficient of hat(x)**2 in
-    :func:`dexp_inv_so3`, with a three-term series below phi = 1e-3."""
+    :func:`dexp_inv_so3`: its Taylor series to phi**16 below 0.7, where the
+    closed form would cancel, and the closed form above. The coefficients
+    are (-1)**(n+1) B_2n / (2n)!; the series converges for phi < 2*pi."""
     if abs(phi) < _QUAD_SERIES_ANGLE:
         phi2 = phi * phi
-        return 1.0 / 12.0 + phi2 / 720.0 + phi2 * phi2 / 30240.0
+        return 1.0 / 12.0 + phi2 * (
+            1.0 / 720.0 + phi2 * (
+                1.0 / 30240.0 + phi2 * (
+                    1.0 / 1209600.0 + phi2 * (
+                        1.0 / 47900160.0 + phi2 * (
+                            691.0 / 1307674368000.0 + phi2 * (
+                                1.0 / 74724249600.0 + phi2 * (
+                                    3617.0 / 10670622842880000.0
+                                    + phi2 * (43867.0 / 5109094217170944000.0)
+                                )
+                            )
+                        )
+                    )
+                )
+            )
+        )
     half = 0.5 * phi
     return (1.0 - half / math.tan(half)) / (phi * phi)
 

@@ -1,11 +1,15 @@
 """Tests for the scenario runner and its exit-code contracts."""
 
+import copy
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liembs.cli import main
 from liembs.lgt import COMBO_IDS
@@ -402,3 +406,80 @@ def test_console_entry_point_runs(tumble, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "keys,field",
+    [
+        (("model", "bodies", 0, "inertia_kgm2"), "model.bodies[0].inertia_kgm2"),
+        (("initial_state", "bodies", 0, "position_m"), "initial_state.bodies[0].position_m"),
+        (("model", "pin_point_body_m"), "model.pin_point_body_m"),
+        (("model", "anchor_world_m"), "model.anchor_world_m"),
+        (("output_csv",), "output_csv"),
+    ],
+)
+def test_null_field_exits_2_with_path(tmp_path, capsys, keys, field):
+    doc = _load("pendulum_pinned.json")
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = None  # present, so it must have its type
+    path = _write(tmp_path, doc)
+    assert main(["run", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+    assert field in capsys.readouterr().err
+
+
+def _paths(node, prefix=()):
+    """Every field path below node: object keys and list indices."""
+    children = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list)
+        else ()
+    )
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _short(name):
+    doc = _load(name)
+    doc["integrator"]["t_end_s"] = 20 * doc["integrator"]["h_s"]
+    return doc
+
+
+_FUZZ_SCENARIOS = {
+    name: _short(name)
+    for name in ("free_tumble.json", "pendulum_pinned.json", "chain_swing.json")
+}
+_FUZZ_FIELDS = [
+    (name, keys) for name, doc in _FUZZ_SCENARIOS.items() for keys in _paths(doc)
+]
+_DELETE, _WRONG_LENGTH = object(), object()
+_MUTATIONS = [
+    _DELETE, None, True, "bad", {}, _WRONG_LENGTH,
+    0, -1, float("nan"), float("inf"), float("-inf"),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(field=st.sampled_from(_FUZZ_FIELDS), mutation=st.sampled_from(_MUTATIONS))
+def test_mutated_scenario_exits_with_a_documented_code(field, mutation):
+    name, keys = field
+    doc = copy.deepcopy(_FUZZ_SCENARIOS[name])
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    old = parent[keys[-1]]
+    if mutation is _DELETE:
+        del parent[keys[-1]]
+    elif mutation is _WRONG_LENGTH:
+        parent[keys[-1]] = old + old[-1:] if isinstance(old, list) and old else [0.0, 0.0]
+    else:
+        parent[keys[-1]] = copy.deepcopy(mutation)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(Path(tmp), doc)
+        out = Path(tmp) / "t.csv"
+        code = main(["run", str(path), "--out", str(out), "--quiet"])
+        assert code in (0, 2, 3, 4), (name, keys, mutation)
+        if out.exists():
+            assert "nan" not in out.read_text().lower(), (name, keys, mutation)

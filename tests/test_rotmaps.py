@@ -70,6 +70,17 @@ def test_dexp_inv_quad_matches_series_below_switch():
         assert dexp_inv_quad(phi) == pytest.approx(series, rel=1e-12, abs=0.0)
 
 
+def test_dexp_inv_quad_matches_mpmath_across_series_switch():
+    # (1 - (phi/2) cot(phi/2))/phi^2 at 50 digits. The closed form cancels to
+    # about 12 eps / phi^2 relative, so it must not run at small phi.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    for phi in np.concatenate([np.logspace(-4.0, 0.5, 300), [1.17e-3, 0.7, 0.7001]]):
+        u = mpmath.mpf(float(phi)) / 2
+        want = (1 - u * mpmath.cot(u)) / (2 * u) ** 2
+        assert abs(dexp_inv_quad(float(phi)) - want) <= 1e-12 * abs(want), phi
+
+
 def test_exp_so3_matches_power_series():
     rng = np.random.default_rng(1)
     norms = [1e-9, 1e-6, 1e-4, 1e-3, 0.5, 1.0, 2.0, math.pi, 5.0]
