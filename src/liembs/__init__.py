@@ -14,6 +14,7 @@ from .errors import (
     ChartBoundary,
     CompoundAnglePi,
     InconsistentState,
+    InvalidConfig,
     LiembsError,
     NearPiAmbiguity,
     NoConvergence,
@@ -27,6 +28,7 @@ __all__ = [
     "ChartBoundary",
     "CompoundAnglePi",
     "InconsistentState",
+    "InvalidConfig",
     "LiembsError",
     "NearPiAmbiguity",
     "NoConvergence",

@@ -16,8 +16,9 @@ Subcommands:
 
 Flags: ``--out <path>`` redirects the CSV, ``--quiet`` suppresses the
 stdout summary. Exit codes: 0 success, 2 malformed scenario (the message
-names the offending field), 3 inconsistent initial state, 4 integration
-failure (the message carries the step index).
+names the offending field, ``integrator.<key>`` for a bad integrator
+value), 3 inconsistent initial state, 4 integration failure (the message
+carries the step index).
 
 Scenario files are JSON with units spelled in the field names::
 
@@ -69,25 +70,24 @@ import itertools
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import make_state
-from .errors import InconsistentState, StepFailed
+from .errors import InconsistentState, InvalidConfig, StepFailed
 from .integrate import (
     BASELINE_QUAT_RK4,
     MUNTHE_KAAS_RK4,
-    PROJECTION_OFF,
+    PROJECTION_MODES,
+    SCHEMES,
     IntegratorConfig,
     integrate,
     scheme_kinds,
-    step_count,
 )
 from .lgt import (
-    AXIS_ANGLE_POS,
     COMBO_IDS,
     QUAT_POS,
     alpha_map,
@@ -186,6 +186,20 @@ _MODEL_KINDS = {
 }
 
 
+# integrator key -> (IntegratorConfig field, kind, default); an absent
+# _OPTIONAL key leaves the field to IntegratorConfig's own default.
+_OPTIONAL = object()
+_INTEGRATOR_KEYS = {
+    "scheme": ("scheme", SCHEMES, MUNTHE_KAAS_RK4),
+    "combo": ("combo", str, _REQUIRED),  # the baseline carries none
+    "h_s": ("h", float, _REQUIRED),
+    "t_end_s": ("t_end", float, _REQUIRED),
+    "projection": ("projection", PROJECTION_MODES, _OPTIONAL),
+    "projection_tol": ("projection_tol", float, _OPTIONAL),
+    "projection_max_iter": ("projection_max_iter", int, _OPTIONAL),
+}
+
+
 class Scenario:
     """A parsed scenario: builds models and states on demand.
 
@@ -229,28 +243,15 @@ class Scenario:
                 }
             )
 
-        read = partial(_read, _read(root, "", "integrator", dict), "integrator")
-        scheme = read("scheme", str, MUNTHE_KAAS_RK4)
-        fields = dict(
-            scheme=scheme,
-            combo=read(
-                "combo", str, None if scheme == BASELINE_QUAT_RK4 else _REQUIRED
-            ),
-            h=read("h_s", float),
-            t_end=read("t_end_s", float),
-            projection=read("projection", str, PROJECTION_OFF),
-            projection_tol=read("projection_tol", float, 1e-10),
-            projection_max_iter=read("projection_max_iter", int, 20),
-        )
-        if fields["h"] > 0.0:
-            try:
-                step_count(fields["t_end"], fields["h"])
-            except ValueError as exc:
-                raise SchemaError(f"integrator.t_end_s: {exc}") from exc
-        try:
-            self._config = IntegratorConfig(**fields)
-        except ValueError as exc:
-            raise SchemaError(f"integrator: {exc}") from exc
+        ispec = _read(root, "", "integrator", dict)
+        fields = {}
+        for key, (field, kind, default) in _INTEGRATOR_KEYS.items():
+            if key == "combo" and fields["scheme"] == BASELINE_QUAT_RK4:
+                default = _OPTIONAL
+            value = _read(ispec, "integrator", key, kind, default)
+            if value is not _OPTIONAL:
+                fields[field] = value
+        self._config = IntegratorConfig(**fields)  # InvalidConfig names a field
         self._models = {}
         self.model(scheme_kinds(self._config)[2])  # a rejected body fails the load
 
@@ -331,57 +332,33 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def _q_headers(abs_kind, n_bodies):
-    names = []
-    for i in range(1, n_bodies + 1):
-        if abs_kind == QUAT_POS:
-            names += [f"q{i}_{c}" for c in ("w", "x", "y", "z")]
-        else:
-            names += [f"rho{i}_{c}" for c in ("x", "y", "z")]
-        names += [f"r{i}_{c}" for c in ("x", "y", "z")]
-    return names
-
-
-def _v_headers(n_bodies):
-    names = []
-    for i in range(1, n_bodies + 1):
-        names += [f"V{i}_{c}" for c in ("wx", "wy", "wz", "vx", "vy", "vz")]
-    return names
-
-
-def _write_trajectory_csv(path, record, abs_kind, n_bodies):
-    header = (
-        ["t"]
-        + _q_headers(abs_kind, n_bodies)
-        + _v_headers(n_bodies)
-        + ["energy", "gnorm", "gvnorm", "qnorm_err"]
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for k in range(len(record)):
-            drift = (
-                float(np.max(record.qnorm_err[k]))
-                if record.qnorm_err is not None
-                else math.nan
-            )
-            row = (
-                [record.t[k]]
-                + list(record.q[k])
-                + list(record.v[k])
-                + [record.energy[k], record.gnorm[k], record.gvnorm[k], drift]
-            )
-            writer.writerow(_fmt(x) for x in row)
-
-
-def _write_table_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+def _write_csv(out, header, rows):
+    """header and rows as LF-terminated CSV, floats as _fmt, to the path out
+    or, when out is None, to sys.stdout as it is at the call."""
+    with open(out, "w", newline="") if out else nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow(
-                _fmt(x) if isinstance(x, float) else str(x) for x in row
-            )
+            writer.writerow(_fmt(x) if isinstance(x, float) else x for x in row)
+
+
+def _trajectory_header(qs):
+    """Column names of the trajectory CSV for the bodies' coordinates qs."""
+    header = ["t"]
+    for i, q in enumerate(qs, 1):
+        rot, axes = ("q", "wxyz") if q.kind == QUAT_POS else ("rho", "xyz")
+        header += [f"{rot}{i}_{c}" for c in axes] + [f"r{i}_{c}" for c in "xyz"]
+    for i in range(1, len(qs) + 1):
+        header += [f"V{i}_{c}" for c in ("wx", "wy", "wz", "vx", "vy", "vz")]
+    return header + ["energy", "gnorm", "gvnorm", "qnorm_err"]
+
+
+def _qnorm_drift(record):
+    """Per record, the largest quaternion norm drift over the bodies; NaN
+    for axis-angle coordinates, which carry no norm."""
+    if record.qnorm_err is None:
+        return np.full(len(record), math.nan)
+    return record.qnorm_err.max(axis=1)
 
 
 def _pose_discrepancy(state_a, state_b):
@@ -397,32 +374,28 @@ def _pose_discrepancy(state_a, state_b):
     return worst
 
 
-def _default_out(scenario, suffix):
-    if scenario.output_csv is not None:
-        return Path(scenario.output_csv)
-    return scenario.source_path.with_suffix(suffix)
-
-
 # ----------------------------------------------------------------------
 # subcommands
 
 def _cmd_run(scenario, args):
     model, state0, cfg = scenario.build()
     record = integrate(model, cfg, state0)
-    out = Path(args.out) if args.out else _default_out(scenario, ".csv")
-    abs_kind = QUAT_POS if record.qnorm_err is not None else AXIS_ANGLE_POS
-    _write_trajectory_csv(out, record, abs_kind, model.n_bodies)
+    out = args.out or scenario.output_csv
+    out = Path(out) if out is not None else scenario.source_path.with_suffix(".csv")
+    qdrift = _qnorm_drift(record)
+    diagnostics = (record.energy, record.gnorm, record.gvnorm, qdrift)
+    rows = np.column_stack((record.t, record.q, record.v) + diagnostics).tolist()
+    _write_csv(out, _trajectory_header(record.final_state.qs), rows)
     if not args.quiet:
         e0 = record.energy[0]
         scale = abs(e0) if abs(e0) > 1e-30 else 1.0
         drift = float(np.max(np.abs(record.energy - e0))) / scale
+        worst = float(np.max(qdrift))
+        qnorm = "n/a (axis-angle coordinates)" if math.isnan(worst) else _fmt(worst)
         print(f"steps: {len(record) - 1}")
         print(f"final gnorm: {_fmt(record.gnorm[-1])}")
         print(f"energy drift (relative): {_fmt(drift)}")
-        if record.qnorm_err is not None:
-            print(f"quaternion norm drift: {_fmt(float(np.max(record.qnorm_err)))}")
-        else:
-            print("quaternion norm drift: n/a (axis-angle coordinates)")
+        print(f"quaternion norm drift: {qnorm}")
         print(f"wrote {out}")
     return 0
 
@@ -458,11 +431,9 @@ def _cmd_convergence(scenario, args):
 
     rows = [(float(h), float(err)) for h, err in zip(h_list, errors)]
     if args.out:
-        _write_table_csv(Path(args.out), ["h", "error"], rows)
+        _write_csv(args.out, ["h", "error"], rows)
     if not args.quiet:
-        print("h,error")
-        for h, err in rows:
-            print(f"{_fmt(h)},{_fmt(err)}")
+        _write_csv(None, ["h", "error"], rows)
         print(f"slope: {slope:.4f}")
         print(f"r_squared: {r_squared:.6f}")
         if args.out:
@@ -472,42 +443,31 @@ def _cmd_convergence(scenario, args):
 
 def _cmd_compare(scenario, args):
     finals, drifts = {}, {}
-    for label in list(COMBO_IDS) + [_BASELINE_LABEL]:
+    runs = {cid: dict(combo_id=cid, scheme=MUNTHE_KAAS_RK4) for cid in COMBO_IDS}
+    runs[_BASELINE_LABEL] = dict(scheme=BASELINE_QUAT_RK4)
+    for label, build_args in runs.items():
         try:
-            if label == _BASELINE_LABEL:
-                model, state0, cfg = scenario.build(scheme=BASELINE_QUAT_RK4)
-            else:
-                model, state0, cfg = scenario.build(
-                    combo_id=label, scheme=MUNTHE_KAAS_RK4
-                )
+            model, state0, cfg = scenario.build(**build_args)
         except ValueError as exc:  # the model or the config rejects the label
             print(f"skipped: {label}: {exc}", file=sys.stderr)
             continue
         rec = integrate(model, cfg, state0)
         finals[label] = rec.final_state
-        drifts[label] = (
-            float(np.max(rec.qnorm_err)) if rec.qnorm_err is not None else math.nan
-        )
+        drifts[label] = float(np.max(_qnorm_drift(rec)))
 
-    labels = list(finals)
     rows = [
         (a, b, _pose_discrepancy(finals[a], finals[b]))
-        for a, b in itertools.combinations_with_replacement(labels, 2)
+        for a, b in itertools.combinations_with_replacement(finals, 2)
     ]
     worst_combo = max(
         (r[2] for r in rows if _BASELINE_LABEL not in r[:2]), default=0.0
     )
+    header = ["label_a", "label_b", "pose_discrepancy"]
     if args.out:
-        _write_table_csv(
-            Path(args.out), ["label_a", "label_b", "pose_discrepancy"], rows
-        )
+        _write_csv(args.out, header, rows)
     if not args.quiet:
-        print("label,qnorm_drift")
-        for label in labels:
-            print(f"{label},{_fmt(drifts[label])}")
-        print("label_a,label_b,pose_discrepancy")
-        for a, b, d in rows:
-            print(f"{a},{b},{_fmt(d)}")
+        _write_csv(None, ["label", "qnorm_drift"], drifts.items())
+        _write_csv(None, header, rows)
         print(f"max pairwise pose discrepancy (combos): {_fmt(worst_combo)}")
         if args.out:
             print(f"wrote {args.out}")
@@ -527,30 +487,35 @@ def _h_list(text):
     return values
 
 
+_H_HELP = "comma-separated step sizes, e.g. 1e-2,5e-3,2.5e-3"
+# subcommand -> (handler, help, its own options as flag -> add_argument
+# keywords); every subcommand also takes the scenario, --out and --quiet.
+_COMMANDS = {
+    "run": (_cmd_run, "integrate one scenario and write the trajectory CSV", {}),
+    "convergence": (
+        _cmd_convergence,
+        "step-size study against a fine reference",
+        {"--h": dict(type=_h_list, required=True, help=_H_HELP)},
+    ),
+    "compare": (_cmd_compare, "run all coordinate combinations plus the baseline", {}),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="liembs",
         description="Rigid-body integration in local Lie-group coordinates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("run", "integrate one scenario and write the trajectory CSV"),
-        ("convergence", "step-size study against a fine reference"),
-        ("compare", "run all coordinate combinations plus the baseline"),
-    ):
+    for name, (_, helptext, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("scenario", help="path to the scenario JSON file")
         p.add_argument("--out", help="output CSV path", default=None)
         p.add_argument(
             "--quiet", action="store_true", help="suppress the stdout summary"
         )
-        if name == "convergence":
-            p.add_argument(
-                "--h",
-                type=_h_list,
-                required=True,
-                help="comma-separated step sizes, e.g. 1e-2,5e-3,2.5e-3",
-            )
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -561,11 +526,11 @@ def main(argv=None):
         # with an exit code; numpy's warnings about them would only add noise.
         with np.errstate(over="ignore", invalid="ignore"):
             scenario = load_scenario(args.scenario)
-            if args.command == "run":
-                return _cmd_run(scenario, args)
-            if args.command == "convergence":
-                return _cmd_convergence(scenario, args)
-            return _cmd_compare(scenario, args)
+            return _COMMANDS[args.command][0](scenario, args)
+    except InvalidConfig as exc:
+        key = next(k for k, (f, *_) in _INTEGRATOR_KEYS.items() if f == exc.field)
+        print(f"scenario error: integrator.{key}: {exc}", file=sys.stderr)
+        return 2
     except SchemaError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

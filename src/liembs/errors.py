@@ -50,6 +50,14 @@ class NoConvergence(LiembsError):
     """An iterative solve (constraint projection) did not reach tolerance."""
 
 
+class InvalidConfig(LiembsError, ValueError):
+    """An integrator setting has a bad value; ``field`` names the setting."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(message)
+
+
 class InconsistentState(LiembsError):
     """Initial conditions violate position or velocity constraints."""
 

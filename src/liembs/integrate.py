@@ -35,6 +35,7 @@ from .dynamics import (
 from .errors import (
     ChartBoundary,
     InconsistentState,
+    InvalidConfig,
     LiembsError,
     NoConvergence,
     NonFiniteState,
@@ -68,12 +69,15 @@ _CONSISTENCY_TOL = 1.0e-10
 
 
 def step_count(t_end, h):
-    """The number n of steps of size h to t_end; ValueError unless t_end / h
-    is finite and within 1e-9 * max(1, n) of n, so no run stops short."""
+    """The number n of steps of size h to t_end; InvalidConfig naming t_end
+    unless t_end / h is finite and within 1e-9 * max(1, n) of n, so no run
+    stops short."""
     ratio = t_end / h
     n = round(ratio) if math.isfinite(ratio) else 0
     if not abs(ratio - n) <= 1.0e-9 * max(1, n):
-        raise ValueError(f"t_end / h = {ratio:.9g} is not a whole number of steps")
+        raise InvalidConfig(
+            "t_end", f"t_end / h = {ratio:.9g} is not a whole number of steps"
+        )
     return n
 
 
@@ -90,30 +94,35 @@ class IntegratorConfig:
     projection_max_iter: int = 20
 
     def __post_init__(self):
+        """InvalidConfig naming the field of the first bad value."""
         if self.scheme not in SCHEMES:
-            raise ValueError(
-                f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}"
+            raise InvalidConfig(
+                "scheme", f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}"
             )
         if self.projection not in PROJECTION_MODES:
-            raise ValueError(
+            raise InvalidConfig(
+                "projection",
                 f"unknown projection mode {self.projection!r}; "
-                f"expected one of {PROJECTION_MODES}"
+                f"expected one of {PROJECTION_MODES}",
             )
         if not (math.isfinite(self.h) and self.h > 0.0):
-            raise ValueError("step size h must be positive and finite")
+            raise InvalidConfig("h", "step size h must be positive and finite")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
-            raise ValueError("t_end must be finite and nonnegative")
+            raise InvalidConfig("t_end", "t_end must be finite and nonnegative")
         step_count(self.t_end, self.h)
         if not self.projection_tol > 0.0:
-            raise ValueError("projection_tol must be positive")
+            raise InvalidConfig("projection_tol", "projection_tol must be positive")
         if self.projection_max_iter < 1:
-            raise ValueError("projection_max_iter must be at least 1")
+            raise InvalidConfig(
+                "projection_max_iter", "projection_max_iter must be at least 1"
+            )
         if self.scheme != BASELINE_QUAT_RK4:
-            combo(self.combo)  # raises ValueError on an unknown id
+            combo(self.combo)  # InvalidConfig naming combo on an unknown id
         elif self.projection != PROJECTION_OFF:
-            raise ValueError(
+            raise InvalidConfig(
+                "projection",
                 "the baseline scheme has no chart to project through; "
-                "set projection='off'"
+                "set projection='off'",
             )
 
 
@@ -329,13 +338,20 @@ def integrate(model, config, state0):
     n_records = n_steps + 1
     n_bodies = model.n_bodies
 
-    t_arr = np.empty(n_records)
-    q_arr = np.empty((n_records, _coords_row(state0.qs).size))
-    v_arr = np.empty((n_records, 6 * n_bodies))
-    e_arr = np.empty(n_records)
-    g_arr = np.empty(n_records)
-    gv_arr = np.empty(n_records)
-    qn_arr = np.zeros((n_records, n_bodies)) if quat_diag else None
+    try:
+        t_arr = np.empty(n_records)
+        q_arr = np.empty((n_records, _coords_row(state0.qs).size))
+        v_arr = np.empty((n_records, 6 * n_bodies))
+        e_arr = np.empty(n_records)
+        g_arr = np.empty(n_records)
+        gv_arr = np.empty(n_records)
+        qn_arr = np.zeros((n_records, n_bodies)) if quat_diag else None
+    # numpy raises ValueError for a shape past its index range and
+    # MemoryError for one within it that the host cannot hold.
+    except (ValueError, MemoryError) as exc:
+        raise InvalidConfig(
+            "t_end", f"t_end / h = {n_steps:.9g} steps do not fit in a record: {exc}"
+        ) from exc
 
     state = state0
 

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InconsistentState, VariantMismatch
+from .errors import InconsistentState, InvalidConfig, VariantMismatch
 from .motiongroups import (
     DIRECT_PRODUCT,
     SEMIDIRECT,
@@ -160,14 +160,15 @@ AXIS_ANGLE_COMBO_IDS = ("2a", "2b", "2c", "2d")
 
 
 def combo(combo_id):
-    """Look up a combo by id ("1a" .. "2d"); case-insensitive."""
+    """Look up a combo by id ("1a" .. "2d"); case-insensitive. An unknown id
+    raises InvalidConfig naming the combo field."""
     if isinstance(combo_id, LgtCombo):
         return combo_id
     try:
         return COMBOS[str(combo_id).lower()]
     except KeyError:
-        raise ValueError(
-            f"unknown combo {combo_id!r}; valid ids: {', '.join(COMBO_IDS)}"
+        raise InvalidConfig(
+            "combo", f"unknown combo {combo_id!r}; valid ids: {', '.join(COMBO_IDS)}"
         ) from None
 
 

@@ -22,13 +22,12 @@ in tests through finite differences. 6-vectors are (angular, linear).
 
 The 6x6 inverse differentials are closed-form float expressions built into
 one array from a tuple; skew products enter through
-``hat(x) hat(y) = y x^T - (x.y) I``. Accuracy of the SE(3) B block near its
-coefficient switches (mpmath, 80 random x and y per switch, phi within 10%
-of the switch, error per unit |y|): 4.6e-21 near 1e-4; 2.2e-13 near 1e-3,
-where ``(1 - gamma) / phi**2`` switches from its series to a closed form
-that is good to 8.7e-10 relative; 3.8e-16 near 0.7, where the quartic
-coefficient switches. That coefficient is good to 6e-13 relative just above
-0.7 and to 4e-15 below it.
+``hat(x) hat(y) = y x^T - (x.y) I``. Both coefficients of the SE(3) B
+block, ``(1 - gamma) / phi**2`` and the quartic one, switch from their
+Taylor series to closed forms at phi = 0.7. Accuracy of the block (mpmath,
+80 random x and y, phi within 10% of the angle, error per unit |y|):
+4.5e-16 near 0.7 and 4.9e-17 near 1e-4. The quartic coefficient is good to
+6e-13 relative just above 0.7 and to 4.6e-15 below it.
 """
 
 import math

@@ -27,16 +27,14 @@ diagonal ``c0 - c2*phi**2`` passed in a form free of that cancellation
 are kept as test oracles.
 
 Scalar coefficients with removable singularities switch to Taylor series
-below ``phi = 1e-4``, and ``(1 - gamma(phi)) / phi**2`` below ``1e-3``. Each
-series is exact to double precision up to its switch. The closed forms
-just above a switch lose digits to cancellation (relative error against
-mpmath, 400 log-spaced phi in [1e-5, 1]): up to 8.7e-10 for
-``(1 - gamma) / phi**2`` just above 1e-3 and 4.5e-8 for
-``(1 - sinc) / phi**2`` just above 1e-4, falling as 1/phi**2 to 4e-15 at
-phi = 1. Both multiply ``hat(x)**2``, whose entries are of size phi**2, so
-:func:`exp_so3`, :func:`dexp_so3` and :func:`dexp_inv_so3` stay within
-2.2e-16 absolute of the exact matrices for phi within 10% of either switch
-(mpmath, 80 random x per switch).
+below ``phi = 1e-4``, and the two coefficients of ``hat(x)**2``,
+``(1 - sinc(phi)) / phi**2`` and ``(1 - gamma(phi)) / phi**2``, below 0.7,
+where their closed forms would lose digits to cancellation. Against mpmath
+(relative error, 1000 log-spaced phi in [1e-5, 10**0.5]) the two series are
+good to 1.4e-16 and the closed forms to 1.5e-15 and 1.8e-15 just above 0.7,
+falling as 1/phi**2. :func:`exp_so3`, :func:`dexp_so3` and
+:func:`dexp_inv_so3` stay within 1.7e-16 absolute of the exact matrices for
+phi within 10% of either switch (mpmath, 80 random x per switch).
 """
 
 import math
@@ -47,8 +45,9 @@ import numpy as np
 from .errors import ChartBoundary, CompoundAnglePi, NearPiAmbiguity
 
 _SMALL_ANGLE = 1.0e-4
-# Below this angle dexp_inv_quad is its Taylor series, above it the closed
-# form, whose cancellation costs about 12 eps / phi**2 relative.
+# Below this angle _dexp_quad and dexp_inv_quad are their Taylor series,
+# above it the closed forms, whose cancellation costs up to 6 eps / phi**2
+# and 12 eps / phi**2 relative.
 _QUAD_SERIES_ANGLE = 0.7
 _CHART_EDGE = 2.0 * math.pi - 1.0e-9
 _COMPOUND_EDGE = 2.0 * math.pi - 1.0e-6
@@ -135,11 +134,19 @@ def trig_coefficients(phi):
     return alpha, beta, gamma
 
 
+# (1 - sinc(phi)) / phi**2 = sum_n (-1)**n phi**2n / (2n + 3)!, to phi**14.
+_DEXP_QUAD_SERIES = tuple((-1) ** n / math.factorial(2 * n + 3) for n in range(8))
+
+
 def _dexp_quad(phi):
-    """(1 - sinc(phi)) / phi**2, series-guarded."""
-    if abs(phi) < _SMALL_ANGLE:
-        phi2 = phi * phi
-        return 1.0 / 6.0 - phi2 / 120.0
+    """(1 - sinc(phi)) / phi**2, the coefficient of hat(x)**2 in
+    :func:`dexp_so3`: its Taylor series below 0.7, where the closed form
+    would cancel, and the closed form above."""
+    if abs(phi) < _QUAD_SERIES_ANGLE:
+        phi2, quad = phi * phi, 0.0
+        for coefficient in reversed(_DEXP_QUAD_SERIES):
+            quad = quad * phi2 + coefficient
+        return quad
     return (1.0 - sinc(phi)) / (phi * phi)
 
 

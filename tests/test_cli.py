@@ -189,6 +189,30 @@ def test_partial_last_step_exits_2_with_path(tmp_path, capsys):
     assert "integrator.t_end_s" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "changes,key",
+    [
+        ({"h_s": -1}, "h_s"),
+        ({"projection_tol": 0}, "projection_tol"),
+        ({"projection_max_iter": 0}, "projection_max_iter"),
+        ({"scheme": "Foo"}, "scheme"),
+        ({"projection": "on"}, "projection"),
+        ({"combo": "3z"}, "combo"),
+        ({"scheme": "BaselineQuatRK4", "projection": "position+velocity"}, "projection"),
+        # 1e297 steps: numpy cannot shape the trajectory record.
+        ({"h_s": 1e-300, "t_end_s": 1e-3}, "t_end_s"),
+    ],
+)
+def test_bad_integrator_value_exits_2_naming_its_key(tmp_path, capsys, changes, key):
+    doc = _load("free_tumble.json")
+    doc["integrator"].update(changes)
+    path = _write(tmp_path, doc)
+    out = tmp_path / "t.csv"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert f"scenario error: integrator.{key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_convergence_rejects_h_that_does_not_reach_t_end(tmp_path, capsys):
     doc = _load("free_tumble.json")
     doc["integrator"]["t_end_s"] = 0.05  # 16.67 steps of 0.003
@@ -281,6 +305,25 @@ def test_chain_scenario_runs(tmp_path):
     assert main(["run", str(path), "--out", str(out), "--quiet"]) == 0
     header = out.read_text().splitlines()[0].split(",")
     assert len(header) == 1 + 14 + 12 + 4  # two bodies: 2*7 coords, 2*6 twists
+
+
+def test_axis_angle_chain_header_names_rho_columns(tmp_path):
+    doc = _load("chain_swing.json")
+    doc["integrator"].update(combo="2d", t_end_s=0.01)
+    path = _write(tmp_path, doc)
+    out = tmp_path / "chain.csv"
+    assert main(["run", str(path), "--out", str(out), "--quiet"]) == 0
+    lines = out.read_text().splitlines()
+    coords = [
+        f"{part}{i}_{c}" for i in (1, 2) for part in ("rho", "r") for c in "xyz"
+    ]
+    twists = [
+        f"V{i}_{c}" for i in (1, 2) for c in ("wx", "wy", "wz", "vx", "vy", "vz")
+    ]
+    assert lines[0].split(",") == (
+        ["t"] + coords + twists + ["energy", "gnorm", "gvnorm", "qnorm_err"]
+    )
+    assert {line.split(",")[-1] for line in lines[1:]} == {"nan"}
 
 
 def test_convergence_slope_and_table(tumble, tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from liembs import ChartBoundary, CompoundAnglePi, NearPiAmbiguity
 from liembs.rotmaps import (
+    _dexp_quad,
     bch_so3,
     cay_so3,
     compose_axisangle_rodrigues,
@@ -79,6 +80,17 @@ def test_dexp_inv_quad_matches_mpmath_across_series_switch():
         u = mpmath.mpf(float(phi)) / 2
         want = (1 - u * mpmath.cot(u)) / (2 * u) ** 2
         assert abs(dexp_inv_quad(float(phi)) - want) <= 1e-12 * abs(want), phi
+
+
+def test_dexp_quad_matches_mpmath_across_series_switch():
+    # (1 - sin(phi)/phi)/phi^2 at 50 digits. The closed form cancels to
+    # about 6 eps / phi^2 relative, so it must not run at small phi.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    for phi in np.concatenate([np.logspace(-4.0, 0.5, 300), [1.14e-4, 0.7, 0.7001]]):
+        u = mpmath.mpf(float(phi))
+        want = (1 - mpmath.sin(u) / u) / u**2
+        assert abs(_dexp_quad(float(phi)) - want) <= 1e-12 * abs(want), phi
 
 
 def test_exp_so3_matches_power_series():
