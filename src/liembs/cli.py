@@ -17,8 +17,9 @@ Subcommands:
 Flags: ``--out <path>`` redirects the CSV, ``--quiet`` suppresses the
 stdout summary. Exit codes: 0 success, 2 malformed scenario (the message
 names the offending field, ``integrator.<key>`` for a bad integrator
-value), 3 inconsistent initial state, 4 integration failure (the message
-carries the step index).
+value), a ``--h`` list the runs cannot take, or an output path that cannot
+be opened (naming ``--out`` or ``output_csv``), 3 inconsistent initial
+state, 4 integration failure (the message carries the step index).
 
 Scenario files are JSON with units spelled in the field names::
 
@@ -103,6 +104,10 @@ _BASELINE_LABEL = "baseline"
 
 class SchemaError(ValueError):
     """A scenario file violates the schema; the message names the field."""
+
+
+class OutputError(ValueError):
+    """The output CSV cannot be opened; the message names --out or output_csv."""
 
 
 # ----------------------------------------------------------------------
@@ -256,6 +261,8 @@ class Scenario:
         self.model(scheme_kinds(self._config)[2])  # a rejected body fails the load
 
         self.output_csv = _read(root, "", "output_csv", str, None)
+        if self.output_csv == "":
+            raise SchemaError("output_csv: expected a non-empty path")
 
     # -- instantiation -------------------------------------------------
 
@@ -332,10 +339,15 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def _write_csv(out, header, rows):
+def _write_csv(out, header, rows, where="--out"):
     """header and rows as LF-terminated CSV, floats as _fmt, to the path out
-    or, when out is None, to sys.stdout as it is at the call."""
-    with open(out, "w", newline="") if out else nullcontext(sys.stdout) as fh:
+    or, when out is None, to sys.stdout as it is at the call; OutputError
+    naming where, the source of out, when the path cannot be opened."""
+    try:
+        target = open(out, "w", newline="") if out else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise OutputError(f"{where}: cannot write {out}: {exc.strerror}") from exc
+    with target as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -385,7 +397,8 @@ def _cmd_run(scenario, args):
     qdrift = _qnorm_drift(record)
     diagnostics = (record.energy, record.gnorm, record.gvnorm, qdrift)
     rows = np.column_stack((record.t, record.q, record.v) + diagnostics).tolist()
-    _write_csv(out, _trajectory_header(record.final_state.qs), rows)
+    where = "--out" if args.out else "output_csv"
+    _write_csv(out, _trajectory_header(record.final_state.qs), rows, where)
     if not args.quiet:
         e0 = record.energy[0]
         scale = abs(e0) if abs(e0) > 1e-30 else 1.0
@@ -412,14 +425,18 @@ def _cmd_convergence(scenario, args):
             print(f"--h {h!r}: {exc}", file=sys.stderr)
             return 2
     h_ref = min(h_list) / 10.0
-    model, state0, cfg_ref = scenario.build(h=h_ref)
-    ref = integrate(model, cfg_ref, state0)
-
     errors = []
-    for h in h_list:
-        model_h, state_h, cfg_h = scenario.build(h=h)
-        rec = integrate(model_h, cfg_h, state_h)
-        errors.append(_pose_discrepancy(rec.final_state, ref.final_state))
+    # Only h differs from the loaded config, so a config error here is --h's.
+    try:
+        model, state0, cfg_ref = scenario.build(h=h_ref)
+        ref = integrate(model, cfg_ref, state0)
+        for h in h_list:
+            model_h, state_h, cfg_h = scenario.build(h=h)
+            rec = integrate(model_h, cfg_h, state_h)
+            errors.append(_pose_discrepancy(rec.final_state, ref.final_state))
+    except InvalidConfig as exc:
+        print(f"--h (reference step min(h)/10 = {h_ref!r}): {exc}", file=sys.stderr)
+        return 2
 
     logs_h = np.log10(np.asarray(h_list))
     logs_e = np.log10(np.maximum(np.asarray(errors), 1e-300))
@@ -533,6 +550,9 @@ def main(argv=None):
         return 2
     except SchemaError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return 2
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except InconsistentState as exc:
         print(f"inconsistent initial state: {exc}", file=sys.stderr)

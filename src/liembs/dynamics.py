@@ -15,9 +15,9 @@ definite system
 
     (A M^-1 A^T) lambda = A M^-1 Q + adotv,    Vdot = M^-1 (Q - A^T lambda),
 
-factored by Cholesky. Without constraints Vdot = M^-1 Q. The state
-derivative is then rewritten in the local chart coordinates of a
-transition-map combo:
+factored by Cholesky in :func:`least_norm`, which the projection reuses.
+Without constraints Vdot = M^-1 Q. The state derivative is then rewritten
+in the local chart coordinates of a transition-map combo:
 
     qdot  -> Xdot = dpsi_inv(-X) V   (per body)
     Vdot  -> from the saddle system evaluated at q = apply_lgt(combo, q_k, X)
@@ -60,23 +60,32 @@ def make_state(qs, v, t=0.0):
     return MbsState(qs, v, float(t))
 
 
-def cholesky(matrix, message):
-    """Upper Cholesky factor of a symmetric positive definite matrix, for
-    ``dpotrs``; raises SingularKkt(message) when LAPACK ``dpotrf`` fails."""
-    chol, info = dpotrf(matrix)
-    if info != 0:
-        raise SingularKkt(message)
-    return chol
+def least_norm(a, w_at, rhs, what):
+    """(W A^T lam, lam) with (A W A^T) lam = rhs, for w_at = W A^T and W
+    symmetric positive definite: the one Cholesky solve of every constraint
+    correction. SingularKkt naming what when the reciprocal condition of
+    A W A^T (0 if Cholesky fails) is below 1e-12 or lam is not finite."""
+    gram = a @ w_at
+    chol, info = dpotrf(gram)
+    rcond = dpocon(chol, np.abs(gram).sum(axis=0).max())[0] if info == 0 else 0.0
+    if not rcond >= _RCOND_LIMIT:  # the negated test catches NaN
+        raise SingularKkt(
+            f"{what} reciprocal condition {rcond:.3e} below {_RCOND_LIMIT:.0e}"
+        )
+    lam, _ = dpotrs(chol, rhs)
+    if not np.isfinite(lam).all():
+        raise SingularKkt(f"{what} gave non-finite multipliers")
+    return w_at @ lam, lam
 
 
 def solve_kkt(model, state):
     """Accelerations and constraint multipliers at a state.
 
-    Returns (Vdot, lam) with lam empty for unconstrained models. Raises
-    SingularKkt when the Schur complement A M^-1 A^T is not positive
-    definite or its reciprocal condition estimate is below 1e-12
-    (redundant constraints or a singular configuration), and when the
-    multipliers come out non-finite.
+    Returns (Vdot, lam), lam from :func:`least_norm` with W = M^-1 and
+    empty for unconstrained models. Raises SingularKkt when the Schur
+    complement A M^-1 A^T is not positive definite or its reciprocal
+    condition estimate is below 1e-12 (redundant constraints or a singular
+    configuration), and when the multipliers come out non-finite.
     """
     q = model.forces(state.qs, state.V, state.t)
     m_inv = model.mass_inverse
@@ -85,20 +94,9 @@ def solve_kkt(model, state):
         return m_inv_q, np.zeros(0)
 
     a = model.jacobian(state.qs)
-    m_inv_at = m_inv @ a.T
-    schur = a @ m_inv_at
-    chol = cholesky(schur, "Schur complement A M^-1 A^T is not positive definite")
-    rcond = dpocon(chol, np.abs(schur).sum(axis=0).max())[0]
-    if not rcond >= _RCOND_LIMIT:  # the negated test catches NaN
-        raise SingularKkt(
-            f"Schur complement A M^-1 A^T reciprocal condition {rcond:.3e} "
-            f"below {_RCOND_LIMIT:.0e}"
-        )
     rhs = a @ m_inv_q + model.adotv(state.qs, state.V)
-    lam, _ = dpotrs(chol, rhs)
-    if not np.isfinite(lam).all():
-        raise SingularKkt("saddle-point solve gave non-finite multipliers")
-    return m_inv_q - m_inv_at @ lam, lam
+    correction, lam = least_norm(a, m_inv @ a.T, rhs, "Schur complement A M^-1 A^T")
+    return m_inv_q - correction, lam
 
 
 def forward_dynamics(model, state):
@@ -136,6 +134,4 @@ def constraint_residuals(model, state):
         return 0.0, 0.0
     g = model.constraints(state.qs)
     gv = model.jacobian(state.qs) @ state.V
-    gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-    gvnorm = float(np.max(np.abs(gv))) if gv.size else 0.0
-    return gnorm, gvnorm
+    return float(np.max(np.abs(g))), float(np.max(np.abs(gv)))

@@ -35,10 +35,10 @@ class VariantMismatch(LiembsError, TypeError):
 class SingularKkt(LiembsError):
     """The constrained-dynamics saddle-point matrix is numerically singular.
 
-    Signalled when the Schur complement A M^-1 A^T of the saddle matrix is
-    not positive definite or its reciprocal condition estimate falls below
-    1e-12 (redundant constraints, a singular configuration, ...), and when
-    the solve gives non-finite multipliers.
+    Signalled when A W A^T of a least-norm correction (the Schur complement
+    A M^-1 A^T, or A A^T in the projection) is not positive definite or its
+    reciprocal condition estimate falls below 1e-12 (redundant constraints,
+    a singular configuration, ...), and when it gives non-finite multipliers.
     """
 
 

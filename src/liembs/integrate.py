@@ -23,13 +23,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .dynamics import (
     MbsState,
-    cholesky,
     constraint_residuals,
     forward_dynamics,
+    least_norm,
     local_rhs,
 )
 from .errors import (
@@ -278,19 +277,20 @@ def project(model, cmb, state, tol, max_iter):
 
     Position stage: Gauss-Newton through chart increments until the
     position residual infinity norm drops below tol. Velocity stage: exact
-    orthogonal projection of V onto the null space of the Jacobian.
+    orthogonal projection of V onto the null space of the Jacobian. Both
+    are :func:`least_norm` corrections with W = I (SingularKkt on a
+    Jacobian without full row rank, which spherical joints always have).
     """
     if model.n_constraints == 0:
         return state
     cmb = combo(cmb)
     qs = list(state.qs)
 
-    iterations = 0
-    while True:
+    for iteration in range(max_iter + 1):
         g = model.constraints(qs)
         if float(np.max(np.abs(g))) < tol:
             break
-        if iterations >= max_iter:
+        if iteration == max_iter:
             raise NoConvergence(
                 f"position projection still at |g|={np.max(np.abs(g)):.3e} "
                 f"after {max_iter} iterations (tol {tol:.3e})"
@@ -299,16 +299,12 @@ def project(model, cmb, state, tol, max_iter):
         # A dpsi(0) dX, and dpsi(0) is diagonal.
         dpsi_inv_0 = np.diag(combo_dpsi_inv(cmb, np.zeros(6)))
         a_chart = model.jacobian(qs) / np.tile(dpsi_inv_0, model.n_bodies)
-        dx = np.linalg.lstsq(a_chart, -g, rcond=None)[0]
+        dx, _ = least_norm(a_chart, a_chart.T, -g, "chart-scaled A A^T")
         qs = apply_lgt_stacked(cmb, qs, dx)
-        iterations += 1
 
     a = model.jacobian(qs)
-    chol = cholesky(
-        a @ a.T, "constraint Jacobian is rank deficient; cannot project velocity"
-    )
-    v = state.V - a.T @ dpotrs(chol, a @ state.V)[0]
-    return MbsState(tuple(qs), v, state.t)
+    correction, _ = least_norm(a, a.T, a @ state.V, "velocity projection A A^T")
+    return MbsState(tuple(qs), state.V - correction, state.t)
 
 
 def _coords_row(qs):

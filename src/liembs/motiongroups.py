@@ -23,11 +23,11 @@ in tests through finite differences. 6-vectors are (angular, linear).
 The 6x6 inverse differentials are closed-form float expressions built into
 one array from a tuple; skew products enter through
 ``hat(x) hat(y) = y x^T - (x.y) I``. Both coefficients of the SE(3) B
-block, ``(1 - gamma) / phi**2`` and the quartic one, switch from their
-Taylor series to closed forms at phi = 0.7. Accuracy of the block (mpmath,
-80 random x and y, phi within 10% of the angle, error per unit |y|):
-4.5e-16 near 0.7 and 4.9e-17 near 1e-4. The quartic coefficient is good to
-6e-13 relative just above 0.7 and to 4.6e-15 below it.
+block, ``(1 - gamma) / phi**2`` and the quartic one, come from the one series
+table of :mod:`liembs.rotmaps` and its one switch at phi = 0.7. Accuracy of
+the block (mpmath, 80 random x and y, phi within 10% of the angle, error per
+unit |y|): 4.5e-16 near 0.7 and 4.9e-17 near 1e-4. The quartic coefficient
+is good to 6e-13 relative just above 0.7 and to 4.6e-15 below it.
 """
 
 import math
@@ -35,13 +35,13 @@ import math
 import numpy as np
 
 from .rotmaps import (
+    _b_quartic,
     cay_so3,
     dcay_inv_so3_entries,
     dexp_inv_so3_entries,
     dexp_so3,
     exp_so3,
     so3_poly_entries,
-    trig_coefficients,
 )
 
 SEMIDIRECT = "se3"
@@ -49,38 +49,9 @@ DIRECT_PRODUCT = "so3xr3"
 
 GROUP_MODELS = (SEMIDIRECT, DIRECT_PRODUCT)
 
-# Below this rotation angle the quartic coefficient of the B block is its
-# Taylor series in phi**2, above it the closed form (see the module notes).
-_B_SERIES_ANGLE = 0.7
-
 _ZERO3 = (0.0, 0.0, 0.0)
 _EYE3 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 _ZERO9 = _ZERO3 * 3
-
-
-def _b_quartic(phi):
-    """(1/beta + gamma - 2) / phi**4: its Taylor series to phi**14 below 0.7,
-    where the closed form would cancel, and the closed form above. The
-    coefficients come from Bernoulli numbers; the series converges for
-    phi < 2*pi."""
-    phi2 = phi * phi
-    if abs(phi) < _B_SERIES_ANGLE:
-        return 1.0 / 360.0 + phi2 * (
-            1.0 / 7560.0 + phi2 * (
-                1.0 / 201600.0 + phi2 * (
-                    1.0 / 5987520.0 + phi2 * (
-                        691.0 / 130767436800.0 + phi2 * (
-                            1.0 / 6227020800.0 + phi2 * (
-                                3617.0 / 762187345920000.0
-                                + phi2 * (43867.0 / 319318388573184000.0)
-                            )
-                        )
-                    )
-                )
-            )
-        )
-    _, beta, gamma = trig_coefficients(phi)
-    return (1.0 / beta + gamma - 2.0) / (phi2 * phi2)
 
 
 def _blocks(upper_left, lower_left, lower_right):

@@ -29,25 +29,28 @@ are kept as test oracles.
 Scalar coefficients with removable singularities switch to Taylor series
 below ``phi = 1e-4``, and the two coefficients of ``hat(x)**2``,
 ``(1 - sinc(phi)) / phi**2`` and ``(1 - gamma(phi)) / phi**2``, below 0.7,
-where their closed forms would lose digits to cancellation. Against mpmath
-(relative error, 1000 log-spaced phi in [1e-5, 10**0.5]) the two series are
-good to 1.4e-16 and the closed forms to 1.5e-15 and 1.8e-15 just above 0.7,
-falling as 1/phi**2. :func:`exp_so3`, :func:`dexp_so3` and
+where their closed forms would lose digits to cancellation. They and the
+SE(3) quartic :func:`_b_quartic` are one table of exact terms, rounded once,
+summed by :func:`phi2_series` and switched at one angle ``_QUAD_SERIES_ANGLE``.
+Against mpmath (relative error, 1000 log-spaced phi in [1e-5, 10**0.5]) the
+two series are good to 1.4e-16 and the closed forms to 1.5e-15 and 1.8e-15
+just above 0.7, falling as 1/phi**2. :func:`exp_so3`, :func:`dexp_so3` and
 :func:`dexp_inv_so3` stay within 1.7e-16 absolute of the exact matrices for
 phi within 10% of either switch (mpmath, 80 random x per switch).
 """
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import ChartBoundary, CompoundAnglePi, NearPiAmbiguity
 
 _SMALL_ANGLE = 1.0e-4
-# Below this angle _dexp_quad and dexp_inv_quad are their Taylor series,
-# above it the closed forms, whose cancellation costs up to 6 eps / phi**2
-# and 12 eps / phi**2 relative.
+# Below this angle _dexp_quad, dexp_inv_quad and _b_quartic are their Taylor
+# series, above it the closed forms, whose cancellation costs up to
+# 6 eps / phi**2 and 12 eps / phi**2 relative (the first two).
 _QUAD_SERIES_ANGLE = 0.7
 _CHART_EDGE = 2.0 * math.pi - 1.0e-9
 _COMPOUND_EDGE = 2.0 * math.pi - 1.0e-6
@@ -127,15 +130,35 @@ def trig_coefficients(phi):
     s = sinc(half)
     beta = s * s
     if abs(phi) < _SMALL_ANGLE:
-        phi2 = phi * phi
-        gamma = 1.0 - phi2 / 12.0 - phi2 * phi2 / 720.0
+        gamma = 1.0 - phi * phi * dexp_inv_quad(phi)
     else:
         gamma = half / math.tan(half)
     return alpha, beta, gamma
 
 
-# (1 - sinc(phi)) / phi**2 = sum_n (-1)**n phi**2n / (2n + 3)!, to phi**14.
+def _bernoulli_terms(n_terms):
+    """|B_2n| / (2n)! for n = 1..n_terms, exact, from the Bernoulli recurrence."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * n_terms + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return [abs(b[2 * n]) / math.factorial(2 * n) for n in range(1, n_terms + 1)]
+
+
+# (1 - sinc(phi)) / phi**2 = sum_n (-1)**n phi**2n / (2n + 3)!, to phi**14;
+# (1 - gamma(phi)) / phi**2 = f(phi) = sum_n |B_2n+2| / (2n + 2)! phi**2n, to
+# phi**16; (1/beta + gamma - 2) / phi**4 = f'(phi) / phi, to phi**14.
+_F_TERMS = _bernoulli_terms(9)
 _DEXP_QUAD_SERIES = tuple((-1) ** n / math.factorial(2 * n + 3) for n in range(8))
+_DEXP_INV_QUAD_SERIES = tuple(map(float, _F_TERMS))
+_B_QUARTIC_SERIES = tuple(float(2 * n * f) for n, f in enumerate(_F_TERMS[1:], 1))
+
+
+def phi2_series(coefficients, phi2):
+    """c0 + phi2*(c1 + phi2*(c2 + ...)) by Horner's rule."""
+    value = 0.0
+    for coefficient in reversed(coefficients):
+        value = coefficient + phi2 * value
+    return value
 
 
 def _dexp_quad(phi):
@@ -143,10 +166,7 @@ def _dexp_quad(phi):
     :func:`dexp_so3`: its Taylor series below 0.7, where the closed form
     would cancel, and the closed form above."""
     if abs(phi) < _QUAD_SERIES_ANGLE:
-        phi2, quad = phi * phi, 0.0
-        for coefficient in reversed(_DEXP_QUAD_SERIES):
-            quad = quad * phi2 + coefficient
-        return quad
+        return phi2_series(_DEXP_QUAD_SERIES, phi * phi)
     return (1.0 - sinc(phi)) / (phi * phi)
 
 
@@ -156,25 +176,21 @@ def dexp_inv_quad(phi):
     closed form would cancel, and the closed form above. The coefficients
     are (-1)**(n+1) B_2n / (2n)!; the series converges for phi < 2*pi."""
     if abs(phi) < _QUAD_SERIES_ANGLE:
-        phi2 = phi * phi
-        return 1.0 / 12.0 + phi2 * (
-            1.0 / 720.0 + phi2 * (
-                1.0 / 30240.0 + phi2 * (
-                    1.0 / 1209600.0 + phi2 * (
-                        1.0 / 47900160.0 + phi2 * (
-                            691.0 / 1307674368000.0 + phi2 * (
-                                1.0 / 74724249600.0 + phi2 * (
-                                    3617.0 / 10670622842880000.0
-                                    + phi2 * (43867.0 / 5109094217170944000.0)
-                                )
-                            )
-                        )
-                    )
-                )
-            )
-        )
+        return phi2_series(_DEXP_INV_QUAD_SERIES, phi * phi)
     half = 0.5 * phi
     return (1.0 - half / math.tan(half)) / (phi * phi)
+
+
+def _b_quartic(phi):
+    """(1/beta + gamma - 2) / phi**4, in the B block of SE(3) dexp_inv: its
+    Taylor series to phi**14 below 0.7, where the closed form would cancel,
+    and the closed form above. The coefficients come from Bernoulli numbers;
+    the series converges for phi < 2*pi."""
+    phi2 = phi * phi
+    if abs(phi) < _QUAD_SERIES_ANGLE:
+        return phi2_series(_B_QUARTIC_SERIES, phi2)
+    _, beta, gamma = trig_coefficients(phi)
+    return (1.0 / beta + gamma - 2.0) / (phi2 * phi2)
 
 
 def exp_so3(x):

@@ -177,6 +177,15 @@ def dense_kkt_solve(model, state, rcond_limit=1e-12):
     return sol[:n], sol[n:]
 
 
+def lstsq_chart_increment(model, dpsi_inv_0, qs):
+    """The minimum-norm Gauss-Newton increment dX of a projection through a
+    chart whose inverse differential at 0 has the per-body diagonal
+    dpsi_inv_0: the least-squares solution of A(qs) diag^-1 dX = -g(qs) by
+    numpy's SVD, where the package uses one Cholesky solve of A A^T."""
+    a_chart = model.jacobian(qs) / np.tile(dpsi_inv_0, model.n_bodies)
+    return np.linalg.lstsq(a_chart, -model.constraints(qs), rcond=None)[0]
+
+
 def quat_to_matrix(q):
     """Rotation matrix of a unit quaternion, textbook component form."""
     w, x, y, z = q

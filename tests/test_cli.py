@@ -213,6 +213,33 @@ def test_bad_integrator_value_exits_2_naming_its_key(tmp_path, capsys, changes, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "output_csv, use_out, where",
+    [(None, True, "--out"), ("", False, "output_csv")],
+    ids=["out-in-missing-directory", "empty-output-csv"],
+)
+def test_unopenable_output_exits_2_naming_its_source(
+    tmp_path, capsys, output_csv, use_out, where
+):
+    doc = _load("free_tumble.json")
+    doc["integrator"]["t_end_s"] = 0.1
+    if output_csv is not None:
+        doc["output_csv"] = output_csv
+    path = _write(tmp_path, doc)
+    out = ["--out", str(tmp_path / "missing" / "t.csv")] if use_out else []
+    assert main(["run", str(path), *out]) == 2
+    assert f"{where}: " in capsys.readouterr().err
+
+
+def test_convergence_blames_h_for_a_reference_run_too_long_to_record(
+    tumble, capsys
+):
+    # The reference run at min(h)/10 = 1e-300 would need 1e299 records.
+    assert main(["convergence", str(tumble), "--h", "2e-299,1e-299"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("--h") and "integrator.t_end_s" not in err
+
+
 def test_convergence_rejects_h_that_does_not_reach_t_end(tmp_path, capsys):
     doc = _load("free_tumble.json")
     doc["integrator"]["t_end_s"] = 0.05  # 16.67 steps of 0.003

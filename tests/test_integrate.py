@@ -31,14 +31,18 @@ from liembs.integrate import (
 from liembs.lgt import (
     AXIS_ANGLE_POS,
     COMBO_IDS,
+    QUAT_POS,
     alpha_map,
     combo,
+    combo_dpsi_inv,
     identity_coords,
     quat_pos,
 )
-from liembs.models import BodyParams, free_rigid_body, pinned_body
+from liembs.models import BodyParams, free_rigid_body, pinned_body, two_body_chain
 from liembs.motiongroups import DIRECT_PRODUCT, SEMIDIRECT
 from liembs.rotmaps import exp_so3, exp_sp1
+
+import oracles
 
 
 _FREE = BodyParams(mass=1.0, inertia=(1.0, 2.0, 3.0), gravity=(0.0, 0.0, 0.0))
@@ -282,6 +286,70 @@ def test_projection_raises_after_max_iter():
     bad = make_state([bumped], state.V)
     with pytest.raises(NoConvergence):
         project(model, "1a", bad, tol=1e-15, max_iter=1)
+
+
+class _StopAtIncrement(Exception):
+    """Raised by a spy in place of the first chart update of a projection."""
+
+
+@pytest.mark.parametrize("cid", COMBO_IDS)
+@pytest.mark.parametrize("n_bodies", [1, 2], ids=["pinned_body", "two_body_chain"])
+def test_gauss_newton_increment_is_the_least_squares_solution(
+    monkeypatch, n_bodies, cid
+):
+    cmb = combo(cid)
+    p1 = BodyParams(mass=1.2, inertia=(0.4, 0.5, 0.3))
+    p2 = BodyParams(mass=0.7, inertia=(0.1, 0.2, 0.15))
+    if n_bodies == 1:
+        model = pinned_body(p1, (0.0, 0.0, 0.3), group_model=cmb.group_model)
+    else:
+        joints = ((0.0, 0.0, 0.3), (0.0, 0.0, -0.3), (0.1, 0.0, 0.25))
+        model = two_body_chain(p1, p2, joints, group_model=cmb.group_model)
+    increments = []
+
+    def first_increment(cmb, qs, dx):
+        increments.append(dx)
+        raise _StopAtIncrement
+
+    monkeypatch.setattr("liembs.integrate.apply_lgt_stacked", first_increment)
+    dpsi_inv_0 = np.diag(combo_dpsi_inv(cmb, np.zeros(6)))
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        qs = []
+        for _ in range(n_bodies):
+            rho = rng.uniform(-1.5, 1.5, 3)
+            rot = exp_sp1(rho) if cmb.abs_kind == QUAT_POS else rho
+            qs.append(_initial_coords(cid, rot, rng.uniform(-0.5, 0.5, 3)))
+        state = make_state(qs, np.zeros(6 * n_bodies))
+        with pytest.raises(_StopAtIncrement):
+            project(model, cid, state, tol=1e-12, max_iter=5)
+        want = oracles.lstsq_chart_increment(model, dpsi_inv_0, state.qs)
+        assert np.max(np.abs(increments[-1] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_velocity_projection_rejects_an_ill_conditioned_jacobian():
+    # The joint stated twice, the copy's Jacobian tilted by 1e-7 P: A A^T is
+    # positive definite in floating point but has condition near 1e15.
+    model, state = _pendulum("1a", omega0=1.0)
+    tilt = 1e-7 * np.random.default_rng(3).standard_normal((3, 6))
+
+    class NearlyRedundant:
+        n_constraints = 6
+
+        def __getattr__(self, name):
+            return getattr(model, name)
+
+        def constraints(self, qs):
+            return np.tile(model.constraints(qs), 2)
+
+        def jacobian(self, qs):
+            a = model.jacobian(qs)
+            return np.vstack([a, a + tilt])
+
+    a = NearlyRedundant().jacobian(state.qs)
+    assert np.linalg.cond(a @ a.T) > 1e14
+    with pytest.raises(SingularKkt, match="reciprocal condition"):
+        project(NearlyRedundant(), "1a", state, tol=1e-10, max_iter=3)
 
 
 def test_pendulum_residuals_stay_small_with_projection():

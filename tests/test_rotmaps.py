@@ -1,6 +1,7 @@
 """Tests for the SO(3) coordinate maps and differentials."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liembs import ChartBoundary, CompoundAnglePi, NearPiAmbiguity
+from liembs import rotmaps
 from liembs.rotmaps import (
     _dexp_quad,
     bch_so3,
@@ -80,6 +82,24 @@ def test_dexp_inv_quad_matches_mpmath_across_series_switch():
         u = mpmath.mpf(float(phi)) / 2
         want = (1 - u * mpmath.cot(u)) / (2 * u) ** 2
         assert abs(dexp_inv_quad(float(phi)) - want) <= 1e-12 * abs(want), phi
+
+
+def test_series_tables_are_the_correctly_rounded_exact_terms():
+    # Exact terms: (-1)**n / (2n + 3)! for (1 - sinc)/phi^2, f_n =
+    # |B_2n+2| / (2n + 2)! for f = (1 - gamma)/phi^2 from mpmath's Bernoulli
+    # fractions, and 2(n+1) f_(n+1) for the quartic f'(phi)/phi. float() of a
+    # Fraction is correctly rounded, so each entry must equal it exactly.
+    mpmath = pytest.importorskip("mpmath")
+    f = [
+        abs(Fraction(*map(int, mpmath.bernfrac(2 * n + 2))))
+        / math.factorial(2 * n + 2)
+        for n in range(9)
+    ]
+    sinc_terms = [Fraction((-1) ** n, math.factorial(2 * n + 3)) for n in range(8)]
+    assert rotmaps._DEXP_QUAD_SERIES == tuple(map(float, sinc_terms))
+    assert rotmaps._DEXP_INV_QUAD_SERIES == tuple(map(float, f))
+    quartic = [2 * (n + 1) * f[n + 1] for n in range(8)]
+    assert rotmaps._B_QUARTIC_SERIES == tuple(map(float, quartic))
 
 
 def test_dexp_quad_matches_mpmath_across_series_switch():
