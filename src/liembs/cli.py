@@ -4,10 +4,10 @@ Subcommands:
 
 * ``run <file>`` — integrate one scenario, write the trajectory CSV, print
   a summary (final constraint residual, energy drift, quaternion drift);
-* ``convergence <file> --h <list>`` — rerun the scenario over a list of
-  step sizes, each a whole number of steps to t_end_s, against a reference
-  at min(h)/10 and report the global error per h together with the fitted
-  log-log slope and its R²;
+* ``convergence <file> --h <list>`` — rerun the scenario over two or more
+  distinct step sizes, each a whole number of steps to t_end_s, against a
+  reference at min(h)/10 and report the global error per h together with
+  the fitted log-log slope and its R²;
 * ``compare <file>`` — run the same physical problem under all eight
   coordinate combinations plus the renormalized quaternion baseline and
   report pairwise final-pose discrepancies and quaternion norm drift; a
@@ -18,8 +18,8 @@ Flags: ``--out <path>`` redirects the CSV, ``--quiet`` suppresses the
 stdout summary. Exit codes: 0 success, 2 malformed scenario (the message
 names the offending field, ``integrator.<key>`` for a bad integrator
 value), a ``--h`` list the runs cannot take, or an output path that cannot
-be opened (naming ``--out`` or ``output_csv``), 3 inconsistent initial
-state, 4 integration failure (the message carries the step index).
+be opened (naming ``--out`` or ``output_csv``; checked first), 3 inconsistent
+initial state, 4 integration failure (the message carries the step index).
 
 Scenario files are JSON with units spelled in the field names::
 
@@ -339,15 +339,18 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def _write_csv(out, header, rows, where="--out"):
-    """header and rows as LF-terminated CSV, floats as _fmt, to the path out
-    or, when out is None, to sys.stdout as it is at the call; OutputError
-    naming where, the source of out, when the path cannot be opened."""
+def _open(out, where, mode="w"):
+    """open(out, mode); OutputError naming where, the source of out, if it fails."""
     try:
-        target = open(out, "w", newline="") if out else nullcontext(sys.stdout)
+        return open(out, mode, newline="")
     except OSError as exc:
         raise OutputError(f"{where}: cannot write {out}: {exc.strerror}") from exc
-    with target as fh:
+
+
+def _write_csv(out, header, rows, where="--out"):
+    """header and rows as LF-terminated CSV, floats as _fmt, to the path out
+    (see _open) or, when out is None, to sys.stdout as it is at the call."""
+    with _open(out, where) if out else nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -374,16 +377,12 @@ def _qnorm_drift(record):
 
 
 def _pose_discrepancy(state_a, state_b):
-    worst = 0.0
-    for qa, qb in zip(state_a.qs, state_b.qs):
-        rot_a, r_a = alpha_map(qa)
-        rot_b, r_b = alpha_map(qb)
-        worst = max(
-            worst,
-            float(np.max(np.abs(rot_a - rot_b))),
-            float(np.max(np.abs(r_a - r_b))),
-        )
-    return worst
+    """Largest entry difference of the bodies' rotation matrices and positions."""
+    return max(
+        float(np.max(np.abs(x_a - x_b)))
+        for qa, qb in zip(state_a.qs, state_b.qs)
+        for x_a, x_b in zip(alpha_map(qa), alpha_map(qb))
+    )
 
 
 # ----------------------------------------------------------------------
@@ -391,13 +390,18 @@ def _pose_discrepancy(state_a, state_b):
 
 def _cmd_run(scenario, args):
     model, state0, cfg = scenario.build()
-    record = integrate(model, cfg, state0)
     out = args.out or scenario.output_csv
     out = Path(out) if out is not None else scenario.source_path.with_suffix(".csv")
+    where = "--out" if args.out else "output_csv"
+    # An unwritable path fails before the run, and the check leaves no file.
+    existed = out.exists()
+    _open(out, where, "a").close()
+    if not existed:
+        out.unlink()
+    record = integrate(model, cfg, state0)
     qdrift = _qnorm_drift(record)
     diagnostics = (record.energy, record.gnorm, record.gvnorm, qdrift)
     rows = np.column_stack((record.t, record.q, record.v) + diagnostics).tolist()
-    where = "--out" if args.out else "output_csv"
     _write_csv(out, _trajectory_header(record.final_state.qs), rows, where)
     if not args.quiet:
         e0 = record.energy[0]
@@ -414,9 +418,9 @@ def _cmd_run(scenario, args):
 
 
 def _cmd_convergence(scenario, args):
-    h_list = sorted(args.h, reverse=True)
+    h_list = sorted(set(args.h), reverse=True)
     if len(h_list) < 2:
-        print("convergence needs at least two step sizes", file=sys.stderr)
+        print("--h: convergence needs two distinct step sizes", file=sys.stderr)
         return 2
     for h in h_list:
         try:

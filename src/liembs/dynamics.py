@@ -15,9 +15,9 @@ definite system
 
     (A M^-1 A^T) lambda = A M^-1 Q + adotv,    Vdot = M^-1 (Q - A^T lambda),
 
-factored by Cholesky in :func:`least_norm`, which the projection reuses.
-Without constraints Vdot = M^-1 Q. The state derivative is then rewritten
-in the local chart coordinates of a transition-map combo:
+solved in :func:`least_norm` (one eigendecomposition), which the projection
+reuses. Without constraints Vdot = M^-1 Q. The state derivative is then
+rewritten in the local chart coordinates of a transition-map combo:
 
     qdot  -> Xdot = dpsi_inv(-X) V   (per body)
     Vdot  -> from the saddle system evaluated at q = apply_lgt(combo, q_k, X)
@@ -32,7 +32,6 @@ attributes ``n_bodies``, ``group_model``, ``mass_matrix``, ``mass_inverse``
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
 from .errors import SingularKkt
 from .lgt import apply_lgt_stacked, combo, combo_dpsi_inv, require_compatible
@@ -62,17 +61,20 @@ def make_state(qs, v, t=0.0):
 
 def least_norm(a, w_at, rhs, what):
     """(W A^T lam, lam) with (A W A^T) lam = rhs, for w_at = W A^T and W
-    symmetric positive definite: the one Cholesky solve of every constraint
-    correction. SingularKkt naming what when the reciprocal condition of
-    A W A^T (0 if Cholesky fails) is below 1e-12 or lam is not finite."""
-    gram = a @ w_at
-    chol, info = dpotrf(gram)
-    rcond = dpocon(chol, np.abs(gram).sum(axis=0).max())[0] if info == 0 else 0.0
+    symmetric positive definite: the one solve of every constraint
+    correction, on one eigh V diag(w) V^T of A W A^T. SingularKkt naming
+    what when its reciprocal condition w_min / w_max is below 1e-12 or lam
+    is not finite."""
+    try:
+        w, v = np.linalg.eigh(a @ w_at)
+        rcond = w[0] / w[-1] if w[-1] > 0 else 0.0
+    except np.linalg.LinAlgError:  # eigh does not converge on a NaN entry
+        rcond = 0.0
     if not rcond >= _RCOND_LIMIT:  # the negated test catches NaN
         raise SingularKkt(
             f"{what} reciprocal condition {rcond:.3e} below {_RCOND_LIMIT:.0e}"
         )
-    lam, _ = dpotrs(chol, rhs)
+    lam = v @ ((rhs @ v) / w)
     if not np.isfinite(lam).all():
         raise SingularKkt(f"{what} gave non-finite multipliers")
     return w_at @ lam, lam
@@ -82,10 +84,8 @@ def solve_kkt(model, state):
     """Accelerations and constraint multipliers at a state.
 
     Returns (Vdot, lam), lam from :func:`least_norm` with W = M^-1 and
-    empty for unconstrained models. Raises SingularKkt when the Schur
-    complement A M^-1 A^T is not positive definite or its reciprocal
-    condition estimate is below 1e-12 (redundant constraints or a singular
-    configuration), and when the multipliers come out non-finite.
+    empty for unconstrained models; SingularKkt from its gate on the Schur
+    complement A M^-1 A^T (redundant constraints or a singular configuration).
     """
     q = model.forces(state.qs, state.V, state.t)
     m_inv = model.mass_inverse

@@ -37,7 +37,7 @@ class SingularKkt(LiembsError):
 
     Signalled when A W A^T of a least-norm correction (the Schur complement
     A M^-1 A^T, or A A^T in the projection) is not positive definite or its
-    reciprocal condition estimate falls below 1e-12 (redundant constraints,
+    reciprocal condition w_min / w_max is below 1e-12 (redundant constraints,
     a singular configuration, ...), and when it gives non-finite multipliers.
     """
 

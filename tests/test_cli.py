@@ -215,12 +215,25 @@ def test_bad_integrator_value_exits_2_naming_its_key(tmp_path, capsys, changes, 
 
 @pytest.mark.parametrize(
     "output_csv, use_out, where",
-    [(None, True, "--out"), ("", False, "output_csv")],
-    ids=["out-in-missing-directory", "empty-output-csv"],
+    [
+        (None, True, "--out"),
+        ("", False, "output_csv"),
+        ("missing/t.csv", False, "output_csv"),
+    ],
+    ids=[
+        "out-in-missing-directory",
+        "empty-output-csv",
+        "output-csv-in-missing-directory",
+    ],
 )
 def test_unopenable_output_exits_2_naming_its_source(
-    tmp_path, capsys, output_csv, use_out, where
+    tmp_path, capsys, monkeypatch, output_csv, use_out, where
 ):
+    def no_run(*args, **kwargs):
+        pytest.fail("integrate ran before the output path was checked")
+
+    monkeypatch.setattr("liembs.cli.integrate", no_run)
+    monkeypatch.chdir(tmp_path)  # a relative output_csv resolves here
     doc = _load("free_tumble.json")
     doc["integrator"]["t_end_s"] = 0.1
     if output_csv is not None:
@@ -229,6 +242,34 @@ def test_unopenable_output_exits_2_naming_its_source(
     out = ["--out", str(tmp_path / "missing" / "t.csv")] if use_out else []
     assert main(["run", str(path), *out]) == 2
     assert f"{where}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scenario,block,changes,code",
+    [
+        (
+            "pendulum_pinned.json",
+            ("initial_state", "bodies", 0),
+            {"position_m": [0.01, 0.0, 0.0]},
+            3,
+        ),
+        ("free_tumble.json", ("integrator",), {"h_s": 1.0, "t_end_s": 3.0}, 4),
+    ],
+)
+def test_failed_run_leaves_no_new_csv(tmp_path, capsys, scenario, block, changes, code):
+    doc = _load(scenario)
+    target = doc
+    for key in block:
+        target = target[key]
+    target.update(changes)
+    path = _write(tmp_path, doc)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("kept\n")
+    assert main(["run", str(path), "--out", str(new)]) == code
+    assert main(["run", str(path), "--out", str(old)]) == code
+    assert not new.exists()
+    assert old.read_text() == "kept\n"
+    capsys.readouterr()
 
 
 def test_convergence_blames_h_for_a_reference_run_too_long_to_record(
@@ -385,6 +426,17 @@ def test_convergence_rejects_single_h(tumble, capsys):
     capsys.readouterr()
 
 
+def test_convergence_rejects_repeated_h(tumble, capsys):
+    assert main(["convergence", str(tumble), "--h", "1e-2,1e-2"]) == 2
+    assert capsys.readouterr().err.startswith("--h")
+
+
+def test_convergence_runs_each_distinct_h_once(tumble, capsys):
+    assert main(["convergence", str(tumble), "--h", "1e-2,5e-3,1e-2"]) == 0
+    rows = [l for l in capsys.readouterr().out.splitlines() if l[:1].isdigit()]
+    assert [float(r.split(",")[0]) for r in rows] == [1e-2, 5e-3]
+
+
 def _parse_drifts(stdout):
     drifts = {}
     for line in stdout.splitlines():
@@ -476,6 +528,16 @@ def test_console_entry_point_runs(tumble, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_cli_import_loads_numpy_only():
+    code = (
+        "import sys, liembs.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

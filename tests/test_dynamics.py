@@ -1,6 +1,7 @@
 """Tests for the descriptor-form dynamics and local right-hand side."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from liembs import SingularKkt, VariantMismatch
 from liembs.dynamics import (
     constraint_residuals,
     forward_dynamics,
+    least_norm,
     local_rhs,
     make_state,
     solve_kkt,
@@ -113,6 +115,60 @@ def test_duplicated_constraint_rows_raise_singular_kkt():
     state = make_state([identity_coords(QUAT_POS)], np.zeros(6))
     with pytest.raises(SingularKkt):
         solve_kkt(Duplicated(), state)
+
+
+def _jacobian_with_singular_values(s):
+    """A len(s) x 6 matrix with singular values s, so A A^T has
+    eigenvalues s**2."""
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.standard_normal((len(s), len(s))))
+    vt, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    return (u * np.asarray(s)) @ vt[: len(s)]
+
+
+def _with_entry(a, value):
+    a = a.copy()
+    a[1, 2] = value
+    return a
+
+
+_A = _jacobian_with_singular_values([1.0, 0.5, 0.25])
+
+
+@pytest.mark.parametrize(
+    "a,w_at",
+    [
+        (np.zeros((3, 6)), np.zeros((6, 3))),  # w_min / w_max would be 0/0
+        (_A, -_A.T),  # negative definite
+        (_A, (_A * [1.0, 1.0, 1.0, -1.0, -1.0, -1.0]).T),  # indefinite
+        (_with_entry(_A, np.nan), _with_entry(_A, np.nan).T),
+        (_with_entry(_A, np.inf), _with_entry(_A, np.inf).T),
+        (_jacobian_with_singular_values([1.0, 1e-3, 10**-6.5]), None),  # cond 1e13
+    ],
+    ids=["zero", "negative-definite", "indefinite", "nan", "inf", "cond-1e13"],
+)
+def test_least_norm_gate_rejects_a_singular_gram(a, w_at):
+    w_at = a.T if w_at is None else w_at
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularKkt, match="test gram"):
+            least_norm(a, w_at, np.ones(3), "test gram")
+
+
+def test_least_norm_solves_a_well_conditioned_gram():
+    # Rows of very different scale, as from constraints in different units:
+    # cond(A A^T) ~ 1e8 passes the gate. A graded gram determines its
+    # solution far better than cond * eps, so the eigen solve and LU agree
+    # to 1e-12 (a generic gram of that condition only to about 1e-8).
+    rng = np.random.default_rng(11)
+    a = np.diag([1.0, 1e-2, 1e-4]) @ rng.standard_normal((3, 6))
+    gram = a @ a.T
+    assert 1e7 < np.linalg.cond(gram) < 1e9
+    rhs = rng.standard_normal(3)
+    correction, lam = least_norm(a, a.T, rhs, "test gram")
+    expected = np.linalg.solve(gram, rhs)
+    for got, want in ((lam, expected), (correction, a.T @ expected)):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("group", [SEMIDIRECT, DIRECT_PRODUCT])
