@@ -347,6 +347,16 @@ def _open(out, where, mode="w"):
         raise OutputError(f"{where}: cannot write {out}: {exc.strerror}") from exc
 
 
+def _check_writable(out, where):
+    """OutputError naming where unless the path out opens for writing. Made
+    before a run, so an unwritable path fails fast; it leaves no new file."""
+    out = Path(out)
+    existed = out.exists()
+    _open(out, where, "a").close()
+    if not existed:
+        out.unlink()
+
+
 def _write_csv(out, header, rows, where="--out"):
     """header and rows as LF-terminated CSV, floats as _fmt, to the path out
     (see _open) or, when out is None, to sys.stdout as it is at the call."""
@@ -393,11 +403,7 @@ def _cmd_run(scenario, args):
     out = args.out or scenario.output_csv
     out = Path(out) if out is not None else scenario.source_path.with_suffix(".csv")
     where = "--out" if args.out else "output_csv"
-    # An unwritable path fails before the run, and the check leaves no file.
-    existed = out.exists()
-    _open(out, where, "a").close()
-    if not existed:
-        out.unlink()
+    _check_writable(out, where)
     record = integrate(model, cfg, state0)
     qdrift = _qnorm_drift(record)
     diagnostics = (record.energy, record.gnorm, record.gvnorm, qdrift)
@@ -418,6 +424,8 @@ def _cmd_run(scenario, args):
 
 
 def _cmd_convergence(scenario, args):
+    if args.out:
+        _check_writable(args.out, "--out")
     h_list = sorted(set(args.h), reverse=True)
     if len(h_list) < 2:
         print("--h: convergence needs two distinct step sizes", file=sys.stderr)
@@ -463,6 +471,8 @@ def _cmd_convergence(scenario, args):
 
 
 def _cmd_compare(scenario, args):
+    if args.out:
+        _check_writable(args.out, "--out")
     finals, drifts = {}, {}
     runs = {cid: dict(combo_id=cid, scheme=MUNTHE_KAAS_RK4) for cid in COMBO_IDS}
     runs[_BASELINE_LABEL] = dict(scheme=BASELINE_QUAT_RK4)

@@ -22,6 +22,10 @@ rewritten in the local chart coordinates of a transition-map combo:
     qdot  -> Xdot = dpsi_inv(-X) V   (per body)
     Vdot  -> from the saddle system evaluated at q = apply_lgt(combo, q_k, X)
 
+The inverse differential enters only through its action on the twist:
+``combo_dpsi_inv(combo, -X_i, V_i)`` is a float expression per body, and no
+6x6 matrix is formed during a step.
+
 Models are duck-typed; see :mod:`liembs.models` for the interface in use:
 attributes ``n_bodies``, ``group_model``, ``mass_matrix``, ``mass_inverse``
 (the inverse of ``mass_matrix``), ``n_constraints`` and methods
@@ -121,11 +125,12 @@ def local_rhs(model, cmb, qs_k, x, v, t):
     v = np.asarray(v, dtype=float)
     qs = apply_lgt_stacked(cmb, qs_k, x)
     vdot = forward_dynamics(model, MbsState(tuple(qs), v, t))
-    xdot = np.empty_like(v)
-    for i in range(model.n_bodies):
-        s = slice(6 * i, 6 * i + 6)
-        xdot[s] = combo_dpsi_inv(cmb, -x[s]) @ v[s]
-    return vdot, xdot
+    neg_x = (-x).tolist()
+    v_floats = v.tolist()
+    xdot = []
+    for i in range(0, 6 * model.n_bodies, 6):
+        xdot += combo_dpsi_inv(cmb, neg_x[i : i + 6], v_floats[i : i + 6])
+    return vdot, np.array(xdot)
 
 
 def constraint_residuals(model, state):

@@ -44,7 +44,6 @@ from .lgt import (
     QUAT_POS,
     apply_lgt_stacked,
     combo,
-    combo_dpsi_inv,
     quat_norm_error,
     quat_pos,
     require_compatible,
@@ -296,9 +295,8 @@ def project(model, cmb, state, tol, max_iter):
                 f"after {max_iter} iterations (tol {tol:.3e})"
             )
         # To first order apply_lgt(cmb, q, dX) moves the constraint by
-        # A dpsi(0) dX, and dpsi(0) is diagonal.
-        dpsi_inv_0 = np.diag(combo_dpsi_inv(cmb, np.zeros(6)))
-        a_chart = model.jacobian(qs) / np.tile(dpsi_inv_0, model.n_bodies)
+        # A dpsi(0) dX, and dpsi(0) is diagonal, the inverse of chart_scale.
+        a_chart = model.jacobian(qs) / np.tile(cmb.chart_scale, model.n_bodies)
         dx, _ = least_norm(a_chart, a_chart.T, -g, "chart-scaled A A^T")
         qs = apply_lgt_stacked(cmb, qs, dx)
 
@@ -308,7 +306,7 @@ def project(model, cmb, state, tol, max_iter):
 
 
 def _coords_row(qs):
-    return np.concatenate([np.concatenate([q.rot, q.r]) for q in qs])
+    return np.concatenate([part for q in qs for part in (q.rot, q.r)])
 
 
 def integrate(model, config, state0):

@@ -21,8 +21,8 @@ picks the local chart and with it the motion group model:
        (body-fixed twists)
 
 ``COMBOS`` is the one place that choice is made: each :class:`LgtCombo`
-carries its coordinate map psi and inverse differential dpsi_inv from
-:mod:`liembs.motiongroups`, ``apply_lgt`` branches on its fields, and
+carries its coordinate map psi and the action of its inverse differential
+from :mod:`liembs.motiongroups`, ``apply_lgt`` branches on its fields, and
 ``require_compatible`` checks a model and coordinates against it.
 
 The defining contract: for every combo, ``alpha_map(apply_lgt(combo, q, X))
@@ -31,7 +31,6 @@ The defining contract: for every combo, ``alpha_map(apply_lgt(combo, q, X))
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -42,9 +41,13 @@ from .motiongroups import (
     cay_dp,
     cay_se3,
     dcay_inv_dp,
+    dcay_inv_dp_action,
     dcay_inv_se3,
+    dcay_inv_se3_action,
     dexp_inv_dp,
+    dexp_inv_dp_action,
     dexp_inv_se3,
+    dexp_inv_se3_action,
     exp_dp,
     exp_se3,
 )
@@ -62,6 +65,26 @@ from .rotmaps import (
 
 QUAT_POS = "quatpos"
 AXIS_ANGLE_POS = "axisanglepos"
+
+
+class _Pose:
+    """The ``pose`` of :class:`AbsCoords`: (R, r), built on first access and
+    stored in the instance, where later reads find it as a plain attribute.
+    Unlike functools.cached_property before Python 3.12 it takes no lock; a
+    race can at worst build the same read-only pose twice."""
+
+    def __get__(self, q, owner=None):
+        if q is None:
+            return self
+        if q.kind == QUAT_POS:
+            rot = quat_to_rotmat(q.rot)
+        elif q.kind == AXIS_ANGLE_POS:
+            rot = exp_so3(q.rot)
+        else:
+            raise VariantMismatch(f"unknown absolute-coordinate kind {q.kind!r}")
+        rot.flags.writeable = False
+        pose = q.__dict__["pose"] = (rot, q.r)
+        return pose
 
 
 @dataclass(frozen=True)
@@ -82,19 +105,7 @@ class AbsCoords:
     rot: np.ndarray
     r: np.ndarray
 
-    @cached_property
-    def pose(self):
-        """Pose (R, r); R is computed on first access, then cached."""
-        if self.kind == QUAT_POS:
-            rot = quat_to_rotmat(self.rot)
-        elif self.kind == AXIS_ANGLE_POS:
-            rot = exp_so3(self.rot)
-        else:
-            raise VariantMismatch(
-                f"unknown absolute-coordinate kind {self.kind!r}"
-            )
-        rot.flags.writeable = False
-        return rot, self.r
+    pose = _Pose()
 
 
 def quat_pos(q, r):
@@ -128,7 +139,11 @@ def axis_angle_pos(rho, r):
 @dataclass(frozen=True)
 class LgtCombo:
     """One cell of the combination table, with its column's coordinate map
-    psi and inverse right-trivialized differential dpsi_inv (6x6)."""
+    psi and the action of its inverse right-trivialized differential:
+    ``dpsi_inv(x, v)`` is ``dpsi_inv(x) @ v`` as six floats, the matrix never
+    formed. chart_scale is the diagonal of the matrix at x = 0, which is
+    diagonal there: ones for exp charts, 1/2 for Cayley rotations, and 1/2
+    for the Cayley SE(3) translation."""
 
     id: str
     abs_kind: str
@@ -136,20 +151,24 @@ class LgtCombo:
     chart: str
     psi: object
     dpsi_inv: object
+    chart_scale: tuple
 
 
 def _make_combos():
     rows = {"1": QUAT_POS, "2": AXIS_ANGLE_POS}
     cols = {
-        "a": (SEMIDIRECT, "exp", exp_se3, dexp_inv_se3),
-        "b": (DIRECT_PRODUCT, "exp", exp_dp, dexp_inv_dp),
-        "c": (DIRECT_PRODUCT, "cay", cay_dp, dcay_inv_dp),
-        "d": (SEMIDIRECT, "cay", cay_se3, dcay_inv_se3),
+        "a": (SEMIDIRECT, "exp", exp_se3, dexp_inv_se3_action, dexp_inv_se3),
+        "b": (DIRECT_PRODUCT, "exp", exp_dp, dexp_inv_dp_action, dexp_inv_dp),
+        "c": (DIRECT_PRODUCT, "cay", cay_dp, dcay_inv_dp_action, dcay_inv_dp),
+        "d": (SEMIDIRECT, "cay", cay_se3, dcay_inv_se3_action, dcay_inv_se3),
     }
     return {
-        digit + letter: LgtCombo(digit + letter, abs_kind, *col)
+        digit + letter: LgtCombo(
+            digit + letter, abs_kind, group, chart, psi, action,
+            tuple(np.diag(matrix(np.zeros(6))).tolist()),
+        )
         for digit, abs_kind in rows.items()
-        for letter, col in cols.items()
+        for letter, (group, chart, psi, action, matrix) in cols.items()
     }
 
 
@@ -258,9 +277,10 @@ def combo_psi(cmb, x):
     return combo(cmb).psi(x)
 
 
-def combo_dpsi_inv(cmb, x):
-    """The combo's inverse right-trivialized differential (6x6) at x."""
-    return combo(cmb).dpsi_inv(x)
+def combo_dpsi_inv(cmb, x, v):
+    """The combo's inverse right-trivialized differential at x acting on the
+    twist v, as six floats; x and v are six floats each."""
+    return combo(cmb).dpsi_inv(x, v)
 
 
 def identity_coords(kind):

@@ -230,8 +230,11 @@ class SphericalJointSystem:
         v = np.asarray(v, dtype=float)
         total = 0.5 * float(v @ (self.mass_matrix @ v))
         for i, params in enumerate(self.bodies):
-            rot, r = alpha_map(qs[i])
-            com = r + rot @ self._com[i]
+            if self._com_offsets[i] == (0.0, 0.0, 0.0):
+                com = qs[i].r  # r + R 0 exactly: no pose needed
+            else:
+                rot, r = alpha_map(qs[i])
+                com = r + rot @ self._com[i]
             total -= params.mass * float(self._gravity[i] @ com)
         return total
 

@@ -10,10 +10,11 @@ A rigid body pose (R, r) composes under two different group structures:
   and linear part resolved in the inertial frame.
 
 Each model carries an exponential and a Cayley coordinate map from R^6 with
-closed-form inverse right-trivialized differentials (6x6); the combination
-table in :mod:`liembs.lgt` pairs each (model, chart) column with its map
-and differential. The kinematic reconstruction convention throughout the
-package is
+closed-form inverse right-trivialized differentials (6x6) and their actions
+on a twist (``*_action(x, v)``, six floats, the matrix never formed); the
+combination table in :mod:`liembs.lgt` pairs each (model, chart) column with
+its map and the action. The kinematic reconstruction convention throughout
+the package is
 
     Xdot = dpsi_inv(-X) @ V,        V = C^{-1} Cdot  (left-trivialized),
 
@@ -38,9 +39,10 @@ from .rotmaps import (
     _b_quartic,
     cay_so3,
     dcay_inv_so3_entries,
-    dexp_inv_so3_entries,
+    dexp_inv_so3_coefficients,
     dexp_so3,
     exp_so3,
+    so3_poly_action,
     so3_poly_entries,
 )
 
@@ -110,8 +112,27 @@ def dexp_inv_se3(xy):
     """
     xy = np.asarray(xy, dtype=float).tolist()
     x = xy[:3]
-    d_inv, quad = dexp_inv_so3_entries(x)
+    d, quad = dexp_inv_so3_coefficients(x)
+    d_inv = so3_poly_entries(x, d, -0.5, quad)
     return _blocks(d_inv, _b_entries(x, xy[3:], quad), d_inv)
+
+
+def dexp_inv_se3_action(xy, v):
+    """``dexp_inv_se3(xy) @ v`` as six floats, xy and v six floats each,
+    without forming the matrix: dexp_inv_so3(x) on both halves of v plus
+    the B block of :func:`_b_entries` on its angular half."""
+    x, y = xy[:3], xy[3:]
+    w = v[:3]
+    d, quad = dexp_inv_so3_coefficients(x)
+    b = _b_entries(x, y, quad)
+    w0, w1, w2 = w
+    u0, u1, u2 = so3_poly_action(x, v[3:], d, -0.5, quad)
+    return (
+        *so3_poly_action(x, w, d, -0.5, quad),
+        u0 + b[0] * w0 + b[1] * w1 + b[2] * w2,
+        u1 + b[3] * w0 + b[4] * w1 + b[5] * w2,
+        u2 + b[6] * w0 + b[7] * w1 + b[8] * w2,
+    )
 
 
 def cay_se3(cd):
@@ -143,6 +164,26 @@ def dcay_inv_se3(cd):
     )
 
 
+def dcay_inv_se3_action(cd, v):
+    """``dcay_inv_se3(cd) @ v`` as six floats, cd and v six floats each,
+    without forming the matrix. With P = (I - hat(c)) / 2 the lower row is
+    ``-P hat(d) w + P u = P (u - d x w)``."""
+    c = cd[:3]
+    d0, d1, d2 = cd[3:]
+    w = v[:3]
+    w0, w1, w2 = w
+    u0, u1, u2 = v[3:]
+    u_minus_dxw = (
+        u0 - (d1 * w2 - d2 * w1),
+        u1 - (d2 * w0 - d0 * w2),
+        u2 - (d0 * w1 - d1 * w0),
+    )
+    return (
+        *so3_poly_action(c, w, 0.5, -0.5, 0.5),
+        *so3_poly_action(c, u_minus_dxw, 0.5, -0.5, 0.0),
+    )
+
+
 def exp_dp(xy):
     """Exponential map on the direct product: rotate by x, translate by y."""
     xy = np.asarray(xy, dtype=float)
@@ -152,7 +193,15 @@ def exp_dp(xy):
 def dexp_inv_dp(xy):
     """Inverse right-trivialized differential of :func:`exp_dp` (6x6)."""
     x = np.asarray(xy, dtype=float).tolist()[:3]
-    return _blocks(dexp_inv_so3_entries(x)[0], _ZERO9, _EYE3)
+    d, quad = dexp_inv_so3_coefficients(x)
+    return _blocks(so3_poly_entries(x, d, -0.5, quad), _ZERO9, _EYE3)
+
+
+def dexp_inv_dp_action(xy, v):
+    """``dexp_inv_dp(xy) @ v`` as six floats, xy and v six floats each."""
+    x = xy[:3]
+    d, quad = dexp_inv_so3_coefficients(x)
+    return (*so3_poly_action(x, v[:3], d, -0.5, quad), *v[3:])
 
 
 def cay_dp(cd):
@@ -165,6 +214,11 @@ def dcay_inv_dp(cd):
     """Inverse right-trivialized differential of :func:`cay_dp` (6x6)."""
     c = np.asarray(cd, dtype=float).tolist()[:3]
     return _blocks(dcay_inv_so3_entries(c), _ZERO9, _EYE3)
+
+
+def dcay_inv_dp_action(cd, v):
+    """``dcay_inv_dp(cd) @ v`` as six floats, cd and v six floats each."""
+    return (*so3_poly_action(cd[:3], v[:3], 0.5, -0.5, 0.5), *v[3:])
 
 
 def compose(group_model, pose1, pose2):

@@ -102,6 +102,19 @@ def so3_poly_entries(x, d, c1, c2):
     )
 
 
+def so3_poly_action(x, w, d, c1, c2):
+    """``(d*I + c1*hat(x) + c2*x x^T) w`` as three floats, x and w three
+    floats each: the matrix of :func:`so3_poly_entries` acting on w."""
+    a, b, c = x
+    p, q, r = w
+    k = c2 * (a * p + b * q + c * r)
+    return (
+        d * p + c1 * (b * r - c * q) + k * a,
+        d * q + c1 * (c * p - a * r) + k * b,
+        d * r + c1 * (a * q - b * p) + k * c,
+    )
+
+
 def cross3(a, b):
     """Cross product of two 3-vectors."""
     a0, a1, a2 = _floats(a)
@@ -211,9 +224,10 @@ def dexp_so3(x):
     return _matrix(so3_poly_entries(x, sinc(phi), 0.5 * s * s, _dexp_quad(phi)))
 
 
-def dexp_inv_so3_entries(x):
-    """Row-major entries of :func:`dexp_inv_so3` at the floats x, and the
-    coefficient (1 - gamma) / phi**2 they use."""
+def dexp_inv_so3_coefficients(x):
+    """(gamma(phi), (1 - gamma) / phi**2) at the floats x: the d and c2 of
+    :func:`dexp_inv_so3` for :func:`so3_poly_entries` (c1 is -1/2).
+    ChartBoundary at ``||x|| >= 2*pi``."""
     a, b, c = x
     phi2 = a * a + b * b + c * c
     phi = math.sqrt(phi2)
@@ -222,12 +236,14 @@ def dexp_inv_so3_entries(x):
             f"dexp_inv_so3 undefined at ||x|| = {phi:.6f} >= 2*pi"
         )
     quad = dexp_inv_quad(phi)
-    return so3_poly_entries(x, 1.0 - phi2 * quad, -0.5, quad), quad
+    return 1.0 - phi2 * quad, quad
 
 
 def dexp_inv_so3(x):
     """Inverse of :func:`dexp_so3`; defined for ``||x|| < 2*pi``."""
-    return _matrix(dexp_inv_so3_entries(_floats(x))[0])
+    x = _floats(x)
+    d, quad = dexp_inv_so3_coefficients(x)
+    return _matrix(so3_poly_entries(x, d, -0.5, quad))
 
 
 def log_so3(x_or_r):

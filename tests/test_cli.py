@@ -245,6 +245,22 @@ def test_unopenable_output_exits_2_naming_its_source(
 
 
 @pytest.mark.parametrize(
+    "command, extra", [("compare", []), ("convergence", ["--h", "0.02,0.01"])]
+)
+def test_unwritable_out_exits_2_before_any_run(
+    tumble, tmp_path, capsys, monkeypatch, command, extra
+):
+    def no_run(*args, **kwargs):
+        pytest.fail("integrate ran before --out was checked")
+
+    monkeypatch.setattr("liembs.cli.integrate", no_run)
+    out = tmp_path / "missing" / "t.csv"
+    assert main([command, str(tumble), *extra, "--out", str(out)]) == 2
+    assert "--out: " in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize(
     "scenario,block,changes,code",
     [
         (

@@ -34,12 +34,18 @@ from liembs.lgt import (
     QUAT_POS,
     alpha_map,
     combo,
-    combo_dpsi_inv,
     identity_coords,
     quat_pos,
 )
 from liembs.models import BodyParams, free_rigid_body, pinned_body, two_body_chain
-from liembs.motiongroups import DIRECT_PRODUCT, SEMIDIRECT
+from liembs.motiongroups import (
+    DIRECT_PRODUCT,
+    SEMIDIRECT,
+    dcay_inv_dp,
+    dcay_inv_se3,
+    dexp_inv_dp,
+    dexp_inv_se3,
+)
 from liembs.rotmaps import exp_so3, exp_sp1
 
 import oracles
@@ -312,7 +318,8 @@ def test_gauss_newton_increment_is_the_least_squares_solution(
         raise _StopAtIncrement
 
     monkeypatch.setattr("liembs.integrate.apply_lgt_stacked", first_increment)
-    dpsi_inv_0 = np.diag(combo_dpsi_inv(cmb, np.zeros(6)))
+    matrix = {"a": dexp_inv_se3, "b": dexp_inv_dp, "c": dcay_inv_dp, "d": dcay_inv_se3}
+    dpsi_inv_0 = np.diag(matrix[cid[1]](np.zeros(6)))
     rng = np.random.default_rng(11)
     for _ in range(5):
         qs = []

@@ -23,7 +23,14 @@ from liembs.lgt import (
     quat_norm_error,
     quat_pos,
 )
-from liembs.motiongroups import compose, exp_se3
+from liembs.motiongroups import (
+    compose,
+    dcay_inv_dp,
+    dcay_inv_se3,
+    dexp_inv_dp,
+    dexp_inv_se3,
+    exp_se3,
+)
 from liembs.rotmaps import (
     cay_so3,
     exp_so3,
@@ -329,3 +336,14 @@ def test_lgt_contract_property(cid, data):
     want_r, want_p = compose(cmb.group_model, alpha_map(q), combo_psi(cmb, x))
     np.testing.assert_allclose(got_r, want_r, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(got_p, want_p, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("cid", COMBO_IDS)
+def test_chart_scale_is_the_diagonal_of_the_six_by_six_form_at_zero(cid):
+    matrix = {"a": dexp_inv_se3, "b": dexp_inv_dp, "c": dcay_inv_dp, "d": dcay_inv_se3}
+    at_zero = matrix[cid[1]](np.zeros(6))
+    assert np.array_equal(at_zero, np.diag(np.diag(at_zero)))
+    assert combo(cid).chart_scale == tuple(np.diag(at_zero))
+    half, one = (0.5,) * 3, (1.0,) * 3
+    want = {"a": one + one, "b": one + one, "c": half + one, "d": half + half}
+    assert combo(cid).chart_scale == want[cid[1]]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liembs import ChartBoundary
 from liembs.motiongroups import (
@@ -15,9 +16,13 @@ from liembs.motiongroups import (
     cay_se3,
     compose,
     dcay_inv_dp,
+    dcay_inv_dp_action,
     dcay_inv_se3,
+    dcay_inv_se3_action,
     dexp_inv_dp,
+    dexp_inv_dp_action,
     dexp_inv_se3,
+    dexp_inv_se3_action,
     exp_dp,
     exp_se3,
 )
@@ -289,3 +294,37 @@ _SIX_BY_SIX_KERNELS = [
 def test_six_by_six_kernel_matches_matrix_form(kernel, oracle, x, y):
     xy = np.concatenate([x, y])
     oracles.assert_close_to_scale(kernel(xy), oracle(xy), 1e-13)
+
+
+_ACTIONS = [
+    (dexp_inv_se3_action, dexp_inv_se3),
+    (dcay_inv_se3_action, dcay_inv_se3),
+    (dexp_inv_dp_action, dexp_inv_dp),
+    (dcay_inv_dp_action, dcay_inv_dp),
+]
+# Rotation norms near the 1e-4 and 0.7 switches, and up to pi.
+_ACTION_NORMS = st.one_of(
+    st.floats(0.9e-4, 1.1e-4), st.floats(0.63, 0.77), st.floats(0.0, math.pi)
+)
+_DIRECTIONS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda d: d[0] * d[0] + d[1] * d[1] + d[2] * d[2] > 1e-2
+)
+
+
+@pytest.mark.parametrize(
+    "action, matrix", _ACTIONS,
+    ids=["dexp_inv_se3", "dcay_inv_se3", "dexp_inv_dp", "dcay_inv_dp"],
+)
+@settings(max_examples=200, deadline=None)
+@given(
+    phi=_ACTION_NORMS,
+    direction=_DIRECTIONS,
+    y=oracles.vectors(3.0),
+    v=st.tuples(*[st.floats(-3.0, 3.0)] * 6),
+)
+def test_action_is_the_six_by_six_form_times_v(action, matrix, phi, direction, y, v):
+    x = phi / np.linalg.norm(direction) * np.array(direction)
+    xy = np.concatenate([x, y])
+    got = action(xy.tolist(), list(v))
+    assert len(got) == 6 and all(type(g) is float for g in got)
+    oracles.assert_close_to_scale(got, matrix(xy) @ np.array(v), 1e-13)
