@@ -181,7 +181,17 @@ def _rk4(rate, t0, y0, h, guard):
 
 def _require_finite(name, values):
     if not np.isfinite(values).all():
-        raise NonFiniteState(f"non-finite {name} after the step")
+        raise NonFiniteState(f"non-finite {name} in the step")
+
+
+def _guard_finite(y, n_bodies):
+    """Abort the baseline step at a stage or result y = (Q, r, V) with a NaN
+    or infinite entry, naming the part, before any coordinates are built."""
+    if math.isfinite(sum(y.tolist())):  # a NaN or inf entry carries through
+        return
+    _require_finite("quaternions", y[: 4 * n_bodies])
+    _require_finite("positions r", y[4 * n_bodies : 7 * n_bodies])
+    _require_finite("twists V", y[7 * n_bodies :])
 
 
 def scheme_kinds(config):
@@ -224,11 +234,13 @@ def _baseline_rate(model, t, y):
 def step(model, config, state):
     """Advance one step of the configured scheme and projection.
 
-    Returns ``(state, qnorm_drift)``. For the baseline the drift is the
-    per-body quaternion norm error before renormalization; the chart
-    schemes preserve the norm by construction and return None. Raises
-    NonFiniteState, naming the quantity, when the new state has a NaN or
-    infinite entry, so no such value reaches a projection or a record.
+    Returns ``(state, qnorm_drift, residuals)``. For the baseline the drift
+    is the per-body quaternion norm error before renormalization; the chart
+    schemes preserve the norm by construction and return None. residuals
+    is the ``(gnorm, gvnorm)`` pair of :func:`project` when it ran, else
+    None. Raises NonFiniteState, naming the quantity, when the new state
+    (or, for the baseline, a stage state) has a NaN or infinite entry, so
+    no such value reaches a projection or a record.
     """
     h = config.h
     n_bodies = model.n_bodies
@@ -239,13 +251,11 @@ def step(model, config, state):
         )
         y = _rk4(
             lambda t, yy: _baseline_rate(model, t, yy), state.t, y0, h,
-            lambda yy: None,
+            lambda yy: _guard_finite(yy, n_bodies),
         )
-        _require_finite("quaternions", y[: 4 * n_bodies])
-        _require_finite("positions r", y[4 * n_bodies : 7 * n_bodies])
-        _require_finite("twists V", y[7 * n_bodies :])
         qs, norms = _unit_quat_coords(y, n_bodies)
-        return MbsState(qs, y[7 * n_bodies :], state.t + h), np.abs(norms - 1.0)
+        state = MbsState(qs, y[7 * n_bodies :], state.t + h)
+        return state, np.abs(norms - 1.0), None
 
     # The chart restarts at X = 0, so y = (X, V) is an ordinary ODE state.
     cmb = combo(config.combo)
@@ -264,34 +274,40 @@ def step(model, config, state):
     # The chart guard has passed X, so only a position can overflow here.
     _require_finite("positions r", np.concatenate([q.r for q in qs]))
     state = MbsState(tuple(qs), y[n:], state.t + h)
+    residuals = None
     if config.projection == PROJECTION_POSITION_VELOCITY:
-        state = project(
+        state, residuals = project(
             model, cmb, state, config.projection_tol, config.projection_max_iter
         )
-    return state, None
+    return state, None, residuals
 
 
 def project(model, cmb, state, tol, max_iter):
-    """Return the state pulled back onto the constraint manifold.
+    """Return the state pulled back onto the constraint manifold, and its
+    residuals.
 
     Position stage: Gauss-Newton through chart increments until the
     position residual infinity norm drops below tol. Velocity stage: exact
     orthogonal projection of V onto the null space of the Jacobian. Both
     are :func:`least_norm` corrections with W = I (SingularKkt on a
     Jacobian without full row rank, which spherical joints always have).
+    Returns ``(state, (gnorm, gvnorm))``: the infinity norms of g at the
+    final coordinates and of A V at the projected twists, bitwise what
+    :func:`constraint_residuals` gives for that state.
     """
     if model.n_constraints == 0:
-        return state
+        return state, (0.0, 0.0)
     cmb = combo(cmb)
     qs = list(state.qs)
 
     for iteration in range(max_iter + 1):
         g = model.constraints(qs)
-        if float(np.max(np.abs(g))) < tol:
+        gnorm = float(np.max(np.abs(g)))
+        if gnorm < tol:
             break
         if iteration == max_iter:
             raise NoConvergence(
-                f"position projection still at |g|={np.max(np.abs(g)):.3e} "
+                f"position projection still at |g|={gnorm:.3e} "
                 f"after {max_iter} iterations (tol {tol:.3e})"
             )
         # To first order apply_lgt(cmb, q, dX) moves the constraint by
@@ -302,7 +318,9 @@ def project(model, cmb, state, tol, max_iter):
 
     a = model.jacobian(qs)
     correction, _ = least_norm(a, a.T, a @ state.V, "velocity projection A A^T")
-    return MbsState(tuple(qs), state.V - correction, state.t)
+    v = state.V - correction
+    gvnorm = float(np.max(np.abs(a @ v)))
+    return MbsState(tuple(qs), v, state.t), (gnorm, gvnorm)
 
 
 def _coords_row(qs):
@@ -322,7 +340,7 @@ def integrate(model, config, state0):
     quat_diag = abs_kind == QUAT_POS
 
     gnorm0, gvnorm0 = constraint_residuals(model, state0)
-    if gnorm0 > _CONSISTENCY_TOL or gvnorm0 > _CONSISTENCY_TOL:
+    if not (gnorm0 <= _CONSISTENCY_TOL and gvnorm0 <= _CONSISTENCY_TOL):
         raise InconsistentState(
             f"initial residuals |g|={gnorm0:.3e}, |A V|={gvnorm0:.3e} "
             f"exceed {_CONSISTENCY_TOL:.0e}"
@@ -349,29 +367,31 @@ def integrate(model, config, state0):
 
     state = state0
 
-    def _record(k, drift=None):
+    def _record(k, drift=None, residuals=None):
         t_arr[k] = state.t
         q_arr[k] = _coords_row(state.qs)
         v_arr[k] = state.V
         e_arr[k] = model.energy(state.qs, state.V)
-        g_arr[k], gv_arr[k] = constraint_residuals(model, state)
+        if residuals is None:
+            residuals = constraint_residuals(model, state)
+        g_arr[k], gv_arr[k] = residuals
         if qn_arr is not None:
             if drift is not None:
                 qn_arr[k] = drift
             else:
                 qn_arr[k] = [abs(quat_norm_error(q)) for q in state.qs]
 
-    _record(0)
+    _record(0, residuals=(gnorm0, gvnorm0))
     if not math.isfinite(e_arr[0]):
         raise InconsistentState(f"initial energy {e_arr[0]} is not finite")
     for k in range(n_steps):
         try:
-            state, drift = step(model, config, state)
+            state, drift, residuals = step(model, config, state)
         # Float kernels raise ValueError (math.cos(inf)) or OverflowError
         # where numpy would return NaN; LinAlgError is a ValueError.
         except (LiembsError, ArithmeticError, ValueError) as exc:
             raise StepFailed(k, state.t, exc) from exc
-        _record(k + 1, drift)
+        _record(k + 1, drift, residuals)
 
     return TrajectoryRecord(
         t=t_arr,

@@ -108,14 +108,22 @@ class AbsCoords:
     pose = _Pose()
 
 
+def _require_finite(what, values):
+    values = values.tolist()
+    if not all(map(math.isfinite, values)):
+        raise InconsistentState(f"{what} {values} is not finite")
+
+
 def quat_pos(q, r):
     """AbsCoords from a unit quaternion and a position."""
     q = np.asarray(q, dtype=float)
     r = np.asarray(r, dtype=float)
     if q.shape != (4,) or r.shape != (3,):
         raise InconsistentState("quat_pos expects a 4-vector and a 3-vector")
-    if abs(math.sqrt(float(q @ q)) - 1.0) > 1e-9:
-        raise InconsistentState(f"quaternion norm {np.linalg.norm(q):.12f} != 1")
+    norm = math.sqrt(float(q @ q))
+    if not abs(norm - 1.0) <= 1e-9:  # the negated test catches NaN
+        raise InconsistentState(f"quaternion norm {norm:.12f} != 1")
+    _require_finite("position", r)
     return AbsCoords(QUAT_POS, q, r)
 
 
@@ -129,6 +137,8 @@ def axis_angle_pos(rho, r):
     r = np.asarray(r, dtype=float)
     if rho.shape != (3,) or r.shape != (3,):
         raise InconsistentState("axis_angle_pos expects two 3-vectors")
+    _require_finite("rotation vector", rho)
+    _require_finite("position", r)
     phi = math.sqrt(float(rho @ rho))
     if phi > math.pi:
         turns = math.floor((phi + math.pi) / (2.0 * math.pi))

@@ -29,14 +29,43 @@ from .motiongroups import DIRECT_PRODUCT, GROUP_MODELS, SEMIDIRECT
 from .rotmaps import cross3, hat
 
 
-_EYE3 = np.eye(3)
-
-
 def _vec3(value, name):
     out = np.asarray(value, dtype=float)
     if out.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {out.shape}")
     return out
+
+
+def _point(rot, r, p):
+    """r + R p as three floats, R given as three rows of floats."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
+    p0, p1, p2 = p
+    return (
+        r[0] + (r00 * p0 + r01 * p1 + r02 * p2),
+        r[1] + (r10 * p0 + r11 * p1 + r12 * p2),
+        r[2] + (r20 * p0 + r21 * p1 + r22 * p2),
+    )
+
+
+def _curvature(rot, p, vi, semidirect):
+    """R (omega x d) as three floats, with d = v + omega x p for body-fixed
+    twists and d = omega x p for mixed ones; vi = (omega, v)."""
+    w0, w1, w2, u0, u1, u2 = vi
+    p0, p1, p2 = p
+    d0 = w1 * p2 - w2 * p1
+    d1 = w2 * p0 - w0 * p2
+    d2 = w0 * p1 - w1 * p0
+    if semidirect:
+        d0, d1, d2 = u0 + d0, u1 + d1, u2 + d2
+    c0 = w1 * d2 - w2 * d1
+    c1 = w2 * d0 - w0 * d2
+    c2 = w0 * d1 - w1 * d0
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
+    return (
+        r00 * c0 + r01 * c1 + r02 * c2,
+        r10 * c0 + r11 * c1 + r12 * c2,
+        r20 * c0 + r21 * c1 + r22 * c2,
+    )
 
 
 @dataclass(frozen=True)
@@ -90,6 +119,9 @@ class SphericalJointSystem:
     three constraint rows ``(r_a + R_a p_a) - (r_b + R_b p_b)``. Methods
     read each body's pose through ``alpha_map``, which the coordinates cache,
     so every method evaluated at the same coordinates shares one R per body.
+    Like ``forces``, the joint kernels ``constraints``, ``jacobian`` and
+    ``adotv`` are closed-form float expressions per joint over R's nine
+    entries, and build each output with one array conversion.
     """
 
     def __init__(self, bodies, joints, group_model):
@@ -108,13 +140,29 @@ class SphericalJointSystem:
                 )
         self.joints = tuple(joints)
         self.n_constraints = 3 * len(self.joints)
-        # Skew matrices of the body-frame joint points, for the Jacobian.
-        self._joint_hats = [
-            (hat(p_a), None if b is None else hat(p_b))
-            for _, p_a, b, p_b in self.joints
-        ]
-        blocks = [_mass_block(p, group_model) for p in self.bodies]
         n = 6 * self.n_bodies
+        # The joint points as float triples, and per Jacobian block its flat
+        # offset, the body, the signed point and the sign (-1 for body b).
+        # The e_i entries of mixed twists are constant, set here once.
+        self._joint_points = []
+        self._jacobian_blocks = []
+        start = [0.0] * (self.n_constraints * n)
+        for j, (a, p_a, b, p_b) in enumerate(self.joints):
+            p_a, p_b = (
+                tuple(_vec3(p, f"joint {j} point").tolist()) for p in (p_a, p_b)
+            )
+            self._joint_points.append((a, p_a, b, p_b))
+            for body, p, sign in ((a, p_a, 1.0), (b, p_b, -1.0)):
+                if body is None:
+                    continue
+                k = 3 * j * n + 6 * body
+                signed = tuple(sign * x for x in p)
+                self._jacobian_blocks.append((k, body, signed, sign))
+                if group_model == DIRECT_PRODUCT:
+                    for i in range(3):
+                        start[k + i * n + 3 + i] = sign
+        self._jacobian_start = start
+        blocks = [_mass_block(p, group_model) for p in self.bodies]
         # The mass matrix is constant and block diagonal: invert it once,
         # block by block, for every later solve.
         self.mass_matrix = np.zeros((n, n))
@@ -175,55 +223,56 @@ class SphericalJointSystem:
         return np.array(out)
 
     def constraints(self, qs):
-        poses = [alpha_map(q) for q in qs]
-        out = np.empty(self.n_constraints)
-        for j, (a, p_a, b, p_b) in enumerate(self.joints):
-            rot_a, r_a = poses[a]
-            if b is not None:
-                rot_b, r_b = poses[b]
-                p_b = r_b + rot_b @ p_b
-            out[3 * j : 3 * j + 3] = (r_a + rot_a @ p_a) - p_b
-        return out
-
-    def _point_rows(self, rot, point_hat):
-        """Jacobian block of d/dt (r + R point) w.r.t. one body's twist."""
-        rows = np.empty((3, 6))
-        rows[:, :3] = -rot @ point_hat
-        rows[:, 3:] = rot if self.group_model == SEMIDIRECT else _EYE3
-        return rows
+        """Per joint (r_a + R_a p_a) - (r_b + R_b p_b), in floats."""
+        poses = [[part.tolist() for part in alpha_map(q)] for q in qs]
+        out = []
+        for a, p_a, b, p_b in self._joint_points:
+            x0, x1, x2 = _point(*poses[a], p_a)
+            y0, y1, y2 = p_b if b is None else _point(*poses[b], p_b)
+            out += (x0 - y0, x1 - y1, x2 - y2)
+        return np.array(out)
 
     def jacobian(self, qs):
-        rots = [alpha_map(q)[0] for q in qs]
-        out = np.zeros((self.n_constraints, 6 * self.n_bodies))
-        for j, (a, _, b, _) in enumerate(self.joints):
-            hat_a, hat_b = self._joint_hats[j]
-            out[3 * j : 3 * j + 3, 6 * a : 6 * a + 6] = self._point_rows(rots[a], hat_a)
-            if b is not None:
-                out[3 * j : 3 * j + 3, 6 * b : 6 * b + 6] = -self._point_rows(
-                    rots[b], hat_b
-                )
-        return out
-
-    def _point_curvature(self, rot, point, vi):
-        """(d/dt of the point-velocity rows) acting on the body's twist."""
-        omega = vi[:3]
-        swing = cross3(omega, point)
-        if self.group_model == SEMIDIRECT:
-            return rot @ cross3(omega, vi[3:] + swing)
-        return rot @ cross3(omega, swing)
+        """Per joint the rows of body a's point velocity in its twist, minus
+        those of body b: row i is (p x R_i, R_i) for body-fixed twists and
+        (p x R_i, e_i) for mixed ones, R_i the i-th row of R; p x R_i is
+        row i of -R hat(p). Filled into one float list; the e_i entries are
+        constant and sit in the list it starts from."""
+        rots = [alpha_map(q)[0].tolist() for q in qs]
+        n = 6 * self.n_bodies
+        out = list(self._jacobian_start)
+        semidirect = self.group_model == SEMIDIRECT
+        for k, body, (p0, p1, p2), s in self._jacobian_blocks:
+            for c0, c1, c2 in rots[body]:
+                if semidirect:
+                    out[k : k + 6] = (
+                        p1 * c2 - p2 * c1, p2 * c0 - p0 * c2, p0 * c1 - p1 * c0,
+                        s * c0, s * c1, s * c2,
+                    )
+                else:
+                    out[k : k + 3] = (
+                        p1 * c2 - p2 * c1, p2 * c0 - p0 * c2, p0 * c1 - p1 * c0
+                    )
+                k += n
+        return np.fromiter(out, float, len(out)).reshape(self.n_constraints, n)
 
     def adotv(self, qs, v):
-        rots = [alpha_map(q)[0] for q in qs]
-        out = np.empty(self.n_constraints)
-        for j, (a, p_a, b, p_b) in enumerate(self.joints):
-            out[3 * j : 3 * j + 3] = self._point_curvature(
-                rots[a], p_a, v[6 * a : 6 * a + 6]
-            )
+        """(d/dt A) V per joint: R (omega x (v + omega x p)) of body a minus
+        that of body b for body-fixed twists, R (omega x (omega x p)) for
+        mixed ones, in floats."""
+        v = np.asarray(v, dtype=float).tolist()
+        rots = [alpha_map(q)[0].tolist() for q in qs]
+        semidirect = self.group_model == SEMIDIRECT
+        out = []
+        for a, p_a, b, p_b in self._joint_points:
+            x0, x1, x2 = _curvature(rots[a], p_a, v[6 * a : 6 * a + 6], semidirect)
             if b is not None:
-                out[3 * j : 3 * j + 3] -= self._point_curvature(
-                    rots[b], p_b, v[6 * b : 6 * b + 6]
+                y0, y1, y2 = _curvature(
+                    rots[b], p_b, v[6 * b : 6 * b + 6], semidirect
                 )
-        return out
+                x0, x1, x2 = x0 - y0, x1 - y1, x2 - y2
+            out += (x0, x1, x2)
+        return np.array(out)
 
     def energy(self, qs, v):
         """Kinetic plus gravitational potential energy."""

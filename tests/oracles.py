@@ -4,8 +4,8 @@ Everything here is deliberately dumb and slow: truncated power series for
 group exponentials, central finite differences for differentials, rejection
 sampling for random inputs. None of it shares code with the package under
 test, so agreement is meaningful; the one exception, the matrix forms of the
-per-body kernels at the end, takes the package's scalar coefficients and
-checks how the closed forms assemble them.
+per-body and per-joint kernels at the end, takes the package's scalar
+coefficients and poses and checks how the closed forms assemble them.
 
 Conventions match the package: quaternions are scalar-first (4,) arrays,
 6-vectors are (angular, linear), se(3) elements are 4x4 homogeneous with the
@@ -434,4 +434,64 @@ def matrix_forces(model, qs, v):
         else:
             out[6 * i : 6 * i + 3] = np.cross(mu[:3], omega)
             out[6 * i + 3 : 6 * i + 6] = m * g
+    return out
+
+
+def matrix_constraints(model, qs):
+    """Joint constraints of a SphericalJointSystem from pose matrices:
+    (r_a + R_a p_a) - (r_b + R_b p_b) per joint, the world point for ground."""
+    out = np.empty(model.n_constraints)
+    for j, (a, p_a, b, p_b) in enumerate(model.joints):
+        rot_a, r_a = qs[a].pose
+        if b is not None:
+            rot_b, r_b = qs[b].pose
+            p_b = r_b + rot_b @ np.asarray(p_b, dtype=float)
+        out[3 * j : 3 * j + 3] = (r_a + rot_a @ np.asarray(p_a, dtype=float)) - p_b
+    return out
+
+
+def _point_rows(model, rot, point):
+    """Rows of d/dt (r + R point) in one body's twist: (-R hat(point), R) for
+    body-fixed twists, (-R hat(point), I) for mixed ones."""
+    rows = np.empty((3, 6))
+    rows[:, :3] = -rot @ skew(point)
+    rows[:, 3:] = rot if model.group_model == "se3" else np.eye(3)
+    return rows
+
+
+def matrix_jacobian(model, qs):
+    """Constraint Jacobian of a SphericalJointSystem from 3x6 point blocks."""
+    out = np.zeros((model.n_constraints, 6 * model.n_bodies))
+    for j, (a, p_a, b, p_b) in enumerate(model.joints):
+        out[3 * j : 3 * j + 3, 6 * a : 6 * a + 6] = _point_rows(
+            model, qs[a].pose[0], p_a
+        )
+        if b is not None:
+            out[3 * j : 3 * j + 3, 6 * b : 6 * b + 6] = -_point_rows(
+                model, qs[b].pose[0], p_b
+            )
+    return out
+
+
+def _point_curvature(model, rot, point, vi):
+    """(d/dt of the point-velocity rows) acting on one body's twist."""
+    omega = vi[:3]
+    swing = np.cross(omega, point)
+    if model.group_model == "se3":
+        return rot @ np.cross(omega, vi[3:] + swing)
+    return rot @ np.cross(omega, swing)
+
+
+def matrix_adotv(model, qs, v):
+    """(d/dt A) V of a SphericalJointSystem from numpy cross products."""
+    v = np.asarray(v, dtype=float)
+    out = np.empty(model.n_constraints)
+    for j, (a, p_a, b, p_b) in enumerate(model.joints):
+        out[3 * j : 3 * j + 3] = _point_curvature(
+            model, qs[a].pose[0], p_a, v[6 * a : 6 * a + 6]
+        )
+        if b is not None:
+            out[3 * j : 3 * j + 3] -= _point_curvature(
+                model, qs[b].pose[0], p_b, v[6 * b : 6 * b + 6]
+            )
     return out

@@ -8,7 +8,7 @@ import pytest
 
 from liembs import lgt
 from liembs.cli import load_scenario
-from liembs.dynamics import make_state, solve_kkt
+from liembs.dynamics import constraint_residuals, make_state, solve_kkt
 from liembs.errors import (
     ChartBoundary,
     InconsistentState,
@@ -24,6 +24,7 @@ from liembs.integrate import (
     MUNTHE_KAAS_RK4,
     PROJECTION_POSITION_VELOCITY,
     IntegratorConfig,
+    _unit_quat_coords,
     integrate,
     project,
     step,
@@ -260,7 +261,7 @@ def test_projection_restores_perturbed_state():
     qs = state.qs
     bumped = quat_pos(qs[0].rot, qs[0].r + np.array([1e-4, 0.0, -1e-4]))
     bad = make_state([bumped], state.V + np.array([0, 0, 0, 1e-4, 0, 0]))
-    fixed = project(model, "1a", bad, tol=1e-12, max_iter=5)
+    fixed = project(model, "1a", bad, tol=1e-12, max_iter=5)[0]
     g = model.constraints(fixed.qs)
     assert np.max(np.abs(g)) < 1e-12
     av = model.jacobian(fixed.qs) @ fixed.V
@@ -273,13 +274,13 @@ def test_projection_converges_in_every_chart(cid):
     q0 = state.qs[0]
     bumped = type(q0)(q0.kind, q0.rot, q0.r + np.array([1e-4, -5e-5, 1e-4]))
     bad = make_state([bumped], state.V)
-    fixed = project(model, cid, bad, tol=1e-12, max_iter=5)
+    fixed = project(model, cid, bad, tol=1e-12, max_iter=5)[0]
     assert np.max(np.abs(model.constraints(fixed.qs))) < 1e-12
 
 
 def test_projection_leaves_consistent_state_unchanged():
     model, state = _pendulum("1a")
-    out = project(model, "1a", state, tol=1e-10, max_iter=3)
+    out = project(model, "1a", state, tol=1e-10, max_iter=3)[0]
     assert np.array_equal(out.V, state.V)
     assert np.array_equal(out.qs[0].rot, state.qs[0].rot)
     assert np.array_equal(out.qs[0].r, state.qs[0].r)
@@ -530,7 +531,7 @@ def test_nan_forces_fail_the_unconstrained_step(group, scheme, cid):
         integrate(model, cfg, state)
     assert info.value.step_index == 0
     # The chart guard sees the NaN rotation increment first; the baseline
-    # has no chart and trips the finiteness check on the new state.
+    # has no chart and trips its finiteness guard on a stage state.
     cause = ChartBoundary if scheme == MUNTHE_KAAS_RK4 else NonFiniteState
     assert isinstance(info.value.__cause__, cause)
 
@@ -603,3 +604,67 @@ def test_each_pose_is_built_once(monkeypatch, cid, kernel):
     assert alpha_map(rec.final_state.qs[0])[0] is rot
     with pytest.raises(ValueError):
         rot[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("cid", COMBO_IDS)
+def test_project_returns_the_residuals_of_its_state(cid):
+    # A bumped pin makes Gauss-Newton iterate before the residuals are taken.
+    model, state = _pendulum(cid)
+    q0 = state.qs[0]
+    bumped = type(q0)(q0.kind, q0.rot, q0.r + np.array([1e-4, -5e-5, 1e-4]))
+    fixed, residuals = project(
+        model, cid, make_state([bumped], state.V + 1e-3), tol=1e-12, max_iter=5
+    )
+    assert residuals == constraint_residuals(model, fixed)
+    free, free_state = _tumble_start(cid)
+    out, residuals = project(free, cid, free_state, tol=1e-12, max_iter=5)
+    assert out is free_state and residuals == (0.0, 0.0)
+
+
+def _recorded_state(model, rec, k):
+    """The state of record row k, rebuilt from copies of the row."""
+    kind = rec.final_state.qs[0].kind
+    width = rec.q.shape[1] // model.n_bodies
+    qs = []
+    for i in range(model.n_bodies):
+        row = rec.q[k, width * i : width * (i + 1)].copy()
+        qs.append(lgt.AbsCoords(kind, row[:-3], row[-3:]))
+    return make_state(qs, rec.v[k].copy(), rec.t[k])
+
+
+# The pinned pendulum's frame is off its center of mass, which only the
+# body-fixed twist models (columns a and d) admit.
+_PROJECTED_RUNS = [("chain_swing.json", cid) for cid in COMBO_IDS] + [
+    ("pendulum_pinned.json", cid) for cid in COMBO_IDS if cid[1] in "ad"
+]
+
+
+@pytest.mark.parametrize("scenario, cid", _PROJECTED_RUNS)
+def test_recorded_residuals_are_bitwise_those_of_the_recorded_state(scenario, cid):
+    root = Path(__file__).resolve().parent.parent
+    loaded = load_scenario(root / "scenarios" / scenario)
+    model, state, cfg = loaded.build(combo_id=cid, t_end=20 * loaded.h)
+    assert cfg.projection == PROJECTION_POSITION_VELOCITY
+    rec = integrate(model, cfg, state)
+    assert len(rec) == 21
+    for k in range(len(rec)):
+        got = (rec.gnorm[k], rec.gvnorm[k])
+        assert got == constraint_residuals(model, _recorded_state(model, rec, k)), k
+
+
+@pytest.mark.parametrize(
+    "entry, bad, match",
+    [
+        (0, math.nan, "quaternion norm"),
+        (4, math.nan, "position"),
+        (4, math.inf, "position"),
+    ],
+)
+def test_baseline_coordinates_reject_a_non_finite_entry(entry, bad, match):
+    # The baseline rebuilds QuatPos coordinates from every RK stage vector
+    # (Q, r, V); its stage guard stops such a vector first, inside integrate.
+    y = np.array([1.0, 0.0, 0.0, 0.0, 0.1, 0.2, 0.3] + [0.0] * 6)
+    assert _unit_quat_coords(y, 1)[0][0].kind == QUAT_POS
+    y[entry] = bad
+    with pytest.raises(InconsistentState, match=match):
+        _unit_quat_coords(y, 1)

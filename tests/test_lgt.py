@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liembs import VariantMismatch
+from liembs import InconsistentState, VariantMismatch
 from liembs.lgt import (
     AXIS_ANGLE_POS,
     COMBO_IDS,
@@ -97,6 +97,16 @@ def test_axis_angle_pos_wraps_into_pi_ball():
     assert np.allclose(q.rot, -0.5 * math.pi * e, atol=1e-12)
     # The wrapped vector represents the same rotation.
     assert np.allclose(exp_so3(q.rot), exp_so3(1.5 * math.pi * e), atol=1e-13)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructors_reject_non_finite_coordinates(bad):
+    for make, rot in ((quat_pos, [1.0, 0.0, 0.0, 0.0]), (axis_angle_pos, [0.0] * 3)):
+        make(rot, np.zeros(3))
+        with pytest.raises(InconsistentState):
+            make([bad] + rot[1:], np.zeros(3))
+        with pytest.raises(InconsistentState, match="position"):
+            make(rot, [0.0, bad, 0.0])
 
 
 def _rotated(cid, q, x_rot):

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liembs.dynamics import forward_dynamics, make_state
-from liembs.lgt import QUAT_POS, apply_lgt, identity_coords, quat_pos
+from liembs.lgt import QUAT_POS, apply_lgt, axis_angle_pos, identity_coords, quat_pos
 from liembs.models import (
     BodyParams,
+    SphericalJointSystem,
     free_rigid_body,
     pinned_body,
     two_body_chain,
@@ -248,3 +251,72 @@ def test_forces_match_mass_block_form(group):
         got = model.forces(qs, v, 0.0)
         want = oracles.matrix_forces(model, qs, v)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+
+
+def _joint_kernel_models(group):
+    """Shipped constructors and an N = 4 system with two ground joints, a
+    chain and a branch; body frames sit off the center of mass wherever the
+    group model allows it."""
+    off = BodyParams(
+        mass=1.3, inertia=(0.2, 0.3, 0.4), com_offset=(0.05, -0.1, 0.2)
+    )
+    centred = BodyParams(mass=0.8, inertia=(0.1, 0.15, 0.2))
+    body = off if group == SEMIDIRECT else centred
+    joints = [
+        (0, (0.1, -0.2, 0.3), None, (0.5, 0.0, -0.1)),
+        (0, (0.0, 0.2, -0.3), 1, (0.1, 0.0, 0.25)),
+        (1, (-0.3, 0.1, 0.0), 2, (0.0, -0.2, 0.2)),
+        (3, (0.0, 0.0, 0.4), 0, (0.2, 0.2, 0.0)),
+        (3, (0.1, 0.0, 0.0), None, (0.0, 1.0, 0.0)),
+    ]
+    return [
+        pinned_body(body, (0.1, 0.0, 0.3), (0.2, -0.1, 0.0), group_model=group),
+        two_body_chain(
+            body, centred, ((0, 0, 0.3), (0.1, 0, -0.3), (0, 0.2, 0.25)),
+            group_model=group,
+        ),
+        SphericalJointSystem([body, centred, body, centred], joints, group),
+    ]
+
+
+_KERNEL_MODELS = {
+    group: _joint_kernel_models(group) for group in (SEMIDIRECT, DIRECT_PRODUCT)
+}
+_UNIT_QUATS = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+    lambda q: q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3] > 1e-2
+)
+_POSITIONS = st.tuples(*[st.floats(-2.0, 2.0)] * 3)
+
+
+@st.composite
+def _coords(draw):
+    """Four bodies' coordinates, each a random rotation stored either as a
+    unit quaternion or as a rotation vector in the pi-ball."""
+    out = []
+    for _ in range(4):
+        r = draw(_POSITIONS)
+        if draw(st.booleans()):
+            q = np.array(draw(_UNIT_QUATS))
+            out.append(quat_pos(q / np.linalg.norm(q), r))
+        else:
+            out.append(axis_angle_pos(draw(oracles.vectors(math.pi)), r))
+    return out
+
+
+@pytest.mark.parametrize("model", [0, 1, 2], ids=["pinned", "chain", "four_bodies"])
+@pytest.mark.parametrize("group", [SEMIDIRECT, DIRECT_PRODUCT])
+@settings(max_examples=100, deadline=None)
+@given(coords=_coords(), v=st.lists(st.floats(-3.0, 3.0), min_size=24, max_size=24))
+def test_joint_kernels_match_matrix_forms(group, model, coords, v):
+    # The float constraints, Jacobian and curvature term against the pose
+    # matrices, numpy cross products and -R hat(p) blocks they replace.
+    model = _KERNEL_MODELS[group][model]
+    qs = coords[: model.n_bodies]
+    v = np.array(v[: 6 * model.n_bodies])
+    for got, want in (
+        (model.constraints(qs), oracles.matrix_constraints(model, qs)),
+        (model.jacobian(qs), oracles.matrix_jacobian(model, qs)),
+        (model.adotv(qs, v), oracles.matrix_adotv(model, qs, v)),
+    ):
+        assert got.shape == want.shape
+        oracles.assert_close_to_scale(got, want, 1e-14)

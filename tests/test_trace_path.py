@@ -56,6 +56,17 @@ def test_every_public_model_class_has_the_traced_methods(spans):
             assert callable(getattr(cls, method, None)), f"{cls.__name__}.{method}"
 
 
+def _count(monkeypatch, counts, module, name):
+    """Count the calls made through the module global module.name."""
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
 @pytest.mark.parametrize("cid", COMBO_IDS)
 @pytest.mark.parametrize(
     "scenario, n_bodies",
@@ -66,18 +77,8 @@ def test_each_step_calls_local_rhs_4_times_and_dpsi_inv_4n_times(
     monkeypatch, scenario, n_bodies, cid
 ):
     counts = {"local_rhs": 0, "combo_dpsi_inv": 0}
-
-    def count(module, name):
-        fn = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-
-    count(liembs.integrate, "local_rhs")
-    count(liembs.dynamics, "combo_dpsi_inv")
+    _count(monkeypatch, counts, liembs.integrate, "local_rhs")
+    _count(monkeypatch, counts, liembs.dynamics, "combo_dpsi_inv")
     loaded = load_scenario(_ROOT / "scenarios" / scenario)
     model, state, cfg = loaded.build(combo_id=cid, t_end=_STEPS * loaded.h)
     assert model.n_bodies == n_bodies
@@ -86,3 +87,22 @@ def test_each_step_calls_local_rhs_4_times_and_dpsi_inv_4n_times(
         "local_rhs": 4 * _STEPS,
         "combo_dpsi_inv": 4 * n_bodies * _STEPS,
     }
+
+
+@pytest.mark.parametrize("cid", COMBO_IDS)
+@pytest.mark.parametrize(
+    "scenario, projected",
+    [("free_tumble.json", False), ("chain_swing.json", True)],
+    ids=["free_body", "two_body_chain"],
+)
+def test_a_projected_run_checks_residuals_once(monkeypatch, scenario, projected, cid):
+    # The record takes each step's residuals from the projection; only the
+    # initial consistency check, or every step of an unprojected run,
+    # calls constraint_residuals, the record's traced span.
+    counts = {"constraint_residuals": 0}
+    _count(monkeypatch, counts, liembs.integrate, "constraint_residuals")
+    loaded = load_scenario(_ROOT / "scenarios" / scenario)
+    model, state, cfg = loaded.build(combo_id=cid, t_end=_STEPS * loaded.h)
+    assert (cfg.projection != "off") == projected
+    liembs.integrate.integrate(model, cfg, state)
+    assert counts["constraint_residuals"] == (1 if projected else 1 + _STEPS)
