@@ -301,6 +301,12 @@ class Scenario:
                         "initial orientation_quat is not unit length"
                     )
             else:
+                a, b, c = body["axis"].tolist()
+                if a * a + b * b + c * c == math.inf:
+                    raise InconsistentState(
+                        "initial orientation_axisangle_rad has a squared norm "
+                        "that overflows"
+                    )
                 quat = exp_sp1(body["axis"])
             rot = quat_to_rotmat(quat)
             if abs_kind == QUAT_POS:

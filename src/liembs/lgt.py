@@ -40,13 +40,9 @@ from .motiongroups import (
     SEMIDIRECT,
     cay_dp,
     cay_se3,
-    dcay_inv_dp,
     dcay_inv_dp_action,
-    dcay_inv_se3,
     dcay_inv_se3_action,
-    dexp_inv_dp,
     dexp_inv_dp_action,
-    dexp_inv_se3,
     dexp_inv_se3_action,
     exp_dp,
     exp_se3,
@@ -131,7 +127,8 @@ def axis_angle_pos(rho, r):
     """AbsCoords from a scaled rotation vector and a position.
 
     Vectors with norm beyond pi are wrapped to the complementary rotation
-    so the stored invariant ||rho|| <= pi always holds.
+    so the stored invariant ||rho|| <= pi always holds. A vector whose
+    squared norm overflows raises InconsistentState.
     """
     rho = np.asarray(rho, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -139,7 +136,13 @@ def axis_angle_pos(rho, r):
         raise InconsistentState("axis_angle_pos expects two 3-vectors")
     _require_finite("rotation vector", rho)
     _require_finite("position", r)
-    phi = math.sqrt(float(rho @ rho))
+    a, b, c = rho.tolist()
+    phi2 = a * a + b * b + c * c  # a float sum overflows to inf, unwarned
+    if phi2 == math.inf:
+        raise InconsistentState(
+            f"rotation vector {[a, b, c]} has a squared norm that overflows"
+        )
+    phi = math.sqrt(phi2)
     if phi > math.pi:
         turns = math.floor((phi + math.pi) / (2.0 * math.pi))
         rho = rho * ((phi - 2.0 * math.pi * turns) / phi)
@@ -151,9 +154,9 @@ class LgtCombo:
     """One cell of the combination table, with its column's coordinate map
     psi and the action of its inverse right-trivialized differential:
     ``dpsi_inv(x, v)`` is ``dpsi_inv(x) @ v`` as six floats, the matrix never
-    formed. chart_scale is the diagonal of the matrix at x = 0, which is
-    diagonal there: ones for exp charts, 1/2 for Cayley rotations, and 1/2
-    for the Cayley SE(3) translation."""
+    formed. chart_scale is the constant diagonal of that inverse
+    differential at x = 0, where it is diagonal: ones for exp charts, 1/2 for
+    Cayley rotations, and 1/2 for the Cayley SE(3) translation."""
 
     id: str
     abs_kind: str
@@ -166,19 +169,17 @@ class LgtCombo:
 
 def _make_combos():
     rows = {"1": QUAT_POS, "2": AXIS_ANGLE_POS}
+    ones, half = (1.0,) * 3, (0.5,) * 3
     cols = {
-        "a": (SEMIDIRECT, "exp", exp_se3, dexp_inv_se3_action, dexp_inv_se3),
-        "b": (DIRECT_PRODUCT, "exp", exp_dp, dexp_inv_dp_action, dexp_inv_dp),
-        "c": (DIRECT_PRODUCT, "cay", cay_dp, dcay_inv_dp_action, dcay_inv_dp),
-        "d": (SEMIDIRECT, "cay", cay_se3, dcay_inv_se3_action, dcay_inv_se3),
+        "a": (SEMIDIRECT, "exp", exp_se3, dexp_inv_se3_action, ones + ones),
+        "b": (DIRECT_PRODUCT, "exp", exp_dp, dexp_inv_dp_action, ones + ones),
+        "c": (DIRECT_PRODUCT, "cay", cay_dp, dcay_inv_dp_action, half + ones),
+        "d": (SEMIDIRECT, "cay", cay_se3, dcay_inv_se3_action, half + half),
     }
     return {
-        digit + letter: LgtCombo(
-            digit + letter, abs_kind, group, chart, psi, action,
-            tuple(np.diag(matrix(np.zeros(6))).tolist()),
-        )
+        digit + letter: LgtCombo(digit + letter, abs_kind, *col)
         for digit, abs_kind in rows.items()
-        for letter, (group, chart, psi, action, matrix) in cols.items()
+        for letter, col in cols.items()
     }
 
 

@@ -9,26 +9,28 @@ A rigid body pose (R, r) composes under two different group structures:
   velocities are mixed twists ``V = (omega, rdot)``, angular part body-fixed
   and linear part resolved in the inertial frame.
 
-Each model carries an exponential and a Cayley coordinate map from R^6 with
-closed-form inverse right-trivialized differentials (6x6) and their actions
-on a twist (``*_action(x, v)``, six floats, the matrix never formed); the
-combination table in :mod:`liembs.lgt` pairs each (model, chart) column with
-its map and the action. The kinematic reconstruction convention throughout
-the package is
+Each model carries an exponential and a Cayley coordinate map from R^6.
+Each map's inverse right-trivialized differential is defined once, as its
+closed-form action on a twist (``*_action(x, v)``, six floats, the matrix
+never formed); the combination table in :mod:`liembs.lgt` pairs each
+(model, chart) column with its map and the action. The public 6x6 forms
+(``dexp_inv_se3`` and the others) are the matrices of those actions, their
+columns the action on the unit twists. The kinematic reconstruction
+convention throughout the package is
 
     Xdot = dpsi_inv(-X) @ V,        V = C^{-1} Cdot  (left-trivialized),
 
 so only the inverse differentials are public; forward differentials appear
 in tests through finite differences. 6-vectors are (angular, linear).
 
-The 6x6 inverse differentials are closed-form float expressions built into
-one array from a tuple; skew products enter through
-``hat(x) hat(y) = y x^T - (x.y) I``. Both coefficients of the SE(3) B
-block, ``(1 - gamma) / phi**2`` and the quartic one, come from the one series
-table of :mod:`liembs.rotmaps` and its one switch at phi = 0.7. Accuracy of
-the block (mpmath, 80 random x and y, phi within 10% of the angle, error per
-unit |y|): 4.5e-16 near 0.7 and 4.9e-17 near 1e-4. The quartic coefficient
-is good to 6e-13 relative just above 0.7 and to 4.6e-15 below it.
+The actions are closed-form float expressions; skew products enter
+through ``hat(x) hat(y) = y x^T - (x.y) I``. Both coefficients of the
+SE(3) B block, ``(1 - gamma) / phi**2`` and the quartic one, come from the
+one series table of :mod:`liembs.rotmaps` and its one switch at phi = 0.7.
+Accuracy of the block (mpmath, 80 random x and y, phi within 10% of the
+angle, error per unit |y|): 4.5e-16 near 0.7 and 4.9e-17 near 1e-4. The
+quartic coefficient is good to 6e-13 relative just above 0.7 and to
+4.6e-15 below it.
 """
 
 import math
@@ -38,12 +40,10 @@ import numpy as np
 from .rotmaps import (
     _b_quartic,
     cay_so3,
-    dcay_inv_so3_entries,
     dexp_inv_so3_coefficients,
     dexp_so3,
     exp_so3,
     so3_poly_action,
-    so3_poly_entries,
 )
 
 SEMIDIRECT = "se3"
@@ -51,19 +51,14 @@ DIRECT_PRODUCT = "so3xr3"
 
 GROUP_MODELS = (SEMIDIRECT, DIRECT_PRODUCT)
 
-_ZERO3 = (0.0, 0.0, 0.0)
-_EYE3 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
-_ZERO9 = _ZERO3 * 3
+_UNIT_TWISTS = np.eye(6).tolist()
 
 
-def _blocks(upper_left, lower_left, lower_right):
-    """The 6x6 array [[upper_left, 0], [lower_left, lower_right]] from
-    row-major 3x3 entry tuples."""
-    ul, ll, lr = upper_left, lower_left, lower_right
-    return np.array(
-        ul[0:3] + _ZERO3 + ul[3:6] + _ZERO3 + ul[6:9] + _ZERO3
-        + ll[0:3] + lr[0:3] + ll[3:6] + lr[3:6] + ll[6:9] + lr[6:9]
-    ).reshape(6, 6)
+def _matrix_of(action, x):
+    """The 6x6 matrix of the linear map ``v -> action(x, v)``: its columns
+    are the action on the unit twists e_0 .. e_5."""
+    x = np.asarray(x, dtype=float).tolist()
+    return np.array([action(x, e) for e in _UNIT_TWISTS]).T
 
 
 def exp_se3(xy):
@@ -103,24 +98,15 @@ def _b_entries(x, y, quad):
     )
 
 
-def dexp_inv_se3(xy):
-    """Inverse right-trivialized differential of :func:`exp_se3` (6x6).
-
-    Block lower-triangular with dexp_inv_so3(x) on both diagonal blocks and
-    the y-linear B block in the lower left. Raises :class:`ChartBoundary`
-    (through dexp_inv_so3) at ``||x|| >= 2*pi``.
-    """
-    xy = np.asarray(xy, dtype=float).tolist()
-    x = xy[:3]
-    d, quad = dexp_inv_so3_coefficients(x)
-    d_inv = so3_poly_entries(x, d, -0.5, quad)
-    return _blocks(d_inv, _b_entries(x, xy[3:], quad), d_inv)
-
-
 def dexp_inv_se3_action(xy, v):
-    """``dexp_inv_se3(xy) @ v`` as six floats, xy and v six floats each,
-    without forming the matrix: dexp_inv_so3(x) on both halves of v plus
-    the B block of :func:`_b_entries` on its angular half."""
+    """Inverse right-trivialized differential of :func:`exp_se3` at xy acting
+    on the twist v, as six floats; xy and v are six floats each.
+
+    The matrix is block lower-triangular with dexp_inv_so3(x) on both
+    diagonal blocks and the y-linear B block of :func:`_b_entries` in the
+    lower left. Raises :class:`ChartBoundary` (through
+    dexp_inv_so3_coefficients) at ``||x|| >= 2*pi``.
+    """
     x, y = xy[:3], xy[3:]
     w = v[:3]
     d, quad = dexp_inv_so3_coefficients(x)
@@ -135,6 +121,11 @@ def dexp_inv_se3_action(xy, v):
     )
 
 
+def dexp_inv_se3(xy):
+    """The 6x6 matrix of :func:`dexp_inv_se3_action` at xy."""
+    return _matrix_of(dexp_inv_se3_action, xy)
+
+
 def cay_se3(cd):
     """Cayley map on SE(3) in extended Rodrigues coordinates, as (R, r)."""
     cd = np.asarray(cd, dtype=float)
@@ -143,31 +134,14 @@ def cay_se3(cd):
     return r, d + r @ d
 
 
-def dcay_inv_se3(cd):
-    """Inverse right-trivialized differential of :func:`cay_se3` (6x6).
-
-    Uses ``(I + cay_so3(c))^{-1} = (I - hat(c)) / 2``, exact for every c,
-    and ``hat(c) hat(d) = d c^T - (c.d) I`` in the lower-left block
-    ``-(I - hat(c)) hat(d) / 2``.
-    """
-    c0, c1, c2, d0, d1, d2 = np.asarray(cd, dtype=float).tolist()
-    h = -0.5 * (c0 * d0 + c1 * d1 + c2 * d2)
-    lower_left = (
-        0.5 * d0 * c0 + h, 0.5 * (d0 * c1 + d2), 0.5 * (d0 * c2 - d1),
-        0.5 * (d1 * c0 - d2), 0.5 * d1 * c1 + h, 0.5 * (d1 * c2 + d0),
-        0.5 * (d2 * c0 + d1), 0.5 * (d2 * c1 - d0), 0.5 * d2 * c2 + h,
-    )
-    return _blocks(
-        dcay_inv_so3_entries((c0, c1, c2)),
-        lower_left,
-        so3_poly_entries((c0, c1, c2), 0.5, -0.5, 0.0),
-    )
-
-
 def dcay_inv_se3_action(cd, v):
-    """``dcay_inv_se3(cd) @ v`` as six floats, cd and v six floats each,
-    without forming the matrix. With P = (I - hat(c)) / 2 the lower row is
-    ``-P hat(d) w + P u = P (u - d x w)``."""
+    """Inverse right-trivialized differential of :func:`cay_se3` at cd acting
+    on the twist v, as six floats; cd and v are six floats each.
+
+    The angular row is dcay_inv_so3(c) w. With
+    ``P = (I + cay_so3(c))^{-1} = (I - hat(c)) / 2``, exact for every c, the
+    lower row is ``-P hat(d) w + P u = P (u - d x w)``.
+    """
     c = cd[:3]
     d0, d1, d2 = cd[3:]
     w = v[:3]
@@ -184,24 +158,29 @@ def dcay_inv_se3_action(cd, v):
     )
 
 
+def dcay_inv_se3(cd):
+    """The 6x6 matrix of :func:`dcay_inv_se3_action` at cd."""
+    return _matrix_of(dcay_inv_se3_action, cd)
+
+
 def exp_dp(xy):
     """Exponential map on the direct product: rotate by x, translate by y."""
     xy = np.asarray(xy, dtype=float)
     return exp_so3(xy[:3]), np.array(xy[3:], dtype=float)
 
 
-def dexp_inv_dp(xy):
-    """Inverse right-trivialized differential of :func:`exp_dp` (6x6)."""
-    x = np.asarray(xy, dtype=float).tolist()[:3]
-    d, quad = dexp_inv_so3_coefficients(x)
-    return _blocks(so3_poly_entries(x, d, -0.5, quad), _ZERO9, _EYE3)
-
-
 def dexp_inv_dp_action(xy, v):
-    """``dexp_inv_dp(xy) @ v`` as six floats, xy and v six floats each."""
+    """Inverse right-trivialized differential of :func:`exp_dp` at xy acting
+    on the twist v, as six floats: dexp_inv_so3(x) on the angular half, the
+    identity on the linear half."""
     x = xy[:3]
     d, quad = dexp_inv_so3_coefficients(x)
     return (*so3_poly_action(x, v[:3], d, -0.5, quad), *v[3:])
+
+
+def dexp_inv_dp(xy):
+    """The 6x6 matrix of :func:`dexp_inv_dp_action` at xy."""
+    return _matrix_of(dexp_inv_dp_action, xy)
 
 
 def cay_dp(cd):
@@ -210,15 +189,16 @@ def cay_dp(cd):
     return cay_so3(cd[:3]), np.array(cd[3:], dtype=float)
 
 
-def dcay_inv_dp(cd):
-    """Inverse right-trivialized differential of :func:`cay_dp` (6x6)."""
-    c = np.asarray(cd, dtype=float).tolist()[:3]
-    return _blocks(dcay_inv_so3_entries(c), _ZERO9, _EYE3)
-
-
 def dcay_inv_dp_action(cd, v):
-    """``dcay_inv_dp(cd) @ v`` as six floats, cd and v six floats each."""
+    """Inverse right-trivialized differential of :func:`cay_dp` at cd acting
+    on the twist v, as six floats: dcay_inv_so3(c) on the angular half, the
+    identity on the linear half."""
     return (*so3_poly_action(cd[:3], v[:3], 0.5, -0.5, 0.5), *v[3:])
+
+
+def dcay_inv_dp(cd):
+    """The 6x6 matrix of :func:`dcay_inv_dp_action` at cd."""
+    return _matrix_of(dcay_inv_dp_action, cd)
 
 
 def compose(group_model, pose1, pose2):

@@ -298,15 +298,10 @@ def cay_so3(c):
     return _matrix(so3_poly_entries(c, (1.0 - phi2) / (1.0 + phi2), sigma, sigma))
 
 
-def dcay_inv_so3_entries(c):
-    """Row-major entries of :func:`dcay_inv_so3` at the floats c:
-    ``((1 + |c|**2) I + hat(c)**2 - hat(c)) / 2 = (I - hat(c) + c c^T) / 2``."""
-    return so3_poly_entries(c, 0.5, -0.5, 0.5)
-
-
 def dcay_inv_so3(c):
-    """Inverse right differential of :func:`cay_so3`, polynomial in c."""
-    return _matrix(dcay_inv_so3_entries(_floats(c)))
+    """Inverse right differential of :func:`cay_so3`, polynomial in c:
+    ``((1 + |c|**2) I + hat(c)**2 - hat(c)) / 2 = (I - hat(c) + c c^T) / 2``."""
+    return _matrix(so3_poly_entries(_floats(c), 0.5, -0.5, 0.5))
 
 
 def quat_mul(p, q):

@@ -336,27 +336,37 @@ def test_non_finite_state_exits_4_with_step_index(tmp_path, capsys):
     assert not out.exists()
 
 
+_MK = {"scheme": "MuntheKaasRK4", "h_s": 1e-3, "t_end_s": 0.01}
+
+
 @pytest.mark.parametrize(
-    "omega, integrator, code",
+    "field, integrator, code",
     [
         (
-            [1e150, 1e150, 0.0],
+            ("angular_velocity_radps", [1e150, 1e150, 0.0]),
             {"scheme": "BaselineQuatRK4", "h_s": 1e-3, "t_end_s": 0.01},
             4,
         ),
-        (
-            [1e300, 0.0, 0.0],
-            {"scheme": "MuntheKaasRK4", "combo": "1a", "h_s": 1e-3, "t_end_s": 0.01},
-            3,
-        ),
+        (("angular_velocity_radps", [1e300, 0.0, 0.0]), {**_MK, "combo": "1a"}, 3),
+        (("orientation_axisangle_rad", [1e200, 0.0, 0.0]), {**_MK, "combo": "1a"}, 3),
+        (("orientation_axisangle_rad", [1e200, 0.0, 0.0]), {**_MK, "combo": "2b"}, 3),
     ],
-    ids=["overflow-in-step", "overflowing-initial-energy"],
+    ids=[
+        "overflow-in-step",
+        "overflowing-initial-energy",
+        "overflowing-axisangle-norm-1a",
+        "overflowing-axisangle-norm-2b",
+    ],
 )
 def test_overflow_exits_with_one_message_and_no_numpy_warning(
-    tmp_path, omega, integrator, code
+    tmp_path, field, integrator, code
 ):
+    name, value = field
     doc = _load("free_tumble.json")
-    doc["initial_state"]["bodies"][0]["angular_velocity_radps"] = omega
+    body = doc["initial_state"]["bodies"][0]
+    if name == "orientation_axisangle_rad":
+        del body["orientation_quat"]
+    body[name] = value
     doc["integrator"] = integrator
     path = _write(tmp_path, doc)
     proc = subprocess.run(
@@ -367,6 +377,8 @@ def test_overflow_exits_with_one_message_and_no_numpy_warning(
     assert proc.returncode == code, proc.stderr
     assert "Warning" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    if name == "orientation_axisangle_rad":
+        assert name in proc.stderr, proc.stderr
 
 
 def test_pinned_scenario_runs_with_projection(tmp_path, capsys):

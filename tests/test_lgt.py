@@ -109,6 +109,13 @@ def test_constructors_reject_non_finite_coordinates(bad):
             make(rot, [0.0, bad, 0.0])
 
 
+def test_axis_angle_pos_rejects_a_rotation_vector_whose_norm_overflows():
+    # Finite entries, but the squared norm is inf: the constructor must
+    # refuse it without a numpy overflow warning (an error in this suite).
+    with pytest.raises(InconsistentState, match="rotation vector"):
+        axis_angle_pos((1e200, 0.0, 0.0), np.zeros(3))
+
+
 def _rotated(cid, q, x_rot):
     """Rotation coordinates after a pure-rotation increment (tau_R)."""
     return apply_lgt(cid, q, np.concatenate([x_rot, np.zeros(3)])).rot

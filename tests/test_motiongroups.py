@@ -296,11 +296,13 @@ def test_six_by_six_kernel_matches_matrix_form(kernel, oracle, x, y):
     oracles.assert_close_to_scale(kernel(xy), oracle(xy), 1e-13)
 
 
+# The 6x6 forms of liembs are the matrices of these actions, so each action
+# is checked against the independent matrix form of tests/oracles.py.
 _ACTIONS = [
-    (dexp_inv_se3_action, dexp_inv_se3),
-    (dcay_inv_se3_action, dcay_inv_se3),
-    (dexp_inv_dp_action, dexp_inv_dp),
-    (dcay_inv_dp_action, dcay_inv_dp),
+    (dexp_inv_se3_action, oracles.matrix_dexp_inv_se3),
+    (dcay_inv_se3_action, oracles.matrix_dcay_inv_se3),
+    (dexp_inv_dp_action, oracles.matrix_dexp_inv_dp),
+    (dcay_inv_dp_action, oracles.matrix_dcay_inv_dp),
 ]
 # Rotation norms near the 1e-4 and 0.7 switches, and up to pi.
 _ACTION_NORMS = st.one_of(

@@ -4,12 +4,14 @@
 (its ``WRAPS``) and methods of the public model classes. A refactor that
 drops one of those names, or takes its calls off the path, leaves the traced
 benchmark without per-layer metrics; these tests catch that first. The
-tracer module is loaded by path and nothing of it is installed.
+tracer module is loaded by path; one test installs its ``Tracer`` around a
+few steps of every combo and uninstalls it before it checks the metrics.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -54,6 +56,39 @@ def test_every_public_model_class_has_the_traced_methods(spans):
     for cls in classes:
         for method in spans.MODEL_METHODS:
             assert callable(getattr(cls, method, None)), f"{cls.__name__}.{method}"
+
+
+def test_a_traced_run_of_every_combo_reaches_every_counted_layer(spans):
+    # A kernel captured at import would still resolve, yet its traced calls
+    # would read zero: every per-layer call count the benchmark declares
+    # must be above zero after a few steps of each combo on both scenarios.
+    loaded = [
+        load_scenario(_ROOT / "scenarios" / name)
+        for name in ("free_tumble.json", "chain_swing.json")
+    ]
+    runs = [
+        (cid, scenario.build(combo_id=cid, t_end=_STEPS * scenario.h))
+        for cid in COMBO_IDS
+        for scenario in loaded
+    ]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for cid, (model, state, cfg) in runs:
+            tracer.set_tag(cid)
+            liembs.integrate.integrate(model, cfg, state)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    traced_steps = {cid: len(loaded) * _STEPS for cid in COMBO_IDS}
+    metrics, _ = tracer.metrics(traced_steps, COMBO_IDS)
+    declared = json.loads((_ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    counted = [
+        m["name"] for m in declared
+        if m["name"].endswith(".calls_per_step") and m["name"] in metrics
+    ]
+    assert counted
+    assert {name: metrics[name] for name in counted if not metrics[name] > 0} == {}
 
 
 def _count(monkeypatch, counts, module, name):
