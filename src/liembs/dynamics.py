@@ -22,9 +22,12 @@ rewritten in the local chart coordinates of a transition-map combo:
     qdot  -> Xdot = dpsi_inv(-X) V   (per body)
     Vdot  -> from the saddle system evaluated at q = apply_lgt(combo, q_k, X)
 
-The inverse differential enters only through its action on the twist:
-``combo_dpsi_inv(combo, -X_i, V_i)`` is a float expression per body, and no
-6x6 matrix is formed during a step.
+The model reads q only through its pose, so a stage builds q on the
+model's first read of a body, and not at all when the model reads none (a
+weightless free body). At X = 0, the first RK stage, q is q_k itself, whose
+poses the previous step has already built. The inverse differential enters
+only through its action on the twist: ``combo_dpsi_inv(combo, -X_i, V_i)``
+is a float expression per body, and no 6x6 matrix is formed during a step.
 
 Models are duck-typed; see :mod:`liembs.models` for the interface in use:
 attributes ``n_bodies``, ``group_model``, ``mass_matrix``, ``mass_inverse``
@@ -33,6 +36,7 @@ attributes ``n_bodies``, ``group_model``, ``mass_matrix``, ``mass_inverse``
 ``adotv(qs, V)``, ``energy(qs, V)``.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,13 +113,41 @@ def forward_dynamics(model, state):
     return vdot
 
 
+class _OnFirstRead(Sequence):
+    """The coordinates build() returns, built on the first read and kept,
+    so a right-hand side that reads none builds none; n is their count."""
+
+    __slots__ = ("_build", "_n", "_items")
+
+    def __init__(self, build, n):
+        self._build, self._n, self._items = build, n, None
+
+    def __getitem__(self, i):
+        items = self._items
+        if items is None:
+            items = self._items = self._build()
+        return items[i]
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __len__(self):
+        return self._n
+
+
 def local_rhs(model, cmb, qs_k, x, v, t):
     """Right-hand side of the local-coordinate state equations.
 
     qs_k are the absolute coordinates frozen at the step start, x the
     stacked local coordinates, v the stacked twists. Returns (Vdot, Xdot)
     where Xdot_i = dpsi_inv(-x_i) V_i in the combo's chart and Vdot comes
-    from the saddle system at the reconstructed configuration.
+    from the saddle system at the reconstructed configuration
+    apply_lgt(cmb, qs_k, x). That configuration is qs_k itself when x is
+    zero, and otherwise is built by one apply_lgt_stacked call on the
+    model's first read of it, or never. A stage the model reads no
+    coordinate of therefore cannot raise from the transition map (such as
+    CompoundAnglePi near a composed angle of 2 pi); the step's own update
+    of the configuration still can.
     """
     cmb = combo(cmb)
     require_compatible(
@@ -123,9 +155,12 @@ def local_rhs(model, cmb, qs_k, x, v, t):
     )
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    qs = apply_lgt_stacked(cmb, qs_k, x)
-    vdot = forward_dynamics(model, MbsState(tuple(qs), v, t))
     neg_x = (-x).tolist()
+    if any(neg_x):
+        qs = _OnFirstRead(lambda: apply_lgt_stacked(cmb, qs_k, x), len(qs_k))
+    else:
+        qs = qs_k
+    vdot = forward_dynamics(model, MbsState(qs, v, t))
     v_floats = v.tolist()
     xdot = []
     for i in range(0, 6 * model.n_bodies, 6):

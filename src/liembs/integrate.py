@@ -26,6 +26,7 @@ import numpy as np
 
 from .dynamics import (
     MbsState,
+    _OnFirstRead,
     constraint_residuals,
     forward_dynamics,
     least_norm,
@@ -216,19 +217,21 @@ def _unit_quat_coords(y, n_bodies):
 
 
 def _baseline_rate(model, t, y):
-    """Rates of y = (Q, r, V): quaternion kinematics, rdot = v, dynamics."""
+    """Rates of y = (Q, r, V): quaternion kinematics, rdot = v, dynamics.
+    The stage's coordinates are built only if the model reads them."""
     n_bodies = model.n_bodies
-    quats, v = y[: 4 * n_bodies], y[7 * n_bodies :]
-    qs, _ = _unit_quat_coords(y, n_bodies)
-    vdot = forward_dynamics(model, MbsState(qs, v, t))
-    qdot = np.empty_like(quats)
+    qs = _OnFirstRead(lambda: _unit_quat_coords(y, n_bodies)[0], n_bodies)
+    vdot = forward_dynamics(model, MbsState(qs, y[7 * n_bodies :], t))
+    floats = y.tolist()
+    v = floats[7 * n_bodies :]
+    rate = []
     for i in range(n_bodies):
         omega = v[6 * i : 6 * i + 3]
-        qdot[4 * i : 4 * i + 4] = 0.5 * quat_mul(
-            quats[4 * i : 4 * i + 4], np.array([0.0, omega[0], omega[1], omega[2]])
-        )
-    rdot = v.reshape(n_bodies, 6)[:, 3:].ravel()
-    return np.concatenate([qdot, rdot, vdot])
+        qdot = quat_mul(floats[4 * i : 4 * i + 4], [0.0, *omega]).tolist()
+        rate += [0.5 * c for c in qdot]
+    for i in range(n_bodies):
+        rate += v[6 * i + 3 : 6 * i + 6]
+    return np.array(rate + vdot.tolist())
 
 
 def step(model, config, state):

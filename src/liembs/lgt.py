@@ -126,9 +126,11 @@ def quat_pos(q, r):
 def axis_angle_pos(rho, r):
     """AbsCoords from a scaled rotation vector and a position.
 
-    Vectors with norm beyond pi are wrapped to the complementary rotation
-    so the stored invariant ||rho|| <= pi always holds. A vector whose
-    squared norm overflows raises InconsistentState.
+    Vectors with norm phi beyond pi are wrapped, along the same axis, to
+    the angle atan2(sin phi, cos phi) of the same rotation, so the stored
+    norm is at most pi (to rounding) and the rotation is exp_sp1's of rho
+    for any representable phi. A vector whose squared norm overflows
+    raises InconsistentState.
     """
     rho = np.asarray(rho, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -144,8 +146,9 @@ def axis_angle_pos(rho, r):
         )
     phi = math.sqrt(phi2)
     if phi > math.pi:
-        turns = math.floor((phi + math.pi) / (2.0 * math.pi))
-        rho = rho * ((phi - 2.0 * math.pi * turns) / phi)
+        # sin and cos reduce phi exactly, where subtracting whole turns of
+        # a rounded 2 pi would drift from the rotation as phi grows.
+        rho = rho * (math.atan2(math.sin(phi), math.cos(phi)) / phi)
     return AbsCoords(AXIS_ANGLE_POS, rho, r)
 
 

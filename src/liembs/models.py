@@ -185,7 +185,9 @@ class SphericalJointSystem:
         h = Theta_c omega + s x p, the body-fixed twist model gives
         (h x omega + p x v + s x m g_body, p x omega + m g_body), where
         g_body = R^T g; the mixed-twist model gives
-        ((Theta_c omega) x omega, m g).
+        ((Theta_c omega) x omega, m g). Only a body-fixed twist body with a
+        nonzero weight m g reads its pose, so the forces on a weightless
+        body, or on any mixed-twist body, build none.
         """
         v = np.asarray(v, dtype=float).tolist()
         semidirect = self.group_model == SEMIDIRECT
@@ -209,9 +211,12 @@ class SphericalJointSystem:
             h0 = j0 * w0 + s1 * p2 - s2 * p1
             h1 = j1 * w1 + s2 * p0 - s0 * p2
             h2 = j2 * w2 + s0 * p1 - s1 * p0
-            rot, _ = alpha_map(qs[i])
-            g0, g1, g2 = (self._gravity[i] @ rot).tolist()
-            g0, g1, g2 = m * g0, m * g1, m * g2
+            if self._weights[i] == (0.0, 0.0, 0.0):
+                g0 = g1 = g2 = 0.0  # m R^T 0: no pose needed
+            else:
+                rot, _ = alpha_map(qs[i])
+                g0, g1, g2 = (self._gravity[i] @ rot).tolist()
+                g0, g1, g2 = m * g0, m * g1, m * g2
             out += (
                 h1 * w2 - h2 * w1 + p1 * u2 - p2 * u1 + s1 * g2 - s2 * g1,
                 h2 * w0 - h0 * w2 + p2 * u0 - p0 * u2 + s2 * g0 - s0 * g2,

@@ -116,6 +116,20 @@ def test_axis_angle_pos_rejects_a_rotation_vector_whose_norm_overflows():
         axis_angle_pos((1e200, 0.0, 0.0), np.zeros(3))
 
 
+@pytest.mark.parametrize("phi", [10.0, 1e3, 1e10, 1e17, 1e154])
+def test_axis_angle_pos_wraps_to_the_rotation_exp_sp1_gives(phi):
+    # Far beyond one turn the wrap must keep the rotation of the vector,
+    # the one the quaternion combos start from, not drift with 2*pi's
+    # rounding; the stored norm stays in the pi-ball.
+    random_axis = np.random.default_rng(15).normal(size=3)
+    for axis in (np.array([0.6, -0.8, 0.0]), random_axis / np.linalg.norm(random_axis)):
+        rho = phi * axis
+        q = axis_angle_pos(rho, np.zeros(3))
+        assert math.sqrt(float(q.rot @ q.rot)) <= math.pi
+        expected = quat_to_rotmat(exp_sp1(rho))
+        assert np.max(np.abs(exp_so3(q.rot) - expected)) <= 1e-14
+
+
 def _rotated(cid, q, x_rot):
     """Rotation coordinates after a pure-rotation increment (tau_R)."""
     return apply_lgt(cid, q, np.concatenate([x_rot, np.zeros(3)])).rot

@@ -124,6 +124,50 @@ def test_each_step_calls_local_rhs_4_times_and_dpsi_inv_4n_times(
     }
 
 
+def test_a_baseline_step_calls_forward_dynamics_4_times_and_poses_its_result_once(
+    monkeypatch,
+):
+    # The tracer starts a baseline step at its first forward_dynamics call
+    # under integrate(); the stages build no coordinates for a model that
+    # reads none, so quat_pos runs only for the renormalized result.
+    counts = {"forward_dynamics": 0, "quat_pos": 0}
+    _count(monkeypatch, counts, liembs.integrate, "forward_dynamics")
+    _count(monkeypatch, counts, liembs.integrate, "quat_pos")
+    loaded = load_scenario(_ROOT / "scenarios" / "free_tumble.json")
+    model, state, cfg = loaded.build(
+        scheme="BaselineQuatRK4", t_end=_STEPS * loaded.h
+    )
+    liembs.integrate.integrate(model, cfg, state)
+    assert counts == {
+        "forward_dynamics": 4 * _STEPS,
+        "quat_pos": model.n_bodies * _STEPS,
+    }
+
+
+@pytest.mark.parametrize("cid", COMBO_IDS)
+@pytest.mark.parametrize(
+    "scenario, stage_builds",
+    [("free_tumble.json", 0), ("chain_swing.json", 3)],
+    ids=["weightless_free_body", "two_body_chain"],
+)
+def test_a_stage_builds_its_coordinates_only_when_the_model_reads_them(
+    monkeypatch, scenario, stage_builds, cid
+):
+    # Stage 1 (X = 0) reads the coordinates the step starts from; stages
+    # 2-4 build theirs on the model's first read, and the dynamics of a
+    # weightless free body read none. The step's update builds one set.
+    stage = {"apply_lgt_stacked": 0}
+    update = {"apply_lgt_stacked": 0}
+    _count(monkeypatch, stage, liembs.dynamics, "apply_lgt_stacked")
+    _count(monkeypatch, update, liembs.integrate, "apply_lgt_stacked")
+    loaded = load_scenario(_ROOT / "scenarios" / scenario)
+    model, state, cfg = loaded.build(combo_id=cid, t_end=_STEPS * loaded.h)
+    liembs.integrate.integrate(model, cfg, state)
+    assert stage["apply_lgt_stacked"] == stage_builds * _STEPS
+    if cfg.projection == "off":
+        assert update["apply_lgt_stacked"] == _STEPS
+
+
 @pytest.mark.parametrize("cid", COMBO_IDS)
 @pytest.mark.parametrize(
     "scenario, projected",
