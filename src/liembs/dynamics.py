@@ -16,7 +16,8 @@ definite system
     (A M^-1 A^T) lambda = A M^-1 Q + adotv,    Vdot = M^-1 (Q - A^T lambda),
 
 solved in :func:`least_norm` (one eigendecomposition), which the projection
-reuses. Without constraints Vdot = M^-1 Q. The state derivative is then
+reuses. Without constraints Vdot = M^-1 Q, which the model applies body
+by body in floats. The state derivative is then
 rewritten in the local chart coordinates of a transition-map combo:
 
     qdot  -> Xdot = dpsi_inv(-X) V   (per body)
@@ -29,11 +30,14 @@ poses the previous step has already built. The inverse differential enters
 only through its action on the twist: ``combo_dpsi_inv(combo, -X_i, V_i)``
 is a float expression per body, and no 6x6 matrix is formed during a step.
 
+A stage works on lists of Python floats. numpy enters only in the
+constrained solve, which converts Q once and returns Vdot with one tolist.
+
 Models are duck-typed; see :mod:`liembs.models` for the interface in use:
 attributes ``n_bodies``, ``group_model``, ``mass_matrix``, ``mass_inverse``
 (the inverse of ``mass_matrix``), ``n_constraints`` and methods
-``forces(qs, V, t)``, ``constraints(qs)``, ``jacobian(qs)``,
-``adotv(qs, V)``, ``energy(qs, V)``.
+``forces(qs, V, t)`` and ``apply_mass_inverse(Q)`` (lists of floats),
+``constraints(qs)``, ``jacobian(qs)``, ``adotv(qs, V)``, ``energy(qs, V)``.
 """
 
 from collections.abc import Sequence
@@ -88,28 +92,31 @@ def least_norm(a, w_at, rhs, what):
     return w_at @ lam, lam
 
 
-def solve_kkt(model, state):
-    """Accelerations and constraint multipliers at a state.
+def solve_kkt(model, qs, v, t):
+    """Accelerations and constraint multipliers at coordinates qs, twists v
+    (a list of floats) and time t.
 
-    Returns (Vdot, lam), lam from :func:`least_norm` with W = M^-1 and
-    empty for unconstrained models; SingularKkt from its gate on the Schur
-    complement A M^-1 A^T (redundant constraints or a singular configuration).
+    Returns (Vdot, lam): Vdot a list of floats, lam an array from
+    :func:`least_norm` with W = M^-1, empty for unconstrained models, whose
+    Vdot is the model's apply_mass_inverse(Q). SingularKkt from the gate on
+    the Schur complement A M^-1 A^T (redundant constraints or a singular
+    configuration).
     """
-    q = model.forces(state.qs, state.V, state.t)
-    m_inv = model.mass_inverse
-    m_inv_q = m_inv @ q
+    q = model.forces(qs, v, t)
     if model.n_constraints == 0:
-        return m_inv_q, np.zeros(0)
+        return model.apply_mass_inverse(q), np.zeros(0)
 
-    a = model.jacobian(state.qs)
-    rhs = a @ m_inv_q + model.adotv(state.qs, state.V)
+    m_inv = model.mass_inverse
+    m_inv_q = m_inv @ np.asarray(q, dtype=float)
+    a = model.jacobian(qs)
+    rhs = a @ m_inv_q + model.adotv(qs, v)
     correction, lam = least_norm(a, m_inv @ a.T, rhs, "Schur complement A M^-1 A^T")
-    return m_inv_q - correction, lam
+    return (m_inv_q - correction).tolist(), lam
 
 
-def forward_dynamics(model, state):
+def forward_dynamics(model, qs, v, t):
     """The acceleration component of :func:`solve_kkt`."""
-    vdot, _ = solve_kkt(model, state)
+    vdot, _ = solve_kkt(model, qs, v, t)
     return vdot
 
 
@@ -139,9 +146,10 @@ def local_rhs(model, cmb, qs_k, x, v, t):
     """Right-hand side of the local-coordinate state equations.
 
     qs_k are the absolute coordinates frozen at the step start, x the
-    stacked local coordinates, v the stacked twists. Returns (Vdot, Xdot)
-    where Xdot_i = dpsi_inv(-x_i) V_i in the combo's chart and Vdot comes
-    from the saddle system at the reconstructed configuration
+    stacked local coordinates and v the stacked twists, both lists of 6N
+    floats. Returns (Vdot, Xdot) as lists of floats, where
+    Xdot_i = dpsi_inv(-x_i) V_i in the combo's chart and Vdot comes from
+    the saddle system at the reconstructed configuration
     apply_lgt(cmb, qs_k, x). That configuration is qs_k itself when x is
     zero, and otherwise is built by one apply_lgt_stacked call on the
     model's first read of it, or never. A stage the model reads no
@@ -153,19 +161,16 @@ def local_rhs(model, cmb, qs_k, x, v, t):
     require_compatible(
         f"combo {cmb.id}", cmb.abs_kind, cmb.group_model, model, qs_k
     )
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    neg_x = (-x).tolist()
+    neg_x = [-c for c in x]
     if any(neg_x):
         qs = _OnFirstRead(lambda: apply_lgt_stacked(cmb, qs_k, x), len(qs_k))
     else:
         qs = qs_k
-    vdot = forward_dynamics(model, MbsState(qs, v, t))
-    v_floats = v.tolist()
+    vdot = forward_dynamics(model, qs, v, t)
     xdot = []
     for i in range(0, 6 * model.n_bodies, 6):
-        xdot += combo_dpsi_inv(cmb, neg_x[i : i + 6], v_floats[i : i + 6])
-    return vdot, np.array(xdot)
+        xdot += combo_dpsi_inv(cmb, neg_x[i : i + 6], v[i : i + 6])
+    return vdot, xdot
 
 
 def constraint_residuals(model, state):

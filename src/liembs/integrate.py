@@ -1,7 +1,10 @@
 """Fixed-step time integrators on the local-coordinate state equations.
 
-One classical RK4 routine on a flat state vector serves every scheme, and
-:func:`step` advances one step of the configured scheme and projection:
+One classical RK4 routine on a flat list of Python floats serves every
+scheme, and :func:`step` advances one step of the configured scheme and
+projection. numpy enters a step only at its boundary, where the new
+state's twists become an array, and in the constrained solve and the
+projection:
 
 * ``MuntheKaasRK4`` — RK4 on the local model ``(Xdot, Vdot) = local_rhs``
   with ``y = (X, V)`` restarted from ``X = 0`` every step, the configuration
@@ -152,8 +155,8 @@ class TrajectoryRecord:
 
 
 def _guard_chart(x, n_bodies):
-    """Abort the step if any body's local rotation leaves the pi-ball."""
-    x = x.tolist()
+    """Abort the step if any body's local rotation leaves the pi-ball; x is
+    the list of the 6N local coordinates."""
     for i in range(0, 6 * n_bodies, 6):
         a, b, c = x[i : i + 3]
         norm = math.sqrt(a * a + b * b + c * c)
@@ -165,30 +168,36 @@ def _guard_chart(x, n_bodies):
 
 
 def _rk4(rate, t0, y0, h, guard):
-    """One classical RK4 step of y' = rate(t, y) on a flat state vector.
+    """One classical RK4 step of y' = rate(t, y) on a flat list of floats.
 
     guard(y) runs on every stage state and on the result before it is used.
     """
     ks = [rate(t0, y0)]
     for c in (0.5, 0.5, 1.0):
-        y = y0 + (c * h) * ks[-1]
+        ch = c * h
+        y = [a + ch * k for a, k in zip(y0, ks[-1])]
         guard(y)
-        ks.append(rate(t0 + c * h, y))
-    k1, k2, k3, k4 = ks
-    y = y0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ks.append(rate(t0 + ch, y))
+    h6 = h / 6.0
+    y = [
+        a + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for a, k1, k2, k3, k4 in zip(y0, *ks)
+    ]
     guard(y)
     return y
 
 
 def _require_finite(name, values):
-    if not np.isfinite(values).all():
+    """NonFiniteState naming name unless every float in values is finite;
+    a finite sum settles it, since a NaN or inf entry carries through."""
+    if not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
         raise NonFiniteState(f"non-finite {name} in the step")
 
 
 def _guard_finite(y, n_bodies):
     """Abort the baseline step at a stage or result y = (Q, r, V) with a NaN
     or infinite entry, naming the part, before any coordinates are built."""
-    if math.isfinite(sum(y.tolist())):  # a NaN or inf entry carries through
+    if math.isfinite(sum(y)):
         return
     _require_finite("quaternions", y[: 4 * n_bodies])
     _require_finite("positions r", y[4 * n_bodies : 7 * n_bodies])
@@ -205,33 +214,34 @@ def scheme_kinds(config):
 
 
 def _unit_quat_coords(y, n_bodies):
-    """QuatPos coordinates of the (Q, r) part of a baseline state vector,
-    each quaternion renormalized, and the norms it had."""
-    quats, rs = y[: 4 * n_bodies], y[4 * n_bodies : 7 * n_bodies]
-    qs, norms = [], np.empty(n_bodies)
+    """QuatPos coordinates of the (Q, r) part of a baseline state y, a list
+    of floats, each quaternion renormalized, and the norms it had."""
+    qs, norms = [], []
     for i in range(n_bodies):
-        quat = quats[4 * i : 4 * i + 4]
-        norms[i] = math.sqrt(float(quat @ quat))
-        qs.append(quat_pos(quat / norms[i], rs[3 * i : 3 * i + 3]))
+        a, b, c, d = y[4 * i : 4 * i + 4]
+        norm = math.sqrt(a * a + b * b + c * c + d * d)
+        r = y[4 * n_bodies + 3 * i : 4 * n_bodies + 3 * i + 3]
+        qs.append(quat_pos([a / norm, b / norm, c / norm, d / norm], r))
+        norms.append(norm)
     return tuple(qs), norms
 
 
 def _baseline_rate(model, t, y):
-    """Rates of y = (Q, r, V): quaternion kinematics, rdot = v, dynamics.
-    The stage's coordinates are built only if the model reads them."""
+    """Rates of y = (Q, r, V), a list of floats: quaternion kinematics,
+    rdot = v, dynamics. The stage's coordinates are built only if the model
+    reads them."""
     n_bodies = model.n_bodies
     qs = _OnFirstRead(lambda: _unit_quat_coords(y, n_bodies)[0], n_bodies)
-    vdot = forward_dynamics(model, MbsState(qs, y[7 * n_bodies :], t))
-    floats = y.tolist()
-    v = floats[7 * n_bodies :]
+    v = y[7 * n_bodies :]
+    vdot = forward_dynamics(model, qs, v, t)
     rate = []
     for i in range(n_bodies):
         omega = v[6 * i : 6 * i + 3]
-        qdot = quat_mul(floats[4 * i : 4 * i + 4], [0.0, *omega]).tolist()
+        qdot = quat_mul(y[4 * i : 4 * i + 4], [0.0, *omega]).tolist()
         rate += [0.5 * c for c in qdot]
     for i in range(n_bodies):
         rate += v[6 * i + 3 : 6 * i + 6]
-    return np.array(rate + vdot.tolist())
+    return rate + vdot
 
 
 def step(model, config, state):
@@ -249,34 +259,34 @@ def step(model, config, state):
     n_bodies = model.n_bodies
     if config.scheme == BASELINE_QUAT_RK4:
         require_compatible(*scheme_kinds(config), model, state.qs)
-        y0 = np.concatenate(
-            [q.rot for q in state.qs] + [q.r for q in state.qs] + [state.V]
-        )
+        y0 = [c for q in state.qs for c in q.rot.tolist()]
+        y0 += [c for q in state.qs for c in q.r.tolist()]
         y = _rk4(
-            lambda t, yy: _baseline_rate(model, t, yy), state.t, y0, h,
-            lambda yy: _guard_finite(yy, n_bodies),
+            lambda t, yy: _baseline_rate(model, t, yy), state.t,
+            y0 + state.V.tolist(), h, lambda yy: _guard_finite(yy, n_bodies),
         )
         qs, norms = _unit_quat_coords(y, n_bodies)
-        state = MbsState(qs, y[7 * n_bodies :], state.t + h)
-        return state, np.abs(norms - 1.0), None
+        state = MbsState(qs, np.array(y[7 * n_bodies :]), state.t + h)
+        return state, [abs(norm - 1.0) for norm in norms], None
 
     # The chart restarts at X = 0, so y = (X, V) is an ordinary ODE state.
     cmb = combo(config.combo)
-    n = state.V.size
+    n = 6 * n_bodies
 
     def rate(t, y):
         vdot, xdot = local_rhs(model, cmb, state.qs, y[:n], y[n:], t)
-        return np.concatenate([xdot, vdot])
+        return xdot + vdot
 
     y = _rk4(
-        rate, state.t, np.concatenate([np.zeros(n), state.V]), h,
-        lambda yy: _guard_chart(yy[:n], n_bodies),
+        rate, state.t, [0.0] * n + state.V.tolist(), h,
+        lambda yy: _guard_chart(yy, n_bodies),
     )
-    _require_finite("twists V", y[n:])
+    v = y[n:]
+    _require_finite("twists V", v)
     qs = apply_lgt_stacked(cmb, state.qs, y[:n])
     # The chart guard has passed X, so only a position can overflow here.
-    _require_finite("positions r", np.concatenate([q.r for q in qs]))
-    state = MbsState(tuple(qs), y[n:], state.t + h)
+    _require_finite("positions r", [c for q in qs for c in q.r.tolist()])
+    state = MbsState(tuple(qs), np.array(v), state.t + h)
     residuals = None
     if config.projection == PROJECTION_POSITION_VELOCITY:
         state, residuals = project(

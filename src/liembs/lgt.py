@@ -127,10 +127,11 @@ def axis_angle_pos(rho, r):
     """AbsCoords from a scaled rotation vector and a position.
 
     Vectors with norm phi beyond pi are wrapped, along the same axis, to
-    the angle atan2(sin phi, cos phi) of the same rotation, so the stored
-    norm is at most pi (to rounding) and the rotation is exp_sp1's of rho
-    for any representable phi. A vector whose squared norm overflows
-    raises InconsistentState.
+    the angle atan2(sin phi, cos phi) of the same rotation, so the rotation
+    is exp_sp1's of rho for any representable phi. A wrapped vector whose
+    norm, as sqrt(a*a + b*b + c*c), still rounds above pi is moved toward
+    zero by an ulp per entry until it does not, so the stored norm is at
+    most pi. A vector whose squared norm overflows raises InconsistentState.
     """
     rho = np.asarray(rho, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -148,7 +149,12 @@ def axis_angle_pos(rho, r):
     if phi > math.pi:
         # sin and cos reduce phi exactly, where subtracting whole turns of
         # a rounded 2 pi would drift from the rotation as phi grows.
-        rho = rho * (math.atan2(math.sin(phi), math.cos(phi)) / phi)
+        a, b, c = (rho * (math.atan2(math.sin(phi), math.cos(phi)) / phi)).tolist()
+        # Near an odd multiple of pi the wrapped norm can round an ulp or two
+        # over pi; each pass moves every entry one ulp toward zero.
+        while math.sqrt(a * a + b * b + c * c) > math.pi:
+            a, b, c = (math.nextafter(x, 0.0) for x in (a, b, c))
+        rho = np.array([a, b, c])
     return AbsCoords(AXIS_ANGLE_POS, rho, r)
 
 

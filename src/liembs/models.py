@@ -26,7 +26,7 @@ import numpy as np
 
 from .lgt import alpha_map
 from .motiongroups import DIRECT_PRODUCT, GROUP_MODELS, SEMIDIRECT
-from .rotmaps import cross3, hat
+from .rotmaps import _floats, cross3, hat
 
 
 def _vec3(value, name):
@@ -74,7 +74,9 @@ class BodyParams:
 
     inertia is the diagonal of the rotational inertia about the center of
     mass, in the body frame; com_offset is the body-frame vector from the
-    body frame origin to the center of mass.
+    body frame origin to the center of mass. mass and inertia are stored as
+    Python floats whatever the caller passes, so a numpy scalar cannot
+    reach the float kernels of a step through them.
     """
 
     mass: float
@@ -90,6 +92,8 @@ class BodyParams:
                 f"inertia must be three positive diagonal entries, "
                 f"got {self.inertia}"
             )
+        object.__setattr__(self, "mass", float(self.mass))
+        object.__setattr__(self, "inertia", tuple(map(float, self.inertia)))
 
 
 def _mass_block(params, group_model):
@@ -119,9 +123,12 @@ class SphericalJointSystem:
     three constraint rows ``(r_a + R_a p_a) - (r_b + R_b p_b)``. Methods
     read each body's pose through ``alpha_map``, which the coordinates cache,
     so every method evaluated at the same coordinates shares one R per body.
-    Like ``forces``, the joint kernels ``constraints``, ``jacobian`` and
-    ``adotv`` are closed-form float expressions per joint over R's nine
-    entries, and build each output with one array conversion.
+    ``forces`` is a closed-form float expression per body and returns a list
+    of floats, the form a step works in, and ``apply_mass_inverse`` solves
+    with the mass matrix body by body in floats. The joint kernels
+    ``constraints``, ``jacobian`` and ``adotv``, which feed the constrained
+    solve in numpy, are closed-form float expressions per joint over R's
+    nine entries, and build each output with one array conversion.
     """
 
     def __init__(self, bodies, joints, group_model):
@@ -164,13 +171,22 @@ class SphericalJointSystem:
         self._jacobian_start = start
         blocks = [_mass_block(p, group_model) for p in self.bodies]
         # The mass matrix is constant and block diagonal: invert it once,
-        # block by block, for every later solve.
+        # block by block, for every later solve. apply_mass_inverse keeps
+        # each inverse block in floats, as its diagonal when it has no other
+        # entry, else as six rows.
         self.mass_matrix = np.zeros((n, n))
         self.mass_inverse = np.zeros((n, n))
+        self._inverse_blocks = []
         for i, block in enumerate(blocks):
             sl = slice(6 * i, 6 * i + 6)
+            inverse = np.linalg.inv(block)
             self.mass_matrix[sl, sl] = block
-            self.mass_inverse[sl, sl] = np.linalg.inv(block)
+            self.mass_inverse[sl, sl] = inverse
+            diag = np.diag(inverse)
+            if np.array_equal(inverse, np.diag(diag)):
+                self._inverse_blocks.append((tuple(diag.tolist()), None))
+            else:
+                self._inverse_blocks.append((None, inverse.tolist()))
         self._gravity = [np.asarray(p.gravity, dtype=float) for p in self.bodies]
         self._com = [np.asarray(p.com_offset, dtype=float) for p in self.bodies]
         self._com_offsets = [tuple(s.tolist()) for s in self._com]
@@ -187,9 +203,10 @@ class SphericalJointSystem:
         g_body = R^T g; the mixed-twist model gives
         ((Theta_c omega) x omega, m g). Only a body-fixed twist body with a
         nonzero weight m g reads its pose, so the forces on a weightless
-        body, or on any mixed-twist body, build none.
+        body, or on any mixed-twist body, build none. v is a list of floats
+        or an array; the result is a list of floats.
         """
-        v = np.asarray(v, dtype=float).tolist()
+        v = _floats(v)
         semidirect = self.group_model == SEMIDIRECT
         out = []
         for i, params in enumerate(self.bodies):
@@ -225,7 +242,24 @@ class SphericalJointSystem:
                 p2 * w0 - p0 * w2 + g1,
                 p0 * w1 - p1 * w0 + g2,
             )
-        return np.array(out)
+        return out
+
+    def apply_mass_inverse(self, q):
+        """M^-1 q for a list of 6N floats, body by body in floats: the
+        diagonal of an inverse block with the frame at the center of mass
+        scales each entry, any other block takes six dot products."""
+        out = []
+        for i, (diag, rows) in enumerate(self._inverse_blocks):
+            qi = q[6 * i : 6 * i + 6]
+            if rows is None:
+                out += [d * x for d, x in zip(diag, qi)]
+                continue
+            q0, q1, q2, q3, q4, q5 = qi
+            out += [
+                r0 * q0 + r1 * q1 + r2 * q2 + r3 * q3 + r4 * q4 + r5 * q5
+                for r0, r1, r2, r3, r4, r5 in rows
+            ]
+        return out
 
     def constraints(self, qs):
         """Per joint (r_a + R_a p_a) - (r_b + R_b p_b), in floats."""
@@ -264,8 +298,8 @@ class SphericalJointSystem:
     def adotv(self, qs, v):
         """(d/dt A) V per joint: R (omega x (v + omega x p)) of body a minus
         that of body b for body-fixed twists, R (omega x (omega x p)) for
-        mixed ones, in floats."""
-        v = np.asarray(v, dtype=float).tolist()
+        mixed ones, in floats; v is a list of floats or an array."""
+        v = _floats(v)
         rots = [alpha_map(q)[0].tolist() for q in qs]
         semidirect = self.group_model == SEMIDIRECT
         out = []

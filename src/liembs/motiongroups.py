@@ -13,10 +13,10 @@ Each model carries an exponential and a Cayley coordinate map from R^6.
 Each map's inverse right-trivialized differential is defined once, as its
 closed-form action on a twist (``*_action(x, v)``, six floats, the matrix
 never formed); the combination table in :mod:`liembs.lgt` pairs each
-(model, chart) column with its map and the action. The public 6x6 forms
-(``dexp_inv_se3`` and the others) are the matrices of those actions, their
-columns the action on the unit twists. The kinematic reconstruction
-convention throughout the package is
+(model, chart) column with its map and the action. The 6x6 forms of the
+SE(3) maps (``dexp_inv_se3``, ``dcay_inv_se3``) are the matrices of those
+actions, their columns the action on the unit twists; a step uses none of
+them. The kinematic reconstruction convention throughout the package is
 
     Xdot = dpsi_inv(-X) @ V,        V = C^{-1} Cdot  (left-trivialized),
 
@@ -178,11 +178,6 @@ def dexp_inv_dp_action(xy, v):
     return (*so3_poly_action(x, v[:3], d, -0.5, quad), *v[3:])
 
 
-def dexp_inv_dp(xy):
-    """The 6x6 matrix of :func:`dexp_inv_dp_action` at xy."""
-    return _matrix_of(dexp_inv_dp_action, xy)
-
-
 def cay_dp(cd):
     """Cayley map on the direct product."""
     cd = np.asarray(cd, dtype=float)
@@ -194,11 +189,6 @@ def dcay_inv_dp_action(cd, v):
     on the twist v, as six floats: dcay_inv_so3(c) on the angular half, the
     identity on the linear half."""
     return (*so3_poly_action(cd[:3], v[:3], 0.5, -0.5, 0.5), *v[3:])
-
-
-def dcay_inv_dp(cd):
-    """The 6x6 matrix of :func:`dcay_inv_dp_action` at cd."""
-    return _matrix_of(dcay_inv_dp_action, cd)
 
 
 def compose(group_model, pose1, pose2):

@@ -3,9 +3,11 @@
 Everything here is deliberately dumb and slow: truncated power series for
 group exponentials, central finite differences for differentials, rejection
 sampling for random inputs. None of it shares code with the package under
-test, so agreement is meaningful; the one exception, the matrix forms of the
-per-body and per-joint kernels at the end, takes the package's scalar
-coefficients and poses and checks how the closed forms assemble them.
+test, so agreement is meaningful. The exceptions sit at the end: the matrix
+forms of the per-body and per-joint kernels take the package's scalar
+coefficients and poses and check how the closed forms assemble them, and
+the 6x6 forms of the direct-product inverse differentials, which the
+package uses only as actions, are the matrices of those actions.
 
 Conventions match the package: quaternions are scalar-first (4,) arrays,
 6-vectors are (angular, linear), se(3) elements are 4x4 homogeneous with the
@@ -19,7 +21,12 @@ from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon
 
-from liembs.motiongroups import _b_quartic
+from liembs.motiongroups import (
+    _b_quartic,
+    _matrix_of,
+    dcay_inv_dp_action,
+    dexp_inv_dp_action,
+)
 from liembs.rotmaps import _dexp_quad, dexp_inv_quad, sinc, trig_coefficients
 
 
@@ -161,7 +168,7 @@ def dense_kkt_solve(model, state, rcond_limit=1e-12):
     Raises LinAlgError when the LU's reciprocal condition estimate is below
     rcond_limit.
     """
-    q = model.forces(state.qs, state.V, state.t)
+    q = np.asarray(model.forces(state.qs, state.V, state.t))
     a = model.jacobian(state.qs)
     n, m = q.size, a.shape[0]
     kkt = np.zeros((n + m, n + m))
@@ -408,6 +415,18 @@ def matrix_dcay_inv_dp(cd):
     out = np.eye(6)
     out[:3, :3] = matrix_dcay_inv_so3(np.asarray(cd, dtype=float)[:3])
     return out
+
+
+def dexp_inv_dp(xy):
+    """The 6x6 matrix of ``dexp_inv_dp_action`` at xy, its columns the
+    action on the unit twists."""
+    return _matrix_of(dexp_inv_dp_action, xy)
+
+
+def dcay_inv_dp(cd):
+    """The 6x6 matrix of ``dcay_inv_dp_action`` at cd, its columns the
+    action on the unit twists."""
+    return _matrix_of(dcay_inv_dp_action, cd)
 
 
 def matrix_forces(model, qs, v):

@@ -16,7 +16,13 @@ from liembs.dynamics import (
     solve_kkt,
 )
 from liembs.lgt import QUAT_POS, apply_lgt, identity_coords, quat_pos
-from liembs.models import BodyParams, free_rigid_body, pinned_body, two_body_chain
+from liembs.models import (
+    BodyParams,
+    SphericalJointSystem,
+    free_rigid_body,
+    pinned_body,
+    two_body_chain,
+)
 from liembs.motiongroups import DIRECT_PRODUCT, SEMIDIRECT
 from liembs.rotmaps import exp_sp1, quat_to_rotmat
 
@@ -39,11 +45,13 @@ def test_free_fall_accelerations():
     q = quat_pos(exp_sp1(oracles.random_vector(rng, 2.0)), rng.normal(size=3))
     state = make_state([q], np.zeros(6))
     # Mixed twists: rddot = g directly.
-    vdot = forward_dynamics(free_rigid_body(params, DIRECT_PRODUCT), state)
+    model = free_rigid_body(params, DIRECT_PRODUCT)
+    vdot = forward_dynamics(model, state.qs, state.V, state.t)
     assert np.allclose(vdot[:3], 0.0, atol=1e-14)
     assert np.allclose(vdot[3:], g, atol=1e-13)
     # Body-fixed twists: vdot = R^T g at zero velocity.
-    vdot = forward_dynamics(free_rigid_body(params, SEMIDIRECT), state)
+    model = free_rigid_body(params, SEMIDIRECT)
+    vdot = forward_dynamics(model, state.qs, state.V, state.t)
     rot = quat_to_rotmat(q.rot)
     assert np.allclose(vdot[:3], 0.0, atol=1e-14)
     assert np.allclose(vdot[3:], rot.T @ g, atol=1e-13)
@@ -58,7 +66,8 @@ def test_principal_axis_spin_is_equilibrium():
         free_rigid_body(params, SEMIDIRECT),
         free_rigid_body(params, DIRECT_PRODUCT),
     ):
-        assert np.allclose(forward_dynamics(model, state), 0.0, atol=1e-13)
+        vdot = forward_dynamics(model, state.qs, state.V, state.t)
+        assert np.allclose(vdot, 0.0, atol=1e-13)
 
 
 def test_tumbling_matches_euler_equations():
@@ -70,7 +79,7 @@ def test_tumbling_matches_euler_equations():
         for _ in range(20):
             state = _random_quat_state(rng)
             omega = state.V[:3]
-            vdot = forward_dynamics(model, state)
+            vdot = forward_dynamics(model, state.qs, state.V, state.t)
             want = np.linalg.solve(theta, np.cross(theta @ omega, omega))
             assert np.allclose(vdot[:3], want, atol=1e-12)
 
@@ -81,7 +90,7 @@ def test_pinned_static_multiplier_balances_gravity():
     params = BodyParams(mass=2.0, inertia=(0.1, 0.1, 0.05), com_offset=(0, 0, -0.5))
     model = pinned_body(params, (0.0, 0.0, 0.0), group_model=SEMIDIRECT)
     state = make_state([identity_coords(QUAT_POS)], np.zeros(6))
-    vdot, lam = solve_kkt(model, state)
+    vdot, lam = solve_kkt(model, state.qs, state.V, state.t)
     assert np.allclose(vdot, 0.0, atol=1e-12)
     assert np.allclose(lam, params.mass * np.array([0.0, 0.0, -9.81]), atol=1e-12)
 
@@ -114,7 +123,7 @@ def test_duplicated_constraint_rows_raise_singular_kkt():
 
     state = make_state([identity_coords(QUAT_POS)], np.zeros(6))
     with pytest.raises(SingularKkt):
-        solve_kkt(Duplicated(), state)
+        solve_kkt(Duplicated(), state.qs, state.V, state.t)
 
 
 def _jacobian_with_singular_values(s):
@@ -188,11 +197,40 @@ def test_schur_solve_matches_dense_saddle_solve(group):
     for model in models:
         for _ in range(20):
             state = _random_quat_state(rng, model.n_bodies)
-            vdot, lam = solve_kkt(model, state)
+            vdot, lam = solve_kkt(model, state.qs, state.V, state.t)
             vdot_ref, lam_ref = oracles.dense_kkt_solve(model, state)
             for got, want in ((vdot, vdot_ref), (lam, lam_ref)):
                 scale = float(np.max(np.abs(want)))
                 assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+
+
+_OFF_COM = BodyParams(
+    mass=1.3, inertia=(0.2, 0.3, 0.4), com_offset=(0.05, -0.1, 0.2),
+    gravity=(0.3, -0.2, -9.81),
+)
+_AT_COM = BodyParams(mass=0.8, inertia=(0.1, 0.15, 0.2), gravity=(0.3, -0.2, -9.81))
+
+
+@pytest.mark.parametrize(
+    "bodies, full_blocks",
+    [([_OFF_COM], [True]), ([_AT_COM], [False]), ([_AT_COM, _OFF_COM], [False, True])],
+    ids=["full_block", "diagonal_block", "both"],
+)
+def test_unconstrained_accelerations_apply_the_inverse_mass_per_body(
+    bodies, full_blocks
+):
+    # Without constraints Vdot = M^-1 Q body by body: the diagonal of a
+    # block with the frame at the center of mass, six float rows otherwise.
+    model = SphericalJointSystem(bodies, [], SEMIDIRECT)
+    assert [rows is not None for _, rows in model._inverse_blocks] == full_blocks
+    rng = np.random.default_rng(67)
+    for _ in range(50):
+        state = _random_quat_state(rng, model.n_bodies, v_scale=3.0)
+        v = state.V.tolist()
+        got = forward_dynamics(model, state.qs, v, state.t)
+        want = model.mass_inverse @ np.asarray(model.forces(state.qs, v, state.t))
+        scale = float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(np.asarray(got) - want))) <= 1e-15 * scale
 
 
 def test_kkt_residual_and_hidden_constraint():
@@ -201,7 +239,7 @@ def test_kkt_residual_and_hidden_constraint():
     rng = np.random.default_rng(62)
     for _ in range(20):
         state = _random_quat_state(rng)
-        vdot, lam = solve_kkt(model, state)
+        vdot, lam = solve_kkt(model, state.qs, state.V, state.t)
         q = model.forces(state.qs, state.V, state.t)
         a = model.jacobian(state.qs)
         res1 = model.mass_matrix @ vdot + a.T @ lam - q
@@ -216,8 +254,8 @@ def test_forward_dynamics_deterministic():
     model = free_rigid_body(params, SEMIDIRECT)
     rng = np.random.default_rng(63)
     state = _random_quat_state(rng)
-    out1 = forward_dynamics(model, state)
-    out2 = forward_dynamics(model, state)
+    out1 = forward_dynamics(model, state.qs, state.V, state.t)
+    out2 = forward_dynamics(model, state.qs, state.V, state.t)
     assert np.array_equal(out1, out2)
 
 
@@ -267,7 +305,7 @@ def test_local_rhs_reconstructs_configuration():
     v = rng.normal(size=6)
     vdot, _ = local_rhs(model, "1a", [q0], x, v, 0.0)
     q_now = apply_lgt("1a", q0, x)
-    want = forward_dynamics(model, make_state([q_now], v))
+    want = forward_dynamics(model, [q_now], v.tolist(), 0.0)
     assert np.array_equal(vdot, want)
 
 

@@ -25,9 +25,7 @@ from liembs.lgt import (
 )
 from liembs.motiongroups import (
     compose,
-    dcay_inv_dp,
     dcay_inv_se3,
-    dexp_inv_dp,
     dexp_inv_se3,
     exp_se3,
 )
@@ -128,6 +126,49 @@ def test_axis_angle_pos_wraps_to_the_rotation_exp_sp1_gives(phi):
         assert math.sqrt(float(q.rot @ q.rot)) <= math.pi
         expected = quat_to_rotmat(exp_sp1(rho))
         assert np.max(np.abs(exp_so3(q.rot) - expected)) <= 1e-14
+
+
+def _stored_norm(q):
+    """The stored rotation-vector norm, summed as the chart guard sums it."""
+    a, b, c = q.rot.tolist()
+    return math.sqrt(a * a + b * b + c * c)
+
+
+def _near_odd_multiple_of_pi(k, axis, rel):
+    """A rotation vector along axis with norm (2k + 1) pi (1 + rel)."""
+    axis = np.asarray(axis, dtype=float)
+    return axis * ((2 * k + 1) * math.pi * (1.0 + rel) / np.linalg.norm(axis))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(0, 49),
+    axis=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+        lambda a: math.sqrt(sum(x * x for x in a)) > 1e-3
+    ),
+    rel=st.floats(-1e-15, 1e-15),
+)
+def test_axis_angle_pos_stores_a_norm_at_most_pi(k, axis, rel):
+    # Near an odd multiple of pi the wrapped norm rounds to either side of
+    # pi; the stored one must not exceed it, and the rotation is still the
+    # one exp_sp1 gives the vector.
+    rho = _near_odd_multiple_of_pi(k, axis, rel)
+    q = axis_angle_pos(rho, np.zeros(3))
+    assert _stored_norm(q) <= math.pi
+    expected = quat_to_rotmat(exp_sp1(rho))
+    assert np.max(np.abs(exp_so3(q.rot) - expected)) <= 1e-14
+
+
+def test_axis_angle_pos_norm_bound_on_seeded_vectors_near_odd_multiples_of_pi():
+    # A seeded batch where a plain wrap stores a norm one ulp above pi for
+    # about one vector in a thousand.
+    rng = np.random.default_rng(36)
+    for _ in range(20000):
+        rho = _near_odd_multiple_of_pi(
+            rng.integers(0, 50), rng.normal(size=3), rng.uniform(-1e-15, 1e-15)
+        )
+        q = axis_angle_pos(rho, np.zeros(3))
+        assert _stored_norm(q) <= math.pi, rho.tolist()
 
 
 def _rotated(cid, q, x_rot):
@@ -371,7 +412,12 @@ def test_lgt_contract_property(cid, data):
 
 @pytest.mark.parametrize("cid", COMBO_IDS)
 def test_chart_scale_is_the_diagonal_of_the_six_by_six_form_at_zero(cid):
-    matrix = {"a": dexp_inv_se3, "b": dexp_inv_dp, "c": dcay_inv_dp, "d": dcay_inv_se3}
+    matrix = {
+        "a": dexp_inv_se3,
+        "b": oracles.dexp_inv_dp,
+        "c": oracles.dcay_inv_dp,
+        "d": dcay_inv_se3,
+    }
     at_zero = matrix[cid[1]](np.zeros(6))
     assert np.array_equal(at_zero, np.diag(np.diag(at_zero)))
     assert combo(cid).chart_scale == tuple(np.diag(at_zero))

@@ -1,12 +1,14 @@
 """Tests for the concrete mechanical models."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liembs.cli import load_scenario
 from liembs.dynamics import forward_dynamics, make_state
 from liembs.lgt import QUAT_POS, apply_lgt, axis_angle_pos, identity_coords, quat_pos
 from liembs.models import (
@@ -174,8 +176,8 @@ def test_cross_representation_accelerations_agree():
         rdot = rng.normal(size=3)
         v_sd = np.concatenate([omega, rot.T @ rdot])
         v_dp = np.concatenate([omega, rdot])
-        a_sd = forward_dynamics(sd, make_state([q], v_sd))
-        a_dp = forward_dynamics(dp, make_state([q], v_dp))
+        a_sd = np.asarray(forward_dynamics(sd, [q], v_sd.tolist(), 0.0))
+        a_dp = np.asarray(forward_dynamics(dp, [q], v_dp.tolist(), 0.0))
         assert np.allclose(a_sd[:3], a_dp[:3], atol=1e-12)
         # rddot = R (vdot + omega x v) for body-fixed twists.
         rddot = rot @ (a_sd[3:] + np.cross(omega, v_sd[3:]))
@@ -210,7 +212,8 @@ def test_chain_hangs_at_equilibrium():
     ]
     state = make_state(qs, np.zeros(12))
     assert np.allclose(model.constraints(qs), 0.0, atol=1e-14)
-    assert np.allclose(forward_dynamics(model, state), 0.0, atol=1e-11)
+    vdot = forward_dynamics(model, state.qs, state.V, state.t)
+    assert np.allclose(vdot, 0.0, atol=1e-11)
 
 
 def test_pinned_consistency_between_group_models():
@@ -229,6 +232,29 @@ def test_pinned_consistency_between_group_models():
     gv_sd = sd.jacobian([q]) @ np.concatenate([omega, rot.T @ rdot])
     gv_dp = dp.jacobian([q]) @ np.concatenate([omega, rdot])
     assert np.allclose(gv_sd, gv_dp, atol=1e-12)
+
+
+def test_body_params_store_mass_and_inertia_as_python_floats():
+    params = BodyParams(mass=np.float64(1.5), inertia=np.array([1.0, 2.0, 3.0]))
+    assert type(params.mass) is float
+    assert [type(x) for x in params.inertia] == [float] * 3
+    assert params.inertia == (1.0, 2.0, 3.0)
+
+
+@pytest.mark.parametrize(
+    "scenario", ["free_tumble.json", "pendulum_pinned.json", "chain_swing.json"]
+)
+def test_forces_and_accelerations_of_a_loaded_scenario_are_python_floats(scenario):
+    # The loader reads inertia through numpy; a numpy scalar kept in the
+    # model would flow through forces into V and every kernel of a step.
+    root = Path(__file__).resolve().parent.parent
+    model, state, _ = load_scenario(root / "scenarios" / scenario).build()
+    v = state.V.tolist()
+    for out in (
+        model.forces(state.qs, v, state.t),
+        forward_dynamics(model, state.qs, v, state.t),
+    ):
+        assert [type(x) for x in out] == [float] * len(v)
 
 
 @pytest.mark.parametrize("group", [SEMIDIRECT, DIRECT_PRODUCT])

@@ -15,11 +15,9 @@ from liembs.motiongroups import (
     cay_dp,
     cay_se3,
     compose,
-    dcay_inv_dp,
     dcay_inv_dp_action,
     dcay_inv_se3,
     dcay_inv_se3_action,
-    dexp_inv_dp,
     dexp_inv_dp_action,
     dexp_inv_se3,
     dexp_inv_se3_action,
@@ -169,7 +167,7 @@ def test_exp_dp_components_and_differential():
     assert np.allclose(r, exp_so3(xy[:3]))
     assert np.allclose(p, xy[3:])
     fd = oracles.fd_right_differential_dp(exp_dp, xy)
-    assert np.allclose(dexp_inv_dp(xy) @ fd, np.eye(6), atol=1e-6)
+    assert np.allclose(oracles.dexp_inv_dp(xy) @ fd, np.eye(6), atol=1e-6)
     assert np.allclose(fd[:3, 3:], 0.0, atol=1e-9)
     assert np.allclose(fd[3:, 3:], np.eye(3), atol=1e-9)
 
@@ -181,7 +179,7 @@ def test_cay_dp_components_and_differential():
     assert np.allclose(r, cay_so3(cd[:3]))
     assert np.allclose(p, cd[3:])
     fd = oracles.fd_right_differential_dp(cay_dp, cd)
-    assert np.allclose(dcay_inv_dp(cd) @ fd, np.eye(6), atol=1e-6)
+    assert np.allclose(oracles.dcay_inv_dp(cd) @ fd, np.eye(6), atol=1e-6)
 
 
 def test_compose_identity_and_quarter_turn():
@@ -248,8 +246,8 @@ def test_kinematic_reconstruction_convention():
     for model, psi, dpsi_inv in (
         (SEMIDIRECT, exp_se3, dexp_inv_se3),
         (SEMIDIRECT, cay_se3, dcay_inv_se3),
-        (DIRECT_PRODUCT, exp_dp, dexp_inv_dp),
-        (DIRECT_PRODUCT, cay_dp, dcay_inv_dp),
+        (DIRECT_PRODUCT, exp_dp, oracles.dexp_inv_dp),
+        (DIRECT_PRODUCT, cay_dp, oracles.dcay_inv_dp),
     ):
         for _ in range(10):
             x = _random_xy(rng, 1.5)
@@ -280,8 +278,8 @@ def test_b_quartic_matches_mpmath_across_series_switch():
 _SIX_BY_SIX_KERNELS = [
     (dexp_inv_se3, oracles.matrix_dexp_inv_se3),
     (dcay_inv_se3, oracles.matrix_dcay_inv_se3),
-    (dexp_inv_dp, oracles.matrix_dexp_inv_dp),
-    (dcay_inv_dp, oracles.matrix_dcay_inv_dp),
+    (oracles.dexp_inv_dp, oracles.matrix_dexp_inv_dp),
+    (oracles.dcay_inv_dp, oracles.matrix_dcay_inv_dp),
 ]
 
 

@@ -185,3 +185,47 @@ def test_a_projected_run_checks_residuals_once(monkeypatch, scenario, projected,
     assert (cfg.projection != "off") == projected
     liembs.integrate.integrate(model, cfg, state)
     assert counts["constraint_residuals"] == (1 if projected else 1 + _STEPS)
+
+
+def _require_floats(monkeypatch, seen, module, name, float_args):
+    """Check the calls made through the module global module.name: the
+    arguments at the positions float_args and every list it returns must
+    hold Python floats only, the form a step works in."""
+    fn = getattr(module, name)
+
+    def checked(*args):
+        out = fn(*args)
+        outs = list(out) if isinstance(out, tuple) else [out]
+        for what, values in [(f"argument {i}", args[i]) for i in float_args] + [
+            ("result", values) for values in outs if isinstance(values, list)
+        ]:
+            leaked = {type(x).__name__ for x in values if type(x) is not float}
+            assert not leaked, f"{name} {what} holds {leaked}"
+        seen[name] += 1
+        return out
+
+    monkeypatch.setattr(module, name, checked)
+
+
+@pytest.mark.parametrize(
+    "scenario, scheme",
+    [("free_tumble.json", cid) for cid in COMBO_IDS]
+    + [("chain_swing.json", cid) for cid in COMBO_IDS]
+    + [("free_tumble.json", "BaselineQuatRK4")],
+)
+def test_a_step_passes_python_floats_between_its_stages(monkeypatch, scenario, scheme):
+    # A numpy scalar that enters the state (such as an inertia read through
+    # numpy) slows every float kernel it reaches; the step must carry X, V
+    # and the rates it gets back as Python floats.
+    seen = {"local_rhs": 0, "forward_dynamics": 0}
+    _require_floats(monkeypatch, seen, liembs.integrate, "local_rhs", (3, 4))
+    _require_floats(monkeypatch, seen, liembs.integrate, "forward_dynamics", (2,))
+    loaded = load_scenario(_ROOT / "scenarios" / scenario)
+    baseline = scheme == "BaselineQuatRK4"
+    kwargs = {"scheme": scheme} if baseline else {"combo_id": scheme}
+    model, state, cfg = loaded.build(t_end=_STEPS * loaded.h, **kwargs)
+    liembs.integrate.integrate(model, cfg, state)
+    if baseline:
+        assert seen == {"local_rhs": 0, "forward_dynamics": 4 * _STEPS}
+    else:
+        assert seen == {"local_rhs": 4 * _STEPS, "forward_dynamics": 0}
