@@ -16,7 +16,6 @@ from .errors import (
     InconsistentState,
     InvalidConfig,
     LiembsError,
-    NearPiAmbiguity,
     NoConvergence,
     NonFiniteState,
     SingularKkt,
@@ -30,7 +29,6 @@ __all__ = [
     "InconsistentState",
     "InvalidConfig",
     "LiembsError",
-    "NearPiAmbiguity",
     "NoConvergence",
     "NonFiniteState",
     "SingularKkt",

@@ -97,7 +97,7 @@ from .lgt import (
 )
 from .models import BodyParams, free_rigid_body, pinned_body, two_body_chain
 from .motiongroups import SEMIDIRECT
-from .rotmaps import exp_sp1, log_so3, quat_to_rotmat
+from .rotmaps import exp_sp1, log_sp1, quat_to_rotmat
 
 _BASELINE_LABEL = "baseline"
 
@@ -292,28 +292,28 @@ class Scenario:
         return self._models[group_model]
 
     def state(self, abs_kind, group_model):
+        """The initial state in abs_kind coordinates. Each orientation is
+        checked in the form the scenario gives it; InconsistentState names
+        the field when that check fails."""
         qs, twists = [], []
-        for body in self.initial_bodies:
-            if body["quat"] is not None:
-                quat = body["quat"]
-                if abs(float(np.linalg.norm(quat)) - 1.0) > 1e-9:
-                    raise InconsistentState(
-                        "initial orientation_quat is not unit length"
-                    )
+        for i, body in enumerate(self.initial_bodies):
+            quat, axis, r = body["quat"], body["axis"], body["r"]
+            try:
+                given = quat_pos(quat, r) if axis is None else axis_angle_pos(axis, r)
+            except InconsistentState as exc:
+                key = "quat" if axis is None else "axisangle_rad"
+                raise InconsistentState(
+                    f"initial_state.bodies[{i}].orientation_{key}: {exc}"
+                ) from exc
+            if axis is not None:
+                quat = exp_sp1(axis)
+            if given.kind == abs_kind:
+                qs.append(given)
+            elif abs_kind == QUAT_POS:
+                qs.append(quat_pos(quat, r))
             else:
-                a, b, c = body["axis"].tolist()
-                if a * a + b * b + c * c == math.inf:
-                    raise InconsistentState(
-                        "initial orientation_axisangle_rad has a squared norm "
-                        "that overflows"
-                    )
-                quat = exp_sp1(body["axis"])
+                qs.append(axis_angle_pos(log_sp1(quat), r))
             rot = quat_to_rotmat(quat)
-            if abs_kind == QUAT_POS:
-                qs.append(quat_pos(quat, body["r"]))
-            else:
-                rho = body["axis"] if body["axis"] is not None else log_so3(rot)
-                qs.append(axis_angle_pos(rho, body["r"]))
             lin = rot.T @ body["rdot"] if group_model == SEMIDIRECT else body["rdot"]
             twists.append(np.concatenate([body["omega"], lin]))
         return make_state(qs, np.concatenate(twists))

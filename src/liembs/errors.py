@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class LiembsError(Exception):
@@ -70,11 +70,3 @@ class StepFailed(LiembsError):
         self.t = t
         super().__init__(f"step {step_index} at t={t:.6g} failed: {cause}")
 
-
-class NearPiAmbiguity(UserWarning):
-    """Warning: a rotation-matrix logarithm sits near the antipode.
-
-    At rotation angles within ~1e-4 of pi the axis is extracted from the
-    symmetric part of the matrix (the antisymmetric part degenerates); the
-    sign of the axis becomes conventional exactly at pi.
-    """

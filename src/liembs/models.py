@@ -18,8 +18,12 @@ Every model picks one group model for its twists:
 Force vectors returned by ``forces`` already include the gyroscopic bias
 (the adjoint-transpose term of the Euler-Poincare equations), so the
 dynamics layer stays representation-agnostic.
+
+:class:`BodyParams` checks a body once and stores its fields as Python
+floats; the model reads them as they stand and keeps no second copy.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +34,11 @@ from .rotmaps import _floats, cross3, hat
 
 
 def _vec3(value, name):
+    """value as a tuple of three finite Python floats."""
     out = np.asarray(value, dtype=float)
-    if out.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {out.shape}")
-    return out
+    if out.shape != (3,) or not np.isfinite(out).all():
+        raise ValueError(f"{name} must be three finite numbers, got {value!r}")
+    return tuple(out.tolist())
 
 
 def _point(rot, r, p):
@@ -74,9 +79,11 @@ class BodyParams:
 
     inertia is the diagonal of the rotational inertia about the center of
     mass, in the body frame; com_offset is the body-frame vector from the
-    body frame origin to the center of mass. mass and inertia are stored as
-    Python floats whatever the caller passes, so a numpy scalar cannot
-    reach the float kernels of a step through them.
+    body frame origin to the center of mass. Construction is the one check
+    of a body: mass must be finite and positive, inertia, com_offset and
+    gravity three finite numbers each, inertia's entries positive. Every
+    field is stored as Python floats whatever the caller passes, so a
+    numpy scalar cannot reach the float kernels of a step through them.
     """
 
     mass: float
@@ -85,25 +92,27 @@ class BodyParams:
     gravity: tuple = (0.0, 0.0, -9.81)
 
     def __post_init__(self):
-        if self.mass <= 0.0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if len(self.inertia) != 3 or any(t <= 0.0 for t in self.inertia):
+        mass = float(self.mass)
+        if not (math.isfinite(mass) and mass > 0.0):
+            raise ValueError(f"mass must be finite and positive, got {self.mass}")
+        inertia = _vec3(self.inertia, "inertia")
+        if any(t <= 0.0 for t in inertia):
             raise ValueError(
-                f"inertia must be three positive diagonal entries, "
-                f"got {self.inertia}"
+                f"inertia must be three positive diagonal entries, got {inertia}"
             )
-        object.__setattr__(self, "mass", float(self.mass))
-        object.__setattr__(self, "inertia", tuple(map(float, self.inertia)))
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "inertia", inertia)
+        for name in ("com_offset", "gravity"):
+            object.__setattr__(self, name, _vec3(getattr(self, name), name))
 
 
 def _mass_block(params, group_model):
     """Constant 6x6 mass matrix of one body in the chosen twist coordinates."""
     m = params.mass
     theta_c = np.diag(params.inertia)
-    s = _vec3(params.com_offset, "com_offset")
     out = np.zeros((6, 6))
     if group_model == SEMIDIRECT:
-        sh = hat(s)
+        sh = hat(params.com_offset)
         out[:3, :3] = theta_c - m * (sh @ sh)
         out[:3, 3:] = m * sh
         out[3:, :3] = -m * sh
@@ -138,15 +147,14 @@ class SphericalJointSystem:
         self.bodies = tuple(bodies)
         self.n_bodies = len(self.bodies)
         for i, params in enumerate(self.bodies):
-            s = _vec3(params.com_offset, "com_offset")
-            if group_model == DIRECT_PRODUCT and float(s @ s) > 0.0:
+            if group_model == DIRECT_PRODUCT and any(params.com_offset):
                 raise ValueError(
                     f"body {i}: the direct-product (mixed-twist) model needs "
                     "the body frame at the center of mass; move the frame or "
                     "use the semidirect model"
                 )
-        self.joints = tuple(joints)
-        self.n_constraints = 3 * len(self.joints)
+        joints = tuple(joints)
+        self.n_constraints = 3 * len(joints)
         n = 6 * self.n_bodies
         # The joint points as float triples, and per Jacobian block its flat
         # offset, the body, the signed point and the sign (-1 for body b).
@@ -154,10 +162,16 @@ class SphericalJointSystem:
         self._joint_points = []
         self._jacobian_blocks = []
         start = [0.0] * (self.n_constraints * n)
-        for j, (a, p_a, b, p_b) in enumerate(self.joints):
-            p_a, p_b = (
-                tuple(_vec3(p, f"joint {j} point").tolist()) for p in (p_a, p_b)
-            )
+        for j, (a, p_a, b, p_b) in enumerate(joints):
+            ends = (a,) if b is None else (a, b)
+            if a == b or not all(
+                type(k) is int and 0 <= k < self.n_bodies for k in ends
+            ):
+                raise ValueError(
+                    f"joint {j}: bodies {a!r} and {b!r} must be distinct body "
+                    f"indices 0..{self.n_bodies - 1} (None for the ground)"
+                )
+            p_a, p_b = (_vec3(p, f"joint {j} point") for p in (p_a, p_b))
             self._joint_points.append((a, p_a, b, p_b))
             for body, p, sign in ((a, p_a, 1.0), (b, p_b, -1.0)):
                 if body is None:
@@ -169,30 +183,19 @@ class SphericalJointSystem:
                     for i in range(3):
                         start[k + i * n + 3 + i] = sign
         self._jacobian_start = start
-        blocks = [_mass_block(p, group_model) for p in self.bodies]
-        # The mass matrix is constant and block diagonal: invert it once,
-        # block by block, for every later solve. apply_mass_inverse keeps
-        # each inverse block in floats, as its diagonal when it has no other
-        # entry, else as six rows.
+        # The mass matrix is constant and block diagonal: the dense forms
+        # serve the constrained solve, apply_mass_inverse the reciprocals.
         self.mass_matrix = np.zeros((n, n))
         self.mass_inverse = np.zeros((n, n))
-        self._inverse_blocks = []
-        for i, block in enumerate(blocks):
+        for i, params in enumerate(self.bodies):
             sl = slice(6 * i, 6 * i + 6)
-            inverse = np.linalg.inv(block)
+            block = _mass_block(params, group_model)
             self.mass_matrix[sl, sl] = block
-            self.mass_inverse[sl, sl] = inverse
-            diag = np.diag(inverse)
-            if np.array_equal(inverse, np.diag(diag)):
-                self._inverse_blocks.append((tuple(diag.tolist()), None))
-            else:
-                self._inverse_blocks.append((None, inverse.tolist()))
-        self._gravity = [np.asarray(p.gravity, dtype=float) for p in self.bodies]
-        self._com = [np.asarray(p.com_offset, dtype=float) for p in self.bodies]
-        self._com_offsets = [tuple(s.tolist()) for s in self._com]
-        self._weights = [
-            tuple((p.mass * g).tolist()) for p, g in zip(self.bodies, self._gravity)
+            self.mass_inverse[sl, sl] = np.linalg.inv(block)
+        self._reciprocals = [
+            (1.0 / p.mass, *(1.0 / t for t in p.inertia)) for p in self.bodies
         ]
+        self._weights = [tuple(p.mass * g for g in p.gravity) for p in self.bodies]
 
     def forces(self, qs, v, t):
         """Gyroscopic bias plus gravity, stacked over bodies.
@@ -221,7 +224,7 @@ class SphericalJointSystem:
                     *self._weights[i],
                 )
                 continue
-            s0, s1, s2 = self._com_offsets[i]
+            s0, s1, s2 = params.com_offset
             p0 = m * (u0 - (s1 * w2 - s2 * w1))
             p1 = m * (u1 - (s2 * w0 - s0 * w2))
             p2 = m * (u2 - (s0 * w1 - s1 * w0))
@@ -231,9 +234,13 @@ class SphericalJointSystem:
             if self._weights[i] == (0.0, 0.0, 0.0):
                 g0 = g1 = g2 = 0.0  # m R^T 0: no pose needed
             else:
-                rot, _ = alpha_map(qs[i])
-                g0, g1, g2 = (self._gravity[i] @ rot).tolist()
-                g0, g1, g2 = m * g0, m * g1, m * g2
+                (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = (
+                    alpha_map(qs[i])[0].tolist()
+                )
+                e0, e1, e2 = params.gravity
+                g0 = m * (e0 * r00 + e1 * r10 + e2 * r20)
+                g1 = m * (e0 * r01 + e1 * r11 + e2 * r21)
+                g2 = m * (e0 * r02 + e1 * r12 + e2 * r22)
             out += (
                 h1 * w2 - h2 * w1 + p1 * u2 - p2 * u1 + s1 * g2 - s2 * g1,
                 h2 * w0 - h0 * w2 + p2 * u0 - p0 * u2 + s2 * g0 - s0 * g2,
@@ -245,20 +252,24 @@ class SphericalJointSystem:
         return out
 
     def apply_mass_inverse(self, q):
-        """M^-1 q for a list of 6N floats, body by body in floats: the
-        diagonal of an inverse block with the frame at the center of mass
-        scales each entry, any other block takes six dot products."""
+        """M^-1 q for a list of 6N floats, body by body in floats: for the
+        torque and force (tau, f) of a body, omega_dot = Theta_c^-1 (tau -
+        s x f) and v_dot = f / m + s x omega_dot, s its com_offset (zero for
+        mixed twists)."""
         out = []
-        for i, (diag, rows) in enumerate(self._inverse_blocks):
-            qi = q[6 * i : 6 * i + 6]
-            if rows is None:
-                out += [d * x for d, x in zip(diag, qi)]
-                continue
-            q0, q1, q2, q3, q4, q5 = qi
-            out += [
-                r0 * q0 + r1 * q1 + r2 * q2 + r3 * q3 + r4 * q4 + r5 * q5
-                for r0, r1, r2, r3, r4, r5 in rows
-            ]
+        for i, params in enumerate(self.bodies):
+            t0, t1, t2, f0, f1, f2 = q[6 * i : 6 * i + 6]
+            s0, s1, s2 = params.com_offset
+            inv_m, inv_j0, inv_j1, inv_j2 = self._reciprocals[i]
+            w0 = (t0 - (s1 * f2 - s2 * f1)) * inv_j0
+            w1 = (t1 - (s2 * f0 - s0 * f2)) * inv_j1
+            w2 = (t2 - (s0 * f1 - s1 * f0)) * inv_j2
+            out += (
+                w0, w1, w2,
+                f0 * inv_m + (s1 * w2 - s2 * w1),
+                f1 * inv_m + (s2 * w0 - s0 * w2),
+                f2 * inv_m + (s0 * w1 - s1 * w0),
+            )
         return out
 
     def constraints(self, qs):
@@ -318,12 +329,12 @@ class SphericalJointSystem:
         v = np.asarray(v, dtype=float)
         total = 0.5 * float(v @ (self.mass_matrix @ v))
         for i, params in enumerate(self.bodies):
-            if self._com_offsets[i] == (0.0, 0.0, 0.0):
+            if not any(params.com_offset):
                 com = qs[i].r  # r + R 0 exactly: no pose needed
             else:
                 rot, r = alpha_map(qs[i])
-                com = r + rot @ self._com[i]
-            total -= params.mass * float(self._gravity[i] @ com)
+                com = r + rot @ params.com_offset
+            total -= params.mass * float(params.gravity @ com)
         return total
 
     def angular_momentum(self, qs, v):
@@ -334,7 +345,7 @@ class SphericalJointSystem:
             vi = v[6 * i : 6 * i + 6]
             omega = vi[:3]
             rdot = rot @ vi[3:] if self.group_model == SEMIDIRECT else vi[3:]
-            s = self._com[i]
+            s = params.com_offset
             com = r + rot @ s
             com_dot = rdot + rot @ cross3(omega, s)
             total += rot @ (np.diag(params.inertia) @ omega) + params.mass * cross3(
@@ -345,8 +356,7 @@ class SphericalJointSystem:
 
 def free_rigid_body(params, group_model=SEMIDIRECT):
     """Unconstrained rigid body with the frame at the center of mass."""
-    s = _vec3(params.com_offset, "com_offset")
-    if float(s @ s) > 0.0:
+    if any(params.com_offset):
         raise ValueError(
             "body 0: free_rigid_body expects the body frame at the center "
             "of mass"

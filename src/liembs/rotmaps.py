@@ -1,10 +1,10 @@
 """Coordinate maps on the rotation group and their trivialized differentials.
 
 Provides the exponential and Cayley maps SO(3) <- R^3 together with their
-right-trivialized differentials and inverse differentials, the matrix
-logarithm, unit-quaternion utilities, and closed-form composition rules that
-combine an axis-angle increment with an existing axis-angle or Rodrigues
-parameter vector without leaving vector coordinates.
+right-trivialized differentials and inverse differentials, unit-quaternion
+utilities with the quaternion logarithm :func:`log_sp1`, and closed-form
+composition rules that combine an axis-angle increment with an existing
+axis-angle or Rodrigues parameter vector without leaving vector coordinates.
 
 Conventions
 -----------
@@ -40,12 +40,11 @@ phi within 10% of either switch (mpmath, 80 random x per switch).
 """
 
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ChartBoundary, CompoundAnglePi, NearPiAmbiguity
+from .errors import ChartBoundary, CompoundAnglePi
 
 _SMALL_ANGLE = 1.0e-4
 # Below this angle _dexp_quad, dexp_inv_quad and _b_quartic are their Taylor
@@ -54,7 +53,6 @@ _SMALL_ANGLE = 1.0e-4
 _QUAD_SERIES_ANGLE = 0.7
 _CHART_EDGE = 2.0 * math.pi - 1.0e-9
 _COMPOUND_EDGE = 2.0 * math.pi - 1.0e-6
-_NEAR_PI_TRACE = 1.0e-8
 _TWO_PI = 2.0 * math.pi
 
 
@@ -76,11 +74,6 @@ def hat(v):
             [-v[1], v[0], 0.0],
         ]
     )
-
-
-def vee(m):
-    """Inverse of :func:`hat` for a skew-symmetric matrix."""
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
 def so3_poly_entries(x, d, c1, c2):
@@ -246,49 +239,6 @@ def dexp_inv_so3(x):
     return _matrix(so3_poly_entries(x, d, -0.5, quad))
 
 
-def log_so3(x_or_r):
-    """Rotation vector of a rotation matrix, with ``||result|| <= pi``.
-
-    Near angle pi the axis is recovered from the symmetric part of the
-    matrix, which stays well conditioned where the antisymmetric part
-    degenerates; the leftover sign ambiguity at exactly pi is resolved
-    arbitrarily and reported with a :class:`NearPiAmbiguity` warning.
-    """
-    r = np.asarray(x_or_r, dtype=float)
-    tr = float(np.trace(r))
-    w = vee(r - r.T)
-    sin_norm = 0.5 * math.sqrt(float(w @ w))
-    if tr + 1.0 < _NEAR_PI_TRACE:
-        # Angle within ~1e-4 of pi: extract the axis from R + R^T.
-        theta = math.pi - math.asin(min(1.0, sin_norm))
-        cos_t = math.cos(theta)
-        outer = (0.5 * (r + r.T) - cos_t * np.eye(3)) / (1.0 - cos_t)
-        j = int(np.argmax(np.diag(outer)))
-        axis = outer[:, j] / math.sqrt(max(outer[j, j], 0.0))
-        # Orient along the antisymmetric part when it still carries a sign.
-        if sin_norm > 1.0e-12:
-            if float(axis @ w) < 0.0:
-                axis = -axis
-        else:
-            warnings.warn(
-                "rotation angle is pi to machine precision; axis sign chosen "
-                "arbitrarily",
-                NearPiAmbiguity,
-            )
-            k = int(np.argmax(np.abs(axis)))
-            if axis[k] < 0.0:
-                axis = -axis
-        return theta * axis
-    cos_t = min(1.0, max(-1.0, 0.5 * (tr - 1.0)))
-    theta = math.acos(cos_t)
-    if theta < _SMALL_ANGLE:
-        # theta / (2 sin theta) = 1/2 + theta^2/12 + 7 theta^4/720 + ...
-        factor = 0.5 + theta * theta / 12.0
-    else:
-        factor = 0.5 * theta / math.sin(theta)
-    return factor * w
-
-
 def cay_so3(c):
     """Cayley map: rotation matrix of the Rodrigues vector c."""
     c = _floats(c)
@@ -324,6 +274,19 @@ def exp_sp1(x):
     half = 0.5 * math.sqrt(a * a + b * b + c * c)
     k = 0.5 * sinc(half)
     return np.array((math.cos(half), k * a, k * b, k * c))
+
+
+def log_sp1(q):
+    """Rotation vector of the unit quaternion q in the pi-ball, inverting
+    :func:`exp_sp1` there: ``2*atan2(|v|, |w|) * v/|v|`` with q's sign taken
+    so that w >= 0. atan2 keeps every angle, pi included, to a few ulp; at
+    w = 0 the norm may round an ulp over pi, which axis_angle_pos corrects."""
+    w, a, b, c = _floats(q)
+    n = math.sqrt(a * a + b * b + c * c)
+    if n == 0.0:
+        return np.zeros(3)
+    k = math.copysign(2.0 * math.atan2(n, abs(w)) / n, w)
+    return np.array((k * a, k * b, k * c))
 
 
 def quat_to_rotmat(q):

@@ -460,7 +460,7 @@ def matrix_constraints(model, qs):
     """Joint constraints of a SphericalJointSystem from pose matrices:
     (r_a + R_a p_a) - (r_b + R_b p_b) per joint, the world point for ground."""
     out = np.empty(model.n_constraints)
-    for j, (a, p_a, b, p_b) in enumerate(model.joints):
+    for j, (a, p_a, b, p_b) in enumerate(model._joint_points):
         rot_a, r_a = qs[a].pose
         if b is not None:
             rot_b, r_b = qs[b].pose
@@ -481,7 +481,7 @@ def _point_rows(model, rot, point):
 def matrix_jacobian(model, qs):
     """Constraint Jacobian of a SphericalJointSystem from 3x6 point blocks."""
     out = np.zeros((model.n_constraints, 6 * model.n_bodies))
-    for j, (a, p_a, b, p_b) in enumerate(model.joints):
+    for j, (a, p_a, b, p_b) in enumerate(model._joint_points):
         out[3 * j : 3 * j + 3, 6 * a : 6 * a + 6] = _point_rows(
             model, qs[a].pose[0], p_a
         )
@@ -505,7 +505,7 @@ def matrix_adotv(model, qs, v):
     """(d/dt A) V of a SphericalJointSystem from numpy cross products."""
     v = np.asarray(v, dtype=float)
     out = np.empty(model.n_constraints)
-    for j, (a, p_a, b, p_b) in enumerate(model.joints):
+    for j, (a, p_a, b, p_b) in enumerate(model._joint_points):
         out[3 * j : 3 * j + 3] = _point_curvature(
             model, qs[a].pose[0], p_a, v[6 * a : 6 * a + 6]
         )

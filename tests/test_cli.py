@@ -7,12 +7,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liembs.cli import main
-from liembs.lgt import COMBO_IDS
+from liembs.cli import Scenario, main
+from liembs.lgt import COMBO_IDS, alpha_map
 
 _SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -150,6 +151,26 @@ def test_inconsistent_state_exits_3(tmp_path, capsys):
     path = _write(tmp_path, doc)
     assert main(["run", str(path)]) == 3
     assert "inconsistent initial state" in capsys.readouterr().err
+
+
+def test_non_unit_quaternion_exits_3_naming_the_field(tmp_path, capsys):
+    doc = _load("chain_swing.json")
+    doc["initial_state"]["bodies"][1]["orientation_quat"] = [1.0, 0.0, 1e-4, 0.0]
+    path = _write(tmp_path, doc)
+    assert main(["run", str(path)]) == 3
+    assert "initial_state.bodies[1].orientation_quat" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body, key, value",
+    [(1, "mass_kg", 0.0), (0, "inertia_kgm2", [0.1, -0.1, 0.02])],
+)
+def test_body_the_model_rejects_exits_2_naming_it(tmp_path, capsys, body, key, value):
+    doc = _load("chain_swing.json")
+    doc["model"]["bodies"][body][key] = value
+    path = _write(tmp_path, doc)
+    assert main(["run", str(path)]) == 2
+    assert f"model.bodies[{body}]" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -514,6 +535,25 @@ def test_compare_runs_the_combos_of_a_baseline_scenario(tmp_path, capsys):
     assert drifts["baseline"] > 1e-12
     for cid in ("1a", "1b", "1c", "1d"):
         assert drifts[cid] < 1e-12
+
+
+def test_every_combo_starts_a_near_pi_quaternion_from_one_pose():
+    # 1.31e-4 short of a half turn, where the rotation-matrix logarithm
+    # that once fed the rotation-vector combos lost 4.2e-8.
+    doc = _load("free_tumble.json")
+    doc["initial_state"]["bodies"][0]["orientation_quat"] = [
+        -6.570947065926631e-05,
+        -0.18672581698794632,
+        -0.8119045296668113,
+        0.5531224996860673,
+    ]
+    scenario = Scenario(doc)
+    poses = [
+        alpha_map(scenario.build(combo_id=cid)[1].qs[0]) for cid in COMBO_IDS
+    ]
+    for rot, r in poses[1:]:
+        assert np.max(np.abs(rot - poses[0][0])) <= 1e-14
+        assert np.array_equal(r, poses[0][1])
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,7 @@ from liembs.rotmaps import (
     cay_so3,
     exp_so3,
     exp_sp1,
+    log_sp1,
     quat_mul,
     quat_to_rotmat,
 )
@@ -169,6 +170,28 @@ def test_axis_angle_pos_norm_bound_on_seeded_vectors_near_odd_multiples_of_pi():
         )
         q = axis_angle_pos(rho, np.zeros(3))
         assert _stored_norm(q) <= math.pi, rho.tolist()
+
+
+_unit_quat = (
+    st.tuples(
+        st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 1e-12, -1e-12])),
+        *[st.floats(-1.0, 1.0)] * 3,
+    )
+    .map(np.array)
+    .filter(lambda q: np.linalg.norm(q) > 1e-3)
+    .map(lambda q: q / np.linalg.norm(q))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=_unit_quat)
+def test_axis_angle_pos_of_log_sp1_stores_a_norm_at_most_pi(q):
+    # A quaternion scenario reaches axis-angle coordinates this way. At
+    # w = 0 the logarithm's norm may round an ulp over pi; the stored one
+    # must not, and the rotation stays q's.
+    stored = axis_angle_pos(log_sp1(q), np.zeros(3))
+    assert _stored_norm(stored) <= math.pi
+    assert np.max(np.abs(exp_so3(stored.rot) - quat_to_rotmat(q))) <= 2e-15
 
 
 def _rotated(cid, q, x_rot):

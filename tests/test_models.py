@@ -48,11 +48,69 @@ def _fd_jacobian(model, qs, h=1e-7):
     return np.column_stack(cols)
 
 
-def test_body_params_validation():
-    with pytest.raises(ValueError):
-        BodyParams(mass=0.0, inertia=(1, 1, 1))
-    with pytest.raises(ValueError):
-        BodyParams(mass=1.0, inertia=(1, -1, 1))
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("mass", 0.0),
+        ("mass", _NAN),
+        ("mass", _INF),
+        ("inertia", (1, -1, 1)),
+        ("inertia", (1, _NAN, 1)),
+        ("inertia", (1, 1, _INF)),
+        ("inertia", (1, 1)),
+        ("com_offset", (0.0, 0.1)),
+        ("com_offset", (0.0, _NAN, 0.0)),
+        ("com_offset", (_INF, 0.0, 0.0)),
+        ("gravity", (0, -9.81)),
+        ("gravity", (0.0, 0.0, -9.81, 0.0)),
+        ("gravity", (0.0, 0.0, _NAN)),
+        ("gravity", (0.0, -_INF, 0.0)),
+    ],
+)
+def test_body_params_validation(field, value):
+    # A two-entry gravity once reached forces as five entries per body and
+    # failed in energy with a raw numpy error; a NaN mass passed unchecked.
+    fields = {"mass": 1.0, "inertia": (1.0, 1.0, 1.0), field: value}
+    with pytest.raises(ValueError, match=field):
+        BodyParams(**fields)
+
+
+def test_body_params_store_every_field_as_python_floats():
+    params = BodyParams(
+        mass=np.float64(1.5),
+        inertia=np.array([1.0, 2.0, 3.0]),
+        com_offset=np.array([0, 0, 1]),
+        gravity=[0, 0, np.float32(-9.5)],
+    )
+    assert type(params.mass) is float
+    for name, want in [
+        ("inertia", (1.0, 2.0, 3.0)),
+        ("com_offset", (0.0, 0.0, 1.0)),
+        ("gravity", (0.0, 0.0, -9.5)),
+    ]:
+        got = getattr(params, name)
+        assert got == want and [type(x) for x in got] == [float] * 3
+
+
+@pytest.mark.parametrize(
+    "joint",
+    [
+        (-1, (0, 0, 0.3), 1, (0, 0, 0)),
+        (0, (0, 0, 0.3), 2, (0, 0, 0)),
+        (1, (0, 0, 0.3), 1, (0, 0, 0)),
+    ],
+    ids=["negative", "past-the-end", "same-body"],
+)
+def test_joint_with_a_bad_body_index_is_rejected(joint):
+    # Body -1 was read as the last body by constraints but written into the
+    # previous joint's row by jacobian; body N failed at the first jacobian.
+    body = BodyParams(mass=1.0, inertia=(0.1, 0.1, 0.02))
+    ground = (0, (0, 0, 0.3), None, (0, 0, 0))
+    with pytest.raises(ValueError, match="joint 1"):
+        SphericalJointSystem([body, body], [ground, joint], SEMIDIRECT)
 
 
 def test_free_body_rejects_off_com_frame():
@@ -232,13 +290,6 @@ def test_pinned_consistency_between_group_models():
     gv_sd = sd.jacobian([q]) @ np.concatenate([omega, rot.T @ rdot])
     gv_dp = dp.jacobian([q]) @ np.concatenate([omega, rdot])
     assert np.allclose(gv_sd, gv_dp, atol=1e-12)
-
-
-def test_body_params_store_mass_and_inertia_as_python_floats():
-    params = BodyParams(mass=np.float64(1.5), inertia=np.array([1.0, 2.0, 3.0]))
-    assert type(params.mass) is float
-    assert [type(x) for x in params.inertia] == [float] * 3
-    assert params.inertia == (1.0, 2.0, 3.0)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from liembs import ChartBoundary, CompoundAnglePi, NearPiAmbiguity
+from liembs import ChartBoundary, CompoundAnglePi
 from liembs import rotmaps
 from liembs.rotmaps import (
     _dexp_quad,
@@ -23,13 +23,12 @@ from liembs.rotmaps import (
     exp_so3,
     exp_sp1,
     hat,
-    log_so3,
+    log_sp1,
     quat_mul,
     quat_to_rotmat,
     rodrigues_to_quat,
     sinc,
     trig_coefficients,
-    vee,
 )
 
 import oracles
@@ -41,11 +40,10 @@ vec3 = st.lists(
 ).map(np.array)
 
 
-def test_hat_vee_roundtrip():
+def test_hat_is_skew_and_gives_the_cross_product():
     v = np.array([0.3, -1.2, 2.5])
     m = hat(v)
     assert np.allclose(m, -m.T)
-    assert np.allclose(vee(m), v)
     assert np.allclose(m @ np.array([1.0, 2.0, 3.0]), np.cross(v, [1.0, 2.0, 3.0]))
 
 
@@ -129,45 +127,48 @@ def test_exp_so3_zero_is_identity():
     assert np.array_equal(exp_so3(np.zeros(3)), np.eye(3))
 
 
-def test_log_exp_roundtrip_inside_pi_ball():
+def test_log_sp1_inverts_exp_sp1_inside_pi_ball():
     rng = np.random.default_rng(2)
     for _ in range(200):
         x = oracles.random_vector(rng, math.pi - 1e-3)
-        assert np.allclose(log_so3(exp_so3(x)), x, atol=1e-11)
+        assert np.max(np.abs(log_sp1(exp_sp1(x)) - x)) <= 1e-15
+        assert np.max(np.abs(log_sp1(-exp_sp1(x)) - x)) <= 1e-15
+    assert np.array_equal(log_sp1([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
+    assert np.array_equal(log_sp1([-1.0, 0.0, 0.0, 0.0]), np.zeros(3))
 
 
-def test_exp_log_roundtrip_random_rotations():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        r = oracles.random_rotation(rng)
-        x = log_so3(r)
-        assert np.linalg.norm(x) <= math.pi + 1e-12
-        assert np.allclose(exp_so3(x), r, atol=1e-10)
-
-
-@pytest.mark.filterwarnings("ignore::liembs.NearPiAmbiguity")
-def test_log_so3_near_pi_is_accurate():
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 3e-4, 1.31e-4, 1.01e-4, 1e-5, 1e-9, 0.0])
+def test_log_sp1_matches_mpmath_near_pi(eps):
+    # Angles pi - eps, where a rotation-matrix logarithm switches branches
+    # and loses digits; the exact logarithm of each float quaternion, q and
+    # -q, from mpmath at 50 digits.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
     rng = np.random.default_rng(4)
-    for eps in [1e-3, 1e-5, 1e-7, 1e-9, 1e-12]:
-        for _ in range(10):
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            x = (math.pi - eps) * axis
-            r = exp_so3(x)
-            x_back = log_so3(r)
-            assert np.allclose(exp_so3(x_back), r, atol=1e-10)
-            assert np.linalg.norm(x_back) == pytest.approx(
-                math.pi - eps, abs=1e-8
-            )
+    half = (mpmath.pi - mpmath.mpf(eps)) / 2
+    for _ in range(20):
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        q = np.array(
+            [float(mpmath.cos(half))] + [float(mpmath.sin(half) * a) for a in axis]
+        )
+        for sign in (1.0, -1.0):
+            w, *v = (mpmath.mpf(float(c)) for c in sign * q)
+            n = mpmath.sqrt(sum(c * c for c in v))
+            k = (-2 if w < 0 else 2) * mpmath.atan2(n, abs(w)) / n
+            want = np.array([float(k * c) for c in v])
+            assert np.max(np.abs(log_sp1(sign * q) - want)) <= 1e-15
 
 
-def test_log_so3_at_exactly_pi_warns_and_reconstructs():
-    axis = np.array([0.36, -0.48, 0.8])
-    r = exp_so3(math.pi * axis)
-    with pytest.warns(NearPiAmbiguity):
-        x = log_so3(r)
-    assert np.linalg.norm(x) == pytest.approx(math.pi, abs=1e-9)
-    assert np.allclose(exp_so3(x), r, atol=1e-9)
+def test_exp_so3_of_log_sp1_is_the_rotation_of_the_quaternion():
+    rng = np.random.default_rng(3)
+    for i in range(2000):
+        q = rng.normal(size=4)
+        q[0] *= (1.0, 1e-6, 0.0)[i % 3]
+        q /= np.linalg.norm(q)
+        x = log_sp1(q)
+        assert np.linalg.norm(x) <= math.pi * (1.0 + 1e-15)
+        assert np.max(np.abs(exp_so3(x) - quat_to_rotmat(q))) <= 2e-15
 
 
 def test_dexp_so3_matches_finite_differences():
