@@ -50,6 +50,10 @@ from .lgt import apply_lgt_stacked, combo, combo_dpsi_inv, require_compatible
 
 _RCOND_LIMIT = 1.0e-12
 
+# The multipliers of every unconstrained solve: one shared, read-only array.
+_NO_MULTIPLIERS = np.zeros(0)
+_NO_MULTIPLIERS.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class MbsState:
@@ -97,14 +101,15 @@ def solve_kkt(model, qs, v, t):
     (a list of floats) and time t.
 
     Returns (Vdot, lam): Vdot a list of floats, lam an array from
-    :func:`least_norm` with W = M^-1, empty for unconstrained models, whose
-    Vdot is the model's apply_mass_inverse(Q). SingularKkt from the gate on
+    :func:`least_norm` with W = M^-1. For unconstrained models lam is one
+    shared empty read-only array and Vdot is the model's
+    apply_mass_inverse(Q). SingularKkt from the gate on
     the Schur complement A M^-1 A^T (redundant constraints or a singular
     configuration).
     """
     q = model.forces(qs, v, t)
     if model.n_constraints == 0:
-        return model.apply_mass_inverse(q), np.zeros(0)
+        return model.apply_mass_inverse(q), _NO_MULTIPLIERS
 
     m_inv = model.mass_inverse
     m_inv_q = m_inv @ np.asarray(q, dtype=float)
@@ -158,9 +163,8 @@ def local_rhs(model, cmb, qs_k, x, v, t):
     of the configuration still can.
     """
     cmb = combo(cmb)
-    require_compatible(
-        f"combo {cmb.id}", cmb.abs_kind, cmb.group_model, model, qs_k
-    )
+    # The combo is its own label, formatted only if the check raises.
+    require_compatible(cmb, cmb.abs_kind, cmb.group_model, model, qs_k)
     neg_x = [-c for c in x]
     if any(neg_x):
         qs = _OnFirstRead(lambda: apply_lgt_stacked(cmb, qs_k, x), len(qs_k))

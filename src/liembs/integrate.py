@@ -48,7 +48,6 @@ from .lgt import (
     QUAT_POS,
     apply_lgt_stacked,
     combo,
-    quat_norm_error,
     quat_pos,
     require_compatible,
 )
@@ -112,11 +111,14 @@ class IntegratorConfig:
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise InvalidConfig("t_end", "t_end must be finite and nonnegative")
         step_count(self.t_end, self.h)
-        if not self.projection_tol > 0.0:
-            raise InvalidConfig("projection_tol", "projection_tol must be positive")
-        if self.projection_max_iter < 1:
+        if not (math.isfinite(self.projection_tol) and self.projection_tol > 0.0):
             raise InvalidConfig(
-                "projection_max_iter", "projection_max_iter must be at least 1"
+                "projection_tol", "projection_tol must be positive and finite"
+            )
+        max_iter = self.projection_max_iter
+        if type(max_iter) is bool or not isinstance(max_iter, int) or max_iter < 1:
+            raise InvalidConfig(
+                "projection_max_iter", "projection_max_iter must be an integer >= 1"
             )
         if self.scheme != BASELINE_QUAT_RK4:
             combo(self.combo)  # InvalidConfig naming combo on an unknown id
@@ -327,17 +329,13 @@ def project(model, cmb, state, tol, max_iter):
         # A dpsi(0) dX, and dpsi(0) is diagonal, the inverse of chart_scale.
         a_chart = model.jacobian(qs) / np.tile(cmb.chart_scale, model.n_bodies)
         dx, _ = least_norm(a_chart, a_chart.T, -g, "chart-scaled A A^T")
-        qs = apply_lgt_stacked(cmb, qs, dx)
+        qs = apply_lgt_stacked(cmb, qs, dx.tolist())
 
     a = model.jacobian(qs)
     correction, _ = least_norm(a, a.T, a @ state.V, "velocity projection A A^T")
     v = state.V - correction
     gvnorm = float(np.max(np.abs(a @ v)))
     return MbsState(tuple(qs), v, state.t), (gnorm, gvnorm)
-
-
-def _coords_row(qs):
-    return np.concatenate([part for q in qs for part in (q.rot, q.r)])
 
 
 def integrate(model, config, state0):
@@ -347,6 +345,9 @@ def integrate(model, config, state0):
     residuals below 1e-10). Failures inside a step (a LiembsError, an
     ArithmeticError or a ValueError, which includes numpy's LinAlgError)
     are re-raised as StepFailed with the step index and time attached.
+
+    The record is one float block with a row per step, written from one
+    list; the fields of the TrajectoryRecord are views of its columns.
     """
     label, abs_kind, group_model = scheme_kinds(config)
     require_compatible(label, abs_kind, group_model, model, state0.qs)
@@ -360,17 +361,13 @@ def integrate(model, config, state0):
         )
 
     n_steps = step_count(config.t_end, config.h)
-    n_records = n_steps + 1
     n_bodies = model.n_bodies
-
+    # Columns: t, each body's (rot, r), V, energy, gnorm, gvnorm, and the
+    # quaternion drift of each body for quaternion coordinates.
+    n_q = sum(q.rot.size + q.r.size for q in state0.qs)
+    e = 1 + n_q + 6 * n_bodies
     try:
-        t_arr = np.empty(n_records)
-        q_arr = np.empty((n_records, _coords_row(state0.qs).size))
-        v_arr = np.empty((n_records, 6 * n_bodies))
-        e_arr = np.empty(n_records)
-        g_arr = np.empty(n_records)
-        gv_arr = np.empty(n_records)
-        qn_arr = np.zeros((n_records, n_bodies)) if quat_diag else None
+        block = np.empty((n_steps + 1, e + 3 + (n_bodies if quat_diag else 0)))
     # numpy raises ValueError for a shape past its index range and
     # MemoryError for one within it that the host cannot hold.
     except (ValueError, MemoryError) as exc:
@@ -381,22 +378,27 @@ def integrate(model, config, state0):
     state = state0
 
     def _record(k, drift=None, residuals=None):
-        t_arr[k] = state.t
-        q_arr[k] = _coords_row(state.qs)
-        v_arr[k] = state.V
-        e_arr[k] = model.energy(state.qs, state.V)
+        row = [state.t]
+        norms = []
+        for q in state.qs:
+            rot = q.rot.tolist()
+            row += rot
+            row += q.r.tolist()
+            if quat_diag and drift is None:
+                a, b, c, d = rot
+                norms.append(abs(math.sqrt(a * a + b * b + c * c + d * d) - 1.0))
+        v = state.V.tolist()
+        row += v
+        row.append(model.energy(state.qs, v))
         if residuals is None:
             residuals = constraint_residuals(model, state)
-        g_arr[k], gv_arr[k] = residuals
-        if qn_arr is not None:
-            if drift is not None:
-                qn_arr[k] = drift
-            else:
-                qn_arr[k] = [abs(quat_norm_error(q)) for q in state.qs]
+        row += residuals
+        row += norms if drift is None else drift
+        block[k] = row
 
     _record(0, residuals=(gnorm0, gvnorm0))
-    if not math.isfinite(e_arr[0]):
-        raise InconsistentState(f"initial energy {e_arr[0]} is not finite")
+    if not math.isfinite(block[0, e]):
+        raise InconsistentState(f"initial energy {block[0, e]} is not finite")
     for k in range(n_steps):
         try:
             state, drift, residuals = step(model, config, state)
@@ -407,13 +409,13 @@ def integrate(model, config, state0):
         _record(k + 1, drift, residuals)
 
     return TrajectoryRecord(
-        t=t_arr,
-        q=q_arr,
-        v=v_arr,
-        energy=e_arr,
-        gnorm=g_arr,
-        gvnorm=gv_arr,
-        qnorm_err=qn_arr,
+        t=block[:, 0],
+        q=block[:, 1 : 1 + n_q],
+        v=block[:, 1 + n_q : e],
+        energy=block[:, e],
+        gnorm=block[:, e + 1],
+        gvnorm=block[:, e + 2],
+        qnorm_err=block[:, e + 3 :] if quat_diag else None,
         final_state=state,
         scheme=config.scheme,
         combo_id=None

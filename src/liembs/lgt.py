@@ -46,8 +46,11 @@ from .motiongroups import (
     dexp_inv_se3_action,
     exp_dp,
     exp_se3,
+    se3_translation,
+    transform_point,
 )
 from .rotmaps import (
+    _floats,
     bch_so3,
     cay_so3,
     compose_axisangle_rodrigues,
@@ -175,6 +178,9 @@ class LgtCombo:
     dpsi_inv: object
     chart_scale: tuple
 
+    def __str__(self):
+        return f"combo {self.id}"
+
 
 def _make_combos():
     rows = {"1": QUAT_POS, "2": AXIS_ANGLE_POS}
@@ -213,7 +219,9 @@ def combo(combo_id):
 
 def require_compatible(label, abs_kind, group_model, model, qs):
     """Raise VariantMismatch unless the model's twists are group_model and
-    every body's coordinates in qs are abs_kind, as the scheme label needs."""
+    every body's coordinates in qs are abs_kind, as the scheme label needs.
+    label is formatted with str() only in the message of a raise, so an
+    LgtCombo serves as its own label ("combo 1a")."""
     if model.group_model != group_model:
         raise VariantMismatch(
             f"{label} uses {group_model} twists but the model is built for "
@@ -237,8 +245,9 @@ def apply_lgt(cmb, q, x):
     cmb is an LgtCombo (or id string), q the body's AbsCoords (its kind
     must match the combo, else VariantMismatch), x the 6-vector of local
     coordinates (rotation part first). Returns new AbsCoords; q is not
-    modified. Rotation-vector coordinates raise CompoundAnglePi when the
-    composed angle comes near 2*pi.
+    modified. x is read once into six Python floats, and the new position
+    is computed in floats. Rotation-vector coordinates raise CompoundAnglePi
+    when the composed angle comes near 2*pi.
     """
     if not isinstance(cmb, LgtCombo):
         cmb = combo(cmb)
@@ -247,9 +256,8 @@ def apply_lgt(cmb, q, x):
             f"combo {cmb.id} needs {cmb.abs_kind} absolute coordinates, "
             f"got {q.kind}"
         )
-    x = np.asarray(x, dtype=float)
-    rot_local = x[:3]
-    trans_local = x[3:]
+    x0, x1, x2, y0, y1, y2 = _floats(x)
+    rot_local = (x0, x1, x2)
 
     # tau_R. The quaternion product keeps the unit norm without
     # renormalization; the rotation-vector compositions wrap to the pi-ball.
@@ -265,27 +273,27 @@ def apply_lgt(cmb, q, x):
 
     # tau_T. Mixed twists carry an inertial-frame position increment, the
     # SE(3) charts a body-frame displacement that R(q) turns into one; it is
-    # the translation of exp_se3 / cay_se3, computed by the same expression.
+    # the translation of exp_se3 / cay_se3, computed by the same helper.
     if cmb.group_model == DIRECT_PRODUCT:
-        r_new = q.r + trans_local
+        r0, r1, r2 = q.r.tolist()
+        r_new = (r0 + y0, r1 + y1, r2 + y2)
     else:
-        if cmb.chart == "exp":
-            dr_body = dexp_so3(rot_local) @ trans_local
-        else:
-            dr_body = trans_local + cay_so3(rot_local) @ trans_local
-        rot, _ = alpha_map(q)
-        r_new = q.r + rot @ dr_body
-    return AbsCoords(cmb.abs_kind, rot_new, r_new)
+        rot_map = dexp_so3(rot_local) if cmb.chart == "exp" else cay_so3(rot_local)
+        dr_body = se3_translation(cmb.chart, rot_map, (y0, y1, y2))
+        rot, r = alpha_map(q)
+        r_new = transform_point(rot.tolist(), r.tolist(), dr_body)
+    return AbsCoords(cmb.abs_kind, rot_new, np.array(r_new))
 
 
 def apply_lgt_stacked(cmb, qs, x_stacked):
     """Apply the transition map body by body over a stacked state.
 
-    qs is a sequence of AbsCoords, x_stacked a 6N-vector; the map is
+    qs is a sequence of AbsCoords, x_stacked the 6N local coordinates (a
+    list of floats, or an array read once into one); the map is
     block-diagonal over bodies by construction.
     """
     cmb = combo(cmb)
-    x_stacked = np.asarray(x_stacked, dtype=float)
+    x_stacked = _floats(x_stacked)
     return [
         apply_lgt(cmb, qi, x_stacked[6 * i : 6 * i + 6])
         for i, qi in enumerate(qs)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lgt import alpha_map
-from .motiongroups import DIRECT_PRODUCT, GROUP_MODELS, SEMIDIRECT
+from .motiongroups import DIRECT_PRODUCT, GROUP_MODELS, SEMIDIRECT, transform_point
 from .rotmaps import _floats, cross3, hat
 
 
@@ -39,17 +39,6 @@ def _vec3(value, name):
     if out.shape != (3,) or not np.isfinite(out).all():
         raise ValueError(f"{name} must be three finite numbers, got {value!r}")
     return tuple(out.tolist())
-
-
-def _point(rot, r, p):
-    """r + R p as three floats, R given as three rows of floats."""
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
-    p0, p1, p2 = p
-    return (
-        r[0] + (r00 * p0 + r01 * p1 + r02 * p2),
-        r[1] + (r10 * p0 + r11 * p1 + r12 * p2),
-        r[2] + (r20 * p0 + r21 * p1 + r22 * p2),
-    )
 
 
 def _curvature(rot, p, vi, semidirect):
@@ -277,8 +266,8 @@ class SphericalJointSystem:
         poses = [[part.tolist() for part in alpha_map(q)] for q in qs]
         out = []
         for a, p_a, b, p_b in self._joint_points:
-            x0, x1, x2 = _point(*poses[a], p_a)
-            y0, y1, y2 = p_b if b is None else _point(*poses[b], p_b)
+            x0, x1, x2 = transform_point(*poses[a], p_a)
+            y0, y1, y2 = p_b if b is None else transform_point(*poses[b], p_b)
             out += (x0 - y0, x1 - y1, x2 - y2)
         return np.array(out)
 
@@ -325,17 +314,36 @@ class SphericalJointSystem:
         return np.array(out)
 
     def energy(self, qs, v):
-        """Kinetic plus gravitational potential energy."""
-        v = np.asarray(v, dtype=float)
-        total = 0.5 * float(v @ (self.mass_matrix @ v))
+        """Kinetic plus gravitational potential energy, in closed form per
+        body: (omega^T Theta_c omega + m |v + omega x s|^2) / 2 for
+        body-fixed twists, (omega^T Theta_c omega + m |rdot|^2) / 2 for mixed
+        ones, less m g.(r + R s). Only a body with s != 0 reads its pose. v
+        is a list of floats or an array."""
+        v = _floats(v)
+        semidirect = self.group_model == SEMIDIRECT
+        kinetic = potential = 0.0
         for i, params in enumerate(self.bodies):
-            if not any(params.com_offset):
-                com = qs[i].r  # r + R 0 exactly: no pose needed
-            else:
+            w0, w1, w2, u0, u1, u2 = v[6 * i : 6 * i + 6]
+            j0, j1, j2 = params.inertia
+            s = params.com_offset
+            if semidirect:
+                s0, s1, s2 = s
+                u0 += w1 * s2 - w2 * s1
+                u1 += w2 * s0 - w0 * s2
+                u2 += w0 * s1 - w1 * s0
+            m = params.mass
+            kinetic += (
+                j0 * w0 * w0 + j1 * w1 * w1 + j2 * w2 * w2
+                + m * (u0 * u0 + u1 * u1 + u2 * u2)
+            )
+            if any(s):
                 rot, r = alpha_map(qs[i])
-                com = r + rot @ params.com_offset
-            total -= params.mass * float(params.gravity @ com)
-        return total
+                c0, c1, c2 = transform_point(rot.tolist(), r.tolist(), s)
+            else:
+                c0, c1, c2 = qs[i].r.tolist()  # r + R 0 exactly: no pose needed
+            g0, g1, g2 = params.gravity
+            potential += m * (g0 * c0 + g1 * c1 + g2 * c2)
+        return 0.5 * kinetic - potential
 
     def angular_momentum(self, qs, v):
         """Spatial angular momentum about the world origin."""

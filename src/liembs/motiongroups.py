@@ -39,6 +39,7 @@ import numpy as np
 
 from .rotmaps import (
     _b_quartic,
+    _floats,
     cay_so3,
     dexp_inv_so3_coefficients,
     dexp_so3,
@@ -61,15 +62,41 @@ def _matrix_of(action, x):
     return np.array([action(x, e) for e in _UNIT_TWISTS]).T
 
 
+def transform_point(rot, r, p):
+    """r + R p as three floats, R given as three rows of floats."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
+    p0, p1, p2 = p
+    return (
+        r[0] + (r00 * p0 + r01 * p1 + r02 * p2),
+        r[1] + (r10 * p0 + r11 * p1 + r12 * p2),
+        r[2] + (r20 * p0 + r21 * p1 + r22 * p2),
+    )
+
+
+def se3_translation(chart, rot_map, y):
+    """The translation of :func:`exp_se3` (chart "exp", rot_map =
+    dexp_so3(x)) or of :func:`cay_se3` (chart "cay", rot_map = cay_so3(c))
+    at the linear part y, as three floats: rot_map y, plus y for Cayley.
+    The transition map moves a body by the same expression."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rot_map.tolist()
+    y0, y1, y2 = y
+    t0 = m00 * y0 + m01 * y1 + m02 * y2
+    t1 = m10 * y0 + m11 * y1 + m12 * y2
+    t2 = m20 * y0 + m21 * y1 + m22 * y2
+    if chart == "cay":
+        return y0 + t0, y1 + t1, y2 + t2
+    return t0, t1, t2
+
+
 def exp_se3(xy):
     """Exponential map on SE(3) in screw coordinates, as a (R, r) pair.
 
     The translation column is dexp_so3(x) @ y, which reduces to y itself
     for x = 0.
     """
-    xy = np.asarray(xy, dtype=float)
+    xy = _floats(xy)
     x = xy[:3]
-    return exp_so3(x), dexp_so3(x) @ xy[3:]
+    return exp_so3(x), np.array(se3_translation("exp", dexp_so3(x), xy[3:]))
 
 
 def _b_entries(x, y, quad):
@@ -128,10 +155,9 @@ def dexp_inv_se3(xy):
 
 def cay_se3(cd):
     """Cayley map on SE(3) in extended Rodrigues coordinates, as (R, r)."""
-    cd = np.asarray(cd, dtype=float)
-    d = cd[3:]
+    cd = _floats(cd)
     r = cay_so3(cd[:3])
-    return r, d + r @ d
+    return r, np.array(se3_translation("cay", r, cd[3:]))
 
 
 def dcay_inv_se3_action(cd, v):

@@ -514,3 +514,15 @@ def matrix_adotv(model, qs, v):
                 model, qs[b].pose[0], p_b, v[6 * b : 6 * b + 6]
             )
     return out
+
+
+def dense_energy(model, qs, v):
+    """Energy of a SphericalJointSystem from its dense mass matrix:
+    V^T M V / 2 less m g.(r + R s) per body, s the com_offset."""
+    v = np.asarray(v, dtype=float)
+    total = 0.5 * float(v @ (model.mass_matrix @ v))
+    for q, params in zip(qs, model.bodies):
+        rot, r = q.pose
+        com = r + rot @ np.asarray(params.com_offset, dtype=float)
+        total -= params.mass * float(np.asarray(params.gravity, dtype=float) @ com)
+    return total

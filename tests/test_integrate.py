@@ -12,6 +12,7 @@ from liembs.dynamics import constraint_residuals, make_state, solve_kkt
 from liembs.errors import (
     ChartBoundary,
     InconsistentState,
+    InvalidConfig,
     NoConvergence,
     NonFiniteState,
     SingularKkt,
@@ -486,6 +487,24 @@ def test_config_validation():
     IntegratorConfig(BASELINE_QUAT_RK4)  # no combo needed
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        # A float count used to pass and fail the first projection with a
+        # raw TypeError; an infinite tolerance switched the projection off.
+        ("projection_max_iter", 1.5),
+        ("projection_max_iter", 20.0),
+        ("projection_max_iter", True),
+        ("projection_tol", math.inf),
+        ("projection_tol", math.nan),
+    ],
+)
+def test_config_names_a_bad_projection_setting(field, bad):
+    with pytest.raises(InvalidConfig) as info:
+        IntegratorConfig(MUNTHE_KAAS_RK4, "1a", **{field: bad})
+    assert info.value.field == field
+
+
 def test_pendulum_matches_small_oscillation_frequency():
     # Tiny-amplitude swing of a pinned body: the linearized frequency is
     # omega^2 = m g l / Theta_pivot about the pin axis.
@@ -654,6 +673,45 @@ def test_recorded_residuals_are_bitwise_those_of_the_recorded_state(scenario, ci
     for k in range(len(rec)):
         got = (rec.gnorm[k], rec.gvnorm[k])
         assert got == constraint_residuals(model, _recorded_state(model, rec, k)), k
+
+
+@pytest.mark.parametrize(
+    "scenario, scheme",
+    [(name, cid) for name in ("free_tumble.json", "chain_swing.json") for cid in COMBO_IDS]
+    + [("free_tumble.json", BASELINE_QUAT_RK4)],
+)
+def test_each_record_row_holds_the_energy_and_drift_of_its_state(scenario, scheme):
+    root = Path(__file__).resolve().parent.parent
+    loaded = load_scenario(root / "scenarios" / scenario)
+    baseline = scheme == BASELINE_QUAT_RK4
+    kwargs = {"scheme": scheme} if baseline else {"combo_id": scheme}
+    model, state, cfg = loaded.build(t_end=20 * loaded.h, **kwargs)
+    rec = integrate(model, cfg, state)
+    n, n_bodies = 21, model.n_bodies
+    quat = state.qs[0].kind == QUAT_POS
+    width = 7 if quat else 6
+    shapes = [rec.t.shape, rec.q.shape, rec.v.shape, rec.energy.shape]
+    assert shapes == [(n,), (n, width * n_bodies), (n, 6 * n_bodies), (n,)]
+    assert rec.gnorm.shape == rec.gvnorm.shape == (n,)
+    fields = [rec.t, rec.q, rec.v, rec.energy, rec.gnorm, rec.gvnorm]
+    if quat:
+        assert rec.qnorm_err.shape == (n, n_bodies)
+        fields.append(rec.qnorm_err)
+    else:
+        assert rec.qnorm_err is None
+    assert all(field.dtype == np.float64 for field in fields)
+    for k in range(n):
+        recorded = _recorded_state(model, rec, k)
+        assert rec.energy[k] == model.energy(recorded.qs, recorded.V), k
+        if quat and not (baseline and k > 0):
+            # The record sums the squares in another order than
+            # quat_norm_error's dot product, so the norms may round one ulp
+            # apart. The baseline records its drift before renormalizing.
+            for i, q in enumerate(recorded.qs):
+                err = abs(rec.qnorm_err[k, i] - lgt.quat_norm_error(q))
+                assert err <= math.ulp(1.0), (k, i)
+    if baseline:
+        assert np.isfinite(rec.qnorm_err).all()
 
 
 @pytest.mark.parametrize(

@@ -220,6 +220,52 @@ def test_energy_values():
     assert model.energy([q], v) == pytest.approx(expected_kin - 9.81)
 
 
+def _energy_scale(model, qs, v):
+    """V^T M V / 2 plus each body's |m g.(r + R s)|: the size of the terms
+    the energy sums."""
+    v = np.asarray(v, dtype=float)
+    scale = 0.5 * float(v @ (model.mass_matrix @ v))
+    for q, params in zip(qs, model.bodies):
+        rot, r = q.pose
+        com = r + rot @ np.asarray(params.com_offset)
+        scale += abs(params.mass * float(np.asarray(params.gravity) @ com))
+    return scale
+
+
+_OFF_COM = BodyParams(
+    mass=2.0, inertia=(0.12, 0.1, 0.06), com_offset=(0.1, -0.2, -0.5)
+)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        pinned_body(_OFF_COM, (0.0, 0.0, 0.0), group_model=SEMIDIRECT),
+        free_rigid_body(
+            BodyParams(mass=1.5, inertia=(0.3, 0.5, 0.7), gravity=(0.5, -1.0, -9.81)),
+            DIRECT_PRODUCT,
+        ),
+        two_body_chain(
+            _OFF_COM,
+            BodyParams(mass=1.0, inertia=(0.05, 0.08, 0.1), com_offset=(0.0, 0.0, -0.4)),
+            ((0.0, 0.0, 0.5), (0.0, 0.0, -0.5), (0.0, 0.0, 0.4)),
+            group_model=SEMIDIRECT,
+        ),
+    ],
+    ids=["pinned_off_com_semidirect", "free_mixed_twists", "two_body_chain"],
+)
+def test_closed_form_energy_matches_the_dense_mass_matrix(model):
+    rng = np.random.default_rng(79)
+    for _ in range(50):
+        qs = [_random_q(rng) for _ in range(model.n_bodies)]
+        v = rng.normal(size=6 * model.n_bodies)
+        got = model.energy(qs, v)
+        want = oracles.dense_energy(model, qs, v)
+        assert abs(got - want) <= 1e-14 * _energy_scale(model, qs, v), (got, want)
+        assert type(got) is float
+        assert model.energy(qs, v.tolist()) == got
+
+
 def test_cross_representation_accelerations_agree():
     # The same physical state must produce the same world-frame
     # accelerations under body-fixed and mixed twists.

@@ -20,6 +20,7 @@ import liembs.dynamics
 import liembs.integrate
 from liembs.cli import load_scenario
 from liembs.lgt import COMBO_IDS
+from liembs.models import SphericalJointSystem
 
 _ROOT = Path(__file__).resolve().parent.parent
 _STEPS = 3
@@ -187,15 +188,18 @@ def test_a_projected_run_checks_residuals_once(monkeypatch, scenario, projected,
     assert counts["constraint_residuals"] == (1 if projected else 1 + _STEPS)
 
 
-def _require_floats(monkeypatch, seen, module, name, float_args):
-    """Check the calls made through the module global module.name: the
-    arguments at the positions float_args and every list it returns must
-    hold Python floats only, the form a step works in."""
+def _require_floats(monkeypatch, seen, module, name, float_args, results=True):
+    """Check the calls made through the module global module.name (or,
+    for a model class, its method): the arguments at the positions
+    float_args and, if results, every list it returns must hold Python
+    floats only, the form a step works in."""
     fn = getattr(module, name)
 
     def checked(*args):
         out = fn(*args)
         outs = list(out) if isinstance(out, tuple) else [out]
+        if not results:
+            outs = []
         for what, values in [(f"argument {i}", args[i]) for i in float_args] + [
             ("result", values) for values in outs if isinstance(values, list)
         ]:
@@ -229,3 +233,30 @@ def test_a_step_passes_python_floats_between_its_stages(monkeypatch, scenario, s
         assert seen == {"local_rhs": 0, "forward_dynamics": 4 * _STEPS}
     else:
         assert seen == {"local_rhs": 4 * _STEPS, "forward_dynamics": 0}
+
+
+@pytest.mark.parametrize(
+    "scenario, scheme",
+    [("free_tumble.json", cid) for cid in COMBO_IDS]
+    + [("chain_swing.json", cid) for cid in COMBO_IDS]
+    + [("free_tumble.json", "BaselineQuatRK4")],
+)
+def test_the_update_and_the_record_get_python_floats(monkeypatch, scenario, scheme):
+    # The step's update of the configuration and the projection's pass X
+    # to apply_lgt_stacked as floats, and the record passes V to the
+    # energy as floats: an array there would be converted back per body.
+    seen = {"apply_lgt_stacked": 0, "energy": 0}
+    _require_floats(
+        monkeypatch, seen, liembs.integrate, "apply_lgt_stacked", (2,), results=False
+    )
+    _require_floats(monkeypatch, seen, SphericalJointSystem, "energy", (2,))
+    loaded = load_scenario(_ROOT / "scenarios" / scenario)
+    baseline = scheme == "BaselineQuatRK4"
+    kwargs = {"scheme": scheme} if baseline else {"combo_id": scheme}
+    model, state, cfg = loaded.build(t_end=_STEPS * loaded.h, **kwargs)
+    liembs.integrate.integrate(model, cfg, state)
+    assert seen["energy"] == 1 + _STEPS
+    if baseline:
+        assert seen["apply_lgt_stacked"] == 0
+    else:
+        assert seen["apply_lgt_stacked"] >= _STEPS
