@@ -40,6 +40,7 @@ attributes ``n_bodies``, ``group_model``, ``mass_matrix``, ``mass_inverse``
 ``constraints(qs)``, ``jacobian(qs)``, ``adotv(qs, V)``, ``energy(qs, V)``.
 """
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -75,6 +76,15 @@ def make_state(qs, v, t=0.0):
     return MbsState(qs, v, float(t))
 
 
+def _inf_norm(x):
+    """max |x_i| of a nonempty float array as a float; NaN if an entry is
+    NaN, since a non-finite float sum defers to numpy, which propagates it."""
+    xs = x.tolist()
+    if math.isfinite(sum(xs)):
+        return max(map(abs, xs))
+    return float(np.max(np.abs(x)))
+
+
 def least_norm(a, w_at, rhs, what):
     """(W A^T lam, lam) with (A W A^T) lam = rhs, for w_at = W A^T and W
     symmetric positive definite: the one solve of every constraint
@@ -83,7 +93,8 @@ def least_norm(a, w_at, rhs, what):
     is not finite."""
     try:
         w, v = np.linalg.eigh(a @ w_at)
-        rcond = w[0] / w[-1] if w[-1] > 0 else 0.0
+        ws = w.tolist()
+        rcond = ws[0] / ws[-1] if ws[-1] > 0 else 0.0
     except np.linalg.LinAlgError:  # eigh does not converge on a NaN entry
         rcond = 0.0
     if not rcond >= _RCOND_LIMIT:  # the negated test catches NaN
@@ -91,7 +102,9 @@ def least_norm(a, w_at, rhs, what):
             f"{what} reciprocal condition {rcond:.3e} below {_RCOND_LIMIT:.0e}"
         )
     lam = v @ ((rhs @ v) / w)
-    if not np.isfinite(lam).all():
+    # A finite sum settles it; one that overflows checks entry by entry.
+    lams = lam.tolist()
+    if not (math.isfinite(sum(lams)) or all(map(math.isfinite, lams))):
         raise SingularKkt(f"{what} gave non-finite multipliers")
     return w_at @ lam, lam
 
@@ -112,7 +125,7 @@ def solve_kkt(model, qs, v, t):
         return model.apply_mass_inverse(q), _NO_MULTIPLIERS
 
     m_inv = model.mass_inverse
-    m_inv_q = m_inv @ np.asarray(q, dtype=float)
+    m_inv_q = m_inv @ q
     a = model.jacobian(qs)
     rhs = a @ m_inv_q + model.adotv(qs, v)
     correction, lam = least_norm(a, m_inv @ a.T, rhs, "Schur complement A M^-1 A^T")
@@ -183,4 +196,4 @@ def constraint_residuals(model, state):
         return 0.0, 0.0
     g = model.constraints(state.qs)
     gv = model.jacobian(state.qs) @ state.V
-    return float(np.max(np.abs(g))), float(np.max(np.abs(gv)))
+    return _inf_norm(g), _inf_norm(gv)

@@ -23,6 +23,7 @@ chart increments, followed by an exact orthogonal velocity projection.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ import numpy as np
 from .dynamics import (
     MbsState,
     _OnFirstRead,
+    _inf_norm,
     constraint_residuals,
     forward_dynamics,
     least_norm,
@@ -82,6 +84,20 @@ def step_count(t_end, h):
     return n
 
 
+def _real(field, value):
+    """value as a float; InvalidConfig naming field unless it is a real
+    number and not a bool, which would pass as 0 or 1. An int past the
+    float range reads as inf."""
+    if type(value) is bool or not isinstance(value, numbers.Real):
+        raise InvalidConfig(
+            field, f"{field} must be a number, not {type(value).__name__}"
+        )
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Everything a fixed-step run needs besides the model and the state."""
@@ -106,12 +122,15 @@ class IntegratorConfig:
                 f"unknown projection mode {self.projection!r}; "
                 f"expected one of {PROJECTION_MODES}",
             )
-        if not (math.isfinite(self.h) and self.h > 0.0):
+        h = _real("h", self.h)
+        if not (math.isfinite(h) and h > 0.0):
             raise InvalidConfig("h", "step size h must be positive and finite")
-        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
+        t_end = _real("t_end", self.t_end)
+        if not (math.isfinite(t_end) and t_end >= 0.0):
             raise InvalidConfig("t_end", "t_end must be finite and nonnegative")
         step_count(self.t_end, self.h)
-        if not (math.isfinite(self.projection_tol) and self.projection_tol > 0.0):
+        tol = _real("projection_tol", self.projection_tol)
+        if not (math.isfinite(tol) and tol > 0.0):
             raise InvalidConfig(
                 "projection_tol", "projection_tol must be positive and finite"
             )
@@ -317,7 +336,7 @@ def project(model, cmb, state, tol, max_iter):
 
     for iteration in range(max_iter + 1):
         g = model.constraints(qs)
-        gnorm = float(np.max(np.abs(g)))
+        gnorm = _inf_norm(g)
         if gnorm < tol:
             break
         if iteration == max_iter:
@@ -334,7 +353,7 @@ def project(model, cmb, state, tol, max_iter):
     a = model.jacobian(qs)
     correction, _ = least_norm(a, a.T, a @ state.V, "velocity projection A A^T")
     v = state.V - correction
-    gvnorm = float(np.max(np.abs(a @ v)))
+    gvnorm = _inf_norm(a @ v)
     return MbsState(tuple(qs), v, state.t), (gnorm, gvnorm)
 
 

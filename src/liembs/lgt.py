@@ -319,9 +319,3 @@ def identity_coords(kind):
         return AbsCoords(AXIS_ANGLE_POS, np.zeros(3), np.zeros(3))
     raise ValueError(f"unknown absolute-coordinate kind {kind!r}")
 
-
-def quat_norm_error(q):
-    """|‖Q‖ - 1| for quaternion coordinates, NaN for other kinds."""
-    if q.kind != QUAT_POS:
-        return math.nan
-    return abs(math.sqrt(float(q.rot @ q.rot)) - 1.0)

@@ -99,52 +99,42 @@ def exp_se3(xy):
     return exp_so3(x), np.array(se3_translation("exp", dexp_so3(x), xy[3:]))
 
 
-def _b_entries(x, y, quad):
-    """Row-major entries of the lower-left block of :func:`dexp_inv_se3`,
-
-        -hat(y)/2 + quad*(hat(x) hat(y) + hat(y) hat(x)) + (x.y) b4 hat(x)**2,
-
-    linear in y, with hat(x) hat(y) = y x^T - (x.y) I and b4 = _b_quartic."""
-    x0, x1, x2 = x
-    y0, y1, y2 = y
-    phi2 = x0 * x0 + x1 * x1 + x2 * x2
-    xy = x0 * y0 + x1 * y1 + x2 * y2
-    s = xy * _b_quartic(math.sqrt(phi2))
-    q2 = 2.0 * quad
-    e = -(q2 * xy + s * phi2)
-    m01 = quad * (x0 * y1 + y0 * x1) + s * x0 * x1
-    m02 = quad * (x0 * y2 + y0 * x2) + s * x0 * x2
-    m12 = quad * (x1 * y2 + y1 * x2) + s * x1 * x2
-    hy0 = 0.5 * y0
-    hy1 = 0.5 * y1
-    hy2 = 0.5 * y2
-    return (
-        e + q2 * x0 * y0 + s * x0 * x0, m01 + hy2, m02 - hy1,
-        m01 - hy2, e + q2 * x1 * y1 + s * x1 * x1, m12 + hy0,
-        m02 + hy1, m12 - hy0, e + q2 * x2 * y2 + s * x2 * x2,
-    )
-
-
 def dexp_inv_se3_action(xy, v):
     """Inverse right-trivialized differential of :func:`exp_se3` at xy acting
     on the twist v, as six floats; xy and v are six floats each.
 
     The matrix is block lower-triangular with dexp_inv_so3(x) on both
-    diagonal blocks and the y-linear B block of :func:`_b_entries` in the
-    lower left. Raises :class:`ChartBoundary` (through
+    diagonal blocks and, in the lower left, the y-linear block
+
+        B = -hat(y)/2 + quad*(hat(x) hat(y) + hat(y) hat(x)) + s*hat(x)**2,
+
+    s = (x.y) _b_quartic(phi), which acts on w as
+    ``-(y x w)/2 + quad*(y (x.w) + x (y.w) - 2 (x.y) w) + s*(x (x.w) - phi**2 w)``.
+    At xy = 0, the restart of every step, the map is the identity; at x = 0
+    alone it is not (B = -hat(y)/2). Raises :class:`ChartBoundary` (through
     dexp_inv_so3_coefficients) at ``||x|| >= 2*pi``.
     """
-    x, y = xy[:3], xy[3:]
-    w = v[:3]
+    x0, x1, x2, y0, y1, y2 = xy
+    w0, w1, w2, u0, u1, u2 = v
+    if not (x0 or x1 or x2 or y0 or y1 or y2):
+        return w0, w1, w2, u0, u1, u2
+    x = (x0, x1, x2)
+    w = (w0, w1, w2)
     d, quad = dexp_inv_so3_coefficients(x)
-    b = _b_entries(x, y, quad)
-    w0, w1, w2 = w
-    u0, u1, u2 = so3_poly_action(x, v[3:], d, -0.5, quad)
+    phi2 = x0 * x0 + x1 * x1 + x2 * x2
+    xw = x0 * w0 + x1 * w1 + x2 * w2
+    yw = y0 * w0 + y1 * w1 + y2 * w2
+    xdy = x0 * y0 + x1 * y1 + x2 * y2
+    s = xdy * _b_quartic(math.sqrt(phi2))
+    ky = quad * xw
+    kx = quad * yw + s * xw
+    e = -(2.0 * quad * xdy + s * phi2)
+    a0, a1, a2 = so3_poly_action(x, (u0, u1, u2), d, -0.5, quad)
     return (
         *so3_poly_action(x, w, d, -0.5, quad),
-        u0 + b[0] * w0 + b[1] * w1 + b[2] * w2,
-        u1 + b[3] * w0 + b[4] * w1 + b[5] * w2,
-        u2 + b[6] * w0 + b[7] * w1 + b[8] * w2,
+        a0 + (e * w0 + ky * y0 + kx * x0 - 0.5 * (y1 * w2 - y2 * w1)),
+        a1 + (e * w1 + ky * y1 + kx * x1 - 0.5 * (y2 * w0 - y0 * w2)),
+        a2 + (e * w2 + ky * y2 + kx * x2 - 0.5 * (y0 * w1 - y1 * w0)),
     )
 
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon
 
+from liembs.lgt import QUAT_POS
 from liembs.motiongroups import (
     _b_quartic,
     _matrix_of,
@@ -526,3 +527,13 @@ def dense_energy(model, qs, v):
         com = r + rot @ np.asarray(params.com_offset, dtype=float)
         total -= params.mass * float(np.asarray(params.gravity, dtype=float) @ com)
     return total
+
+
+def quat_norm_error(q):
+    """|‖Q‖ - 1| for quaternion coordinates, NaN for other kinds: the
+    quaternion drift the integration record holds, from the same float sum
+    of squares."""
+    if q.kind != QUAT_POS:
+        return math.nan
+    a, b, c, d = q.rot.tolist()
+    return abs(math.sqrt(a * a + b * b + c * c + d * d) - 1.0)

@@ -180,6 +180,16 @@ def test_least_norm_solves_a_well_conditioned_gram():
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def test_least_norm_checks_each_multiplier_when_their_sum_overflows():
+    # Finite multipliers whose float sum overflows pass; a NaN one raises.
+    a = np.hstack([np.eye(3), np.zeros((3, 3))])
+    correction, lam = least_norm(a, a.T, np.full(3, 1e308), "test gram")
+    assert lam.tolist() == [1e308] * 3
+    assert correction.tolist() == [1e308] * 3 + [0.0] * 3
+    with pytest.raises(SingularKkt, match="test gram gave non-finite multipliers"):
+        least_norm(a, a.T, np.array([1.0, math.nan, 1.0]), "test gram")
+
+
 @pytest.mark.parametrize("group", [SEMIDIRECT, DIRECT_PRODUCT])
 def test_schur_solve_matches_dense_saddle_solve(group):
     # The direct-product model needs body frames at the centres of mass.

@@ -108,6 +108,22 @@ def test_dexp_inv_se3_small_angle_limit():
     assert np.allclose(m[:3, :3], np.eye(3))
 
 
+def test_dexp_inv_se3_action_is_the_identity_at_xy_zero_only():
+    # Every step restarts the chart at X = 0, where the action returns v
+    # exactly; at x = 0 alone the lower-left block -hat(y)/2 remains.
+    rng = np.random.default_rng(25)
+    y = rng.standard_normal(3).tolist()
+    for _ in range(20):
+        v = rng.standard_normal(6).tolist()
+        for zero in ([0.0] * 6, [-0.0, 0.0, -0.0, 0.0, -0.0, -0.0]):
+            got = dexp_inv_se3_action(zero, v)
+            assert list(got) == v and all(type(g) is float for g in got)
+        w, u = v[:3], v[3:]
+        want = w + (np.array(u) - 0.5 * np.cross(y, w)).tolist()
+        got = dexp_inv_se3_action([0.0] * 3 + y, v)
+        oracles.assert_close_to_scale(got, want, 1e-15)
+
+
 def test_dexp_inv_se3_continuous_at_series_switch():
     # The B-block coefficients change branch at ||x|| = 1e-3; the assembled
     # matrix must not jump there.

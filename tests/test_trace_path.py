@@ -125,6 +125,32 @@ def test_each_step_calls_local_rhs_4_times_and_dpsi_inv_4n_times(
     }
 
 
+@pytest.mark.parametrize("cid", ["1a", "2a"])
+@pytest.mark.parametrize(
+    "scenario, n_bodies",
+    [("free_tumble.json", 1), ("chain_swing.json", 2)],
+    ids=["free_body", "two_body_chain"],
+)
+def test_the_first_stage_of_each_step_gives_dpsi_inv_a_zero_x(
+    monkeypatch, scenario, n_bodies, cid
+):
+    # The SE(3) exponential action returns V unchanged at X = 0, which each
+    # body's first call of a step meets because the chart restarts there.
+    zero_x = []
+    fn = liembs.dynamics.combo_dpsi_inv
+
+    def recorded(cmb, x, v):
+        zero_x.append(not any(x))
+        return fn(cmb, x, v)
+
+    monkeypatch.setattr(liembs.dynamics, "combo_dpsi_inv", recorded)
+    loaded = load_scenario(_ROOT / "scenarios" / scenario)
+    model, state, cfg = loaded.build(combo_id=cid, t_end=_STEPS * loaded.h)
+    assert model.n_bodies == n_bodies
+    liembs.integrate.integrate(model, cfg, state)
+    assert zero_x == ([True] * n_bodies + [False] * 3 * n_bodies) * _STEPS
+
+
 def test_a_baseline_step_calls_forward_dynamics_4_times_and_poses_its_result_once(
     monkeypatch,
 ):
