@@ -17,8 +17,23 @@ definite system
 
 solved in :func:`least_norm` (one eigendecomposition), which the projection
 reuses. Without constraints Vdot = M^-1 Q, which the model applies body
-by body in floats. The state derivative is then
-rewritten in the local chart coordinates of a transition-map combo:
+by body in floats.
+
+When every joint holds a body to the ground the geometry makes the Schur
+complement constant up to rotations: A M^-1 A^T = F K F^T, with
+F = blockdiag(R_a) over the joints' bodies and K a constant the model
+factors once (its ``ground_schur``). The multipliers are then solved in
+joint frames in floats, lam~ = K^-1 r~ with r~_j = R_a^T (A M^-1 Q +
+adotv)_j, which is (u_v + u_w x p) + w x (v + w x p) for body-fixed twists
+and u_w x p + R_a^T u_v + w x (w x p) for mixed ones (u = M^-1 Q); then
+lam_j = R_a lam~_j and Vdot = u - M^-1 A^T lam, with no Jacobian, eigh or
+6N x 6N product per stage. K's eigenvalues are those of A M^-1 A^T, so
+the gate is the same ratio, computed once. A system with a joint between
+two bodies, whose Schur complement couples bodies through their relative
+rotation, keeps the dense path through :func:`least_norm`.
+
+The state derivative is then rewritten in the local chart coordinates of a
+transition-map combo:
 
     qdot  -> Xdot = dpsi_inv(-X) V   (per body)
     Vdot  -> from the saddle system evaluated at q = apply_lgt(combo, q_k, X)
@@ -30,26 +45,38 @@ poses the previous step has already built. The inverse differential enters
 only through its action on the twist: ``combo_dpsi_inv(combo, -X_i, V_i)``
 is a float expression per body, and no 6x6 matrix is formed during a step.
 
-A stage works on lists of Python floats. numpy enters only in the
-constrained solve, which converts Q once and returns Vdot with one tolist.
+A stage works on lists of Python floats. numpy enters only in the dense
+constrained solve, which converts Q once and returns Vdot with one tolist,
+and in the array of multipliers the joint-frame solve returns.
 
 Models are duck-typed; see :mod:`liembs.models` for the interface in use:
 attributes ``n_bodies``, ``group_model``, ``mass_matrix``, ``mass_inverse``
 (the inverse of ``mass_matrix``), ``n_constraints`` and methods
 ``forces(qs, V, t)`` and ``apply_mass_inverse(Q)`` (lists of floats),
 ``constraints(qs)``, ``jacobian(qs)``, ``adotv(qs, V)``, ``energy(qs, V)``.
+The attribute ``ground_schur``, the factor above, is optional: it is read
+with a None default, and a model without it takes the dense path.
 """
 
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from .errors import SingularKkt
-from .lgt import apply_lgt_stacked, combo, combo_dpsi_inv, require_compatible
+from .lgt import (
+    alpha_map,
+    apply_lgt_stacked,
+    combo,
+    combo_dpsi_inv,
+    require_compatible,
+)
+from .motiongroups import SEMIDIRECT
 
 _RCOND_LIMIT = 1.0e-12
+_SCHUR = "Schur complement A M^-1 A^T"
 
 # The multipliers of every unconstrained solve: one shared, read-only array.
 _NO_MULTIPLIERS = np.zeros(0)
@@ -85,50 +112,131 @@ def _inf_norm(x):
     return float(np.max(np.abs(x)))
 
 
-def least_norm(a, w_at, rhs, what):
-    """(W A^T lam, lam) with (A W A^T) lam = rhs, for w_at = W A^T and W
-    symmetric positive definite: the one solve of every constraint
-    correction, on one eigh V diag(w) V^T of A W A^T. SingularKkt naming
-    what when its reciprocal condition w_min / w_max is below 1e-12 or lam
-    is not finite."""
+def _eigh_rcond(gram):
+    """(w, v, rcond): the eigh V diag(w) V^T of a symmetric gram and its
+    reciprocal condition w_min / w_max as a float, 0 when w_max is not
+    positive (a zero or non-finite gram) or when eigh fails (on a NaN
+    entry; w and v are then None). An indefinite gram gives a negative
+    ratio."""
     try:
-        w, v = np.linalg.eigh(a @ w_at)
-        ws = w.tolist()
-        rcond = ws[0] / ws[-1] if ws[-1] > 0 else 0.0
-    except np.linalg.LinAlgError:  # eigh does not converge on a NaN entry
-        rcond = 0.0
+        w, v = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError:
+        return None, None, 0.0
+    ws = w.tolist()
+    return w, v, ws[0] / ws[-1] if ws[-1] > 0 else 0.0
+
+
+def _require_rcond(rcond, what):
+    """SingularKkt naming what unless rcond is at least 1e-12."""
     if not rcond >= _RCOND_LIMIT:  # the negated test catches NaN
         raise SingularKkt(
             f"{what} reciprocal condition {rcond:.3e} below {_RCOND_LIMIT:.0e}"
         )
-    lam = v @ ((rhs @ v) / w)
-    # A finite sum settles it; one that overflows checks entry by entry.
-    lams = lam.tolist()
-    if not (math.isfinite(sum(lams)) or all(map(math.isfinite, lams))):
+
+
+def _require_finite_multipliers(xs, what):
+    """SingularKkt naming what unless every float in xs is finite: a finite
+    sum settles it, and one that overflows checks entry by entry."""
+    if not (math.isfinite(sum(xs)) or all(map(math.isfinite, xs))):
         raise SingularKkt(f"{what} gave non-finite multipliers")
+
+
+def least_norm(a, w_at, rhs, what):
+    """(W A^T lam, lam) with (A W A^T) lam = rhs, for w_at = W A^T and W
+    symmetric positive definite: the one solve of every constraint
+    correction, on one eigh V diag(w) V^T of A W A^T. SingularKkt naming
+    what when its reciprocal condition w_min / w_max is below 1e-12, or
+    when rhs or lam is not finite; rhs is checked before the products, so a
+    non-finite entry meets no numpy arithmetic."""
+    w, v, rcond = _eigh_rcond(a @ w_at)
+    _require_rcond(rcond, what)
+    _require_finite_multipliers(rhs.tolist(), what)
+    lam = v @ ((rhs @ v) / w)
+    _require_finite_multipliers(lam.tolist(), what)
     return w_at @ lam, lam
+
+
+def _solve_in_joint_frames(model, factor, qs, v, u):
+    """(Vdot, lam) of a system whose every joint holds a body to the
+    ground, from u = M^-1 Q and the model's constant factor: the joint
+    frame multipliers lam~ = K^-1 r~ with r~_j = R_a^T (A u + adotv)_j, in
+    floats, then lam_j = R_a lam~_j and Vdot = u - M^-1 A^T lam."""
+    joints, rcond, k_inv = factor
+    _require_rcond(rcond, _SCHUR)
+    semidirect = model.group_model == SEMIDIRECT
+    rots, r = [], []
+    for k, (p0, p1, p2) in joints:
+        rot = alpha_map(qs[k // 6])[0].tolist()
+        rots.append(rot)
+        w0, w1, w2, v0, v1, v2 = v[k : k + 6]
+        a0, a1, a2, b0, b1, b2 = u[k : k + 6]
+        # d = v + omega x p for body-fixed twists, omega x p for mixed ones
+        d0 = w1 * p2 - w2 * p1
+        d1 = w2 * p0 - w0 * p2
+        d2 = w0 * p1 - w1 * p0
+        if semidirect:
+            d0, d1, d2 = v0 + d0, v1 + d1, v2 + d2
+        else:  # the point's world velocity term R^T u_v
+            (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
+            b0, b1, b2 = (
+                r00 * b0 + r10 * b1 + r20 * b2,
+                r01 * b0 + r11 * b1 + r21 * b2,
+                r02 * b0 + r12 * b1 + r22 * b2,
+            )
+        r += (
+            b0 + (a1 * p2 - a2 * p1) + (w1 * d2 - w2 * d1),
+            b1 + (a2 * p0 - a0 * p2) + (w2 * d0 - w0 * d2),
+            b2 + (a0 * p1 - a1 * p0) + (w0 * d1 - w1 * d0),
+        )
+    lam_j = [sum(map(mul, row, r)) for row in k_inv]
+    _require_finite_multipliers(lam_j, _SCHUR)
+    lam = []
+    at_lam = [0.0] * len(u)
+    for i, (k, (p0, p1, p2)) in enumerate(joints):
+        l0, l1, l2 = lam_j[3 * i : 3 * i + 3]
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rots[i]
+        x0 = r00 * l0 + r01 * l1 + r02 * l2
+        x1 = r10 * l0 + r11 * l1 + r12 * l2
+        x2 = r20 * l0 + r21 * l1 + r22 * l2
+        lam += (x0, x1, x2)
+        at_lam[k] += p1 * l2 - p2 * l1
+        at_lam[k + 1] += p2 * l0 - p0 * l2
+        at_lam[k + 2] += p0 * l1 - p1 * l0
+        if semidirect:
+            x0, x1, x2 = l0, l1, l2  # body-fixed twists take the joint frame force
+        at_lam[k + 3] += x0
+        at_lam[k + 4] += x1
+        at_lam[k + 5] += x2
+    correction = model.apply_mass_inverse(at_lam)
+    return [a - b for a, b in zip(u, correction)], np.array(lam)
 
 
 def solve_kkt(model, qs, v, t):
     """Accelerations and constraint multipliers at coordinates qs, twists v
     (a list of floats) and time t.
 
-    Returns (Vdot, lam): Vdot a list of floats, lam an array from
-    :func:`least_norm` with W = M^-1. For unconstrained models lam is one
-    shared empty read-only array and Vdot is the model's
-    apply_mass_inverse(Q). SingularKkt from the gate on
-    the Schur complement A M^-1 A^T (redundant constraints or a singular
-    configuration).
+    Returns (Vdot, lam): Vdot a list of floats and lam an array of world
+    frame multipliers. For unconstrained models lam is one shared empty
+    read-only array and Vdot is the model's apply_mass_inverse(Q). A model
+    whose ``ground_schur`` factor is not None is solved in joint frames in
+    floats; any other constrained model through :func:`least_norm` with
+    W = M^-1. SingularKkt from the gate on the Schur complement A M^-1 A^T
+    (redundant constraints or a singular configuration).
     """
     q = model.forces(qs, v, t)
     if model.n_constraints == 0:
         return model.apply_mass_inverse(q), _NO_MULTIPLIERS
+    factor = getattr(model, "ground_schur", None)
+    if factor is not None:
+        return _solve_in_joint_frames(
+            model, factor, qs, v, model.apply_mass_inverse(q)
+        )
 
     m_inv = model.mass_inverse
     m_inv_q = m_inv @ q
     a = model.jacobian(qs)
     rhs = a @ m_inv_q + model.adotv(qs, v)
-    correction, lam = least_norm(a, m_inv @ a.T, rhs, "Schur complement A M^-1 A^T")
+    correction, lam = least_norm(a, m_inv @ a.T, rhs, _SCHUR)
     return (m_inv_q - correction).tolist(), lam
 
 

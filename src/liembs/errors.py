@@ -38,7 +38,10 @@ class SingularKkt(LiembsError):
     Signalled when A W A^T of a least-norm correction (the Schur complement
     A M^-1 A^T, or A A^T in the projection) is not positive definite or its
     reciprocal condition w_min / w_max is below 1e-12 (redundant constraints,
-    a singular configuration, ...), and when it gives non-finite multipliers.
+    a singular configuration, ...), and when it gives non-finite multipliers
+    or is given a non-finite right-hand side. For a system held to the ground
+    alone the gate reads the constant factor K, whose eigenvalues are those
+    of A M^-1 A^T at every configuration.
     """
 
 

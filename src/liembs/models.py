@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _RCOND_LIMIT, _eigh_rcond
 from .lgt import alpha_map
 from .motiongroups import DIRECT_PRODUCT, GROUP_MODELS, SEMIDIRECT, transform_point
 from .rotmaps import _floats, cross3, hat
@@ -127,6 +128,10 @@ class SphericalJointSystem:
     ``constraints``, ``jacobian`` and ``adotv``, which feed the constrained
     solve in numpy, are closed-form float expressions per joint over R's
     nine entries, and build each output with one array conversion.
+    ``ground_schur`` is None unless every joint holds a body to the
+    ground; then it is the constant factor of the Schur complement (see
+    ``_ground_schur``), built once here, with which the constrained solve
+    needs neither these kernels nor an eigendecomposition per stage.
     """
 
     def __init__(self, bodies, joints, group_model):
@@ -185,6 +190,38 @@ class SphericalJointSystem:
             (1.0 / p.mass, *(1.0 / t for t in p.inertia)) for p in self.bodies
         ]
         self._weights = [tuple(p.mass * g for g in p.gravity) for p in self.bodies]
+        self.ground_schur = None
+        if joints and all(b is None for _, _, b, _ in self._joint_points):
+            self.ground_schur = self._ground_schur()
+
+    def _ground_schur(self):
+        """(joints, rcond, k_inv): the constant factor of the Schur
+        complement when every joint holds a body to the ground.
+
+        Joint j at body point p of body a has the Jacobian R_a [-hat(p), I]
+        in body-fixed twists and [-R_a hat(p), I] in mixed ones, whose
+        M^-1 block has the translational part I / m, so A M^-1 A^T =
+        F K F^T with F = blockdiag(R_a per joint) and K constant: its
+        (j, k) block is [-hat(p_j), I] W_a [-hat(p_k), I]^T when both
+        joints hold body a (W_a its M^-1 block), and zero otherwise.
+        joints holds per joint (6 a, p), the offset of body a's twist and p
+        as floats. One eigh of K gives rcond, the reciprocal condition of
+        the Schur complement at every configuration; k_inv holds the rows
+        of K^-1 = V diag(1/w) V^T as tuples of floats when rcond passes the
+        gate of 1e-12 and is None otherwise, and the solve then raises."""
+        rows = []
+        for a, p, _, _ in self._joint_points:
+            b = np.zeros((3, 6 * self.n_bodies))
+            b[:, 6 * a : 6 * a + 3] = -hat(p)
+            b[:, 6 * a + 3 : 6 * a + 6] = np.eye(3)
+            rows.append(b)
+        b = np.vstack(rows)
+        w, v, rcond = _eigh_rcond(b @ self.mass_inverse @ b.T)
+        k_inv = None
+        if rcond >= _RCOND_LIMIT:
+            k_inv = tuple(map(tuple, ((v / w) @ v.T).tolist()))
+        joints = tuple((6 * a, p) for a, p, _, _ in self._joint_points)
+        return joints, rcond, k_inv
 
     def forces(self, qs, v, t):
         """Gyroscopic bias plus gravity, stacked over bodies.

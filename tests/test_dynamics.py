@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from liembs import SingularKkt, VariantMismatch
+from liembs import SingularKkt, StepFailed, VariantMismatch
 from liembs.dynamics import (
     constraint_residuals,
     forward_dynamics,
@@ -15,6 +15,7 @@ from liembs.dynamics import (
     make_state,
     solve_kkt,
 )
+from liembs.integrate import MUNTHE_KAAS_RK4, IntegratorConfig, integrate
 from liembs.lgt import QUAT_POS, apply_lgt, identity_coords, quat_pos
 from liembs.models import (
     BodyParams,
@@ -212,6 +213,96 @@ def test_schur_solve_matches_dense_saddle_solve(group):
             for got, want in ((vdot, vdot_ref), (lam, lam_ref)):
                 scale = float(np.max(np.abs(want)))
                 assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_least_norm_rejects_a_non_finite_right_hand_side(bad):
+    # Checked before the products: an infinite entry would otherwise meet
+    # numpy arithmetic and warn (invalid value in matmul) instead of raising.
+    a = np.hstack([np.eye(3), np.zeros((3, 3))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularKkt, match="test gram"):
+            least_norm(a, a.T, np.array([1.0, bad, 1.0]), "test gram")
+
+
+_PIN_A = (0.0, 0.0, 0.3)
+_PIN_B = (0.2, -0.1, -0.25)
+
+
+def _ground_held(group):
+    """Ground-held models of the group model: a body pinned in its CoM
+    frame, two bodies each pinned to the ground (K block diagonal) and, for
+    body-fixed twists, a body pinned in a frame off its CoM."""
+    at_com = BodyParams(mass=1.2, inertia=(0.4, 0.5, 0.3))
+    other = BodyParams(mass=0.7, inertia=(0.1, 0.2, 0.15), gravity=(0.3, 0.0, -9.81))
+    models = [
+        pinned_body(at_com, _PIN_A, group_model=group),
+        SphericalJointSystem(
+            [at_com, other],
+            [(0, _PIN_A, None, (0.0, 0.0, 0.0)), (1, _PIN_B, None, (0.5, 0.2, 0.1))],
+            group,
+        ),
+    ]
+    if group == SEMIDIRECT:
+        off = BodyParams(mass=1.2, inertia=(0.4, 0.5, 0.3), com_offset=(0.0, 0.1, -0.2))
+        models.append(pinned_body(off, _PIN_A, group_model=group))
+    return models
+
+
+@pytest.mark.parametrize("group", [SEMIDIRECT, DIRECT_PRODUCT])
+def test_ground_held_solve_in_joint_frames_matches_dense_saddle_solve(group):
+    rng = np.random.default_rng(64)
+    for model in _ground_held(group):
+        assert model.ground_schur is not None
+        for _ in range(20):
+            state = _random_quat_state(rng, model.n_bodies, v_scale=3.0)
+            vdot, lam = solve_kkt(model, state.qs, state.V.tolist(), state.t)
+            assert {type(x) for x in vdot} == {float}
+            vdot_ref, lam_ref = oracles.dense_kkt_solve(model, state)
+            for got, want in ((vdot, vdot_ref), (lam, lam_ref)):
+                scale = float(np.max(np.abs(want)))
+                assert float(np.max(np.abs(np.asarray(got) - want))) <= 1e-12 * scale
+
+
+def test_only_a_system_held_to_the_ground_alone_gets_the_constant_factor():
+    params = BodyParams(mass=1.0, inertia=(0.1, 0.2, 0.3))
+    assert free_rigid_body(params).ground_schur is None
+    chain = two_body_chain(params, params, (_PIN_A, (0.0, 0.0, -0.3), _PIN_B))
+    assert chain.ground_schur is None
+
+
+_SCHUR_GATE = r"Schur complement A M\^-1 A\^T reciprocal condition .* below 1e-12"
+
+
+@pytest.mark.parametrize("group", [SEMIDIRECT, DIRECT_PRODUCT])
+@pytest.mark.parametrize(
+    "second", [_PIN_A, _PIN_B], ids=["same_joint_twice", "two_points"]
+)
+def test_a_body_held_by_two_ground_joints_fails_the_gate_at_solve_time(group, second):
+    # Two spherical joints fix only five of a body's six freedoms (it can
+    # still turn about the line through the two points), so their six rows
+    # are redundant wherever the points sit. The constructor factors K
+    # without dividing by its vanishing eigenvalue; the solve raises.
+    params = BodyParams(mass=1.0, inertia=(0.1, 0.2, 0.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = SphericalJointSystem(
+            [params],
+            [(0, _PIN_A, None, _PIN_A), (0, second, None, second)],
+            group,
+        )
+    _, rcond, k_inv = model.ground_schur
+    assert rcond < 1e-12 and k_inv is None
+    state = make_state([identity_coords(QUAT_POS)], np.zeros(6))
+    with pytest.raises(SingularKkt, match=_SCHUR_GATE):
+        solve_kkt(model, state.qs, state.V.tolist(), state.t)
+    cid = "1a" if group == SEMIDIRECT else "1b"
+    cfg = IntegratorConfig(MUNTHE_KAAS_RK4, cid, h=1e-3, t_end=0.01)
+    with pytest.raises(StepFailed) as info:
+        integrate(model, cfg, state)
+    assert info.value.step_index == 0
+    assert isinstance(info.value.__cause__, SingularKkt)
 
 
 _OFF_COM = BodyParams(

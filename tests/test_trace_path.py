@@ -14,6 +14,7 @@ import inspect
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import liembs.dynamics
@@ -21,6 +22,7 @@ import liembs.integrate
 from liembs.cli import load_scenario
 from liembs.lgt import COMBO_IDS
 from liembs.models import SphericalJointSystem
+from liembs.rotmaps import quat_to_rotmat
 
 _ROOT = Path(__file__).resolve().parent.parent
 _STEPS = 3
@@ -286,3 +288,67 @@ def test_the_update_and_the_record_get_python_floats(monkeypatch, scenario, sche
         assert seen["apply_lgt_stacked"] == 0
     else:
         assert seen["apply_lgt_stacked"] >= _STEPS
+
+
+def _com_frame_pendulum(tmp_path):
+    """The shipped pendulum with its body frame moved to the centre of mass
+    (the pin 0.5 m above it), swinging, so that every combo accepts it."""
+    raw = json.loads((_ROOT / "scenarios" / "pendulum_pinned.json").read_text())
+    pin = np.array([0.0, 0.0, 0.5])
+    omega = np.array([0.3, -0.2, 0.5])
+    body = raw["initial_state"]["bodies"][0]
+    rot = quat_to_rotmat(body["orientation_quat"])
+    raw["model"]["bodies"][0]["com_offset_m"] = [0.0, 0.0, 0.0]
+    raw["model"]["pin_point_body_m"] = pin.tolist()
+    body["position_m"] = (-rot @ pin).tolist()
+    body["angular_velocity_radps"] = omega.tolist()
+    body["linear_velocity_mps"] = (-rot @ np.cross(omega, pin)).tolist()
+    path = tmp_path / "pendulum_com_frame.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+_GROUND_HELD = [("pendulum_pinned.json", cid) for cid in ("1a", "1d", "2a", "2d")] + [
+    ("com_frame", cid) for cid in COMBO_IDS
+]
+
+
+def _build(tmp_path, scenario, cid):
+    path = (
+        _com_frame_pendulum(tmp_path)
+        if scenario == "com_frame"
+        else _ROOT / "scenarios" / scenario
+    )
+    loaded = load_scenario(path)
+    return loaded.build(combo_id=cid, t_end=_STEPS * loaded.h)
+
+
+@pytest.mark.parametrize(
+    "scenario, cid, per_step",
+    [(scenario, cid, 0) for scenario, cid in _GROUND_HELD]
+    + [("chain_swing.json", cid, 4) for cid in COMBO_IDS],
+)
+def test_only_a_body_to_body_joint_takes_the_dense_schur_solve(
+    monkeypatch, tmp_path, scenario, cid, per_step
+):
+    # A system held to the ground alone solves in joint frames with its
+    # constant factor; the chain's Schur complement goes through the dense
+    # least_norm once per stage.
+    counts = {"least_norm": 0}
+    _count(monkeypatch, counts, liembs.dynamics, "least_norm")
+    model, state, cfg = _build(tmp_path, scenario, cid)
+    liembs.integrate.integrate(model, cfg, state)
+    assert counts["least_norm"] == per_step * _STEPS
+
+
+@pytest.mark.parametrize("scenario, cid", _GROUND_HELD)
+def test_the_joint_frame_solve_returns_python_floats(
+    monkeypatch, tmp_path, scenario, cid
+):
+    # K^-1 kept as numpy rows would leak np.float64 into every kernel.
+    seen = {"local_rhs": 0}
+    _require_floats(monkeypatch, seen, liembs.integrate, "local_rhs", (3, 4))
+    model, state, cfg = _build(tmp_path, scenario, cid)
+    assert model.ground_schur is not None
+    liembs.integrate.integrate(model, cfg, state)
+    assert seen == {"local_rhs": 4 * _STEPS}
