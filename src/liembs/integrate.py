@@ -34,6 +34,8 @@ from .dynamics import (
     _inf_norm,
     constraint_residuals,
     forward_dynamics,
+    ground_increment,
+    ground_velocity_projection,
     least_norm,
     local_rhs,
 )
@@ -69,6 +71,10 @@ PROJECTION_MODES = (PROJECTION_OFF, PROJECTION_POSITION_VELOCITY)
 
 # Residuals of the initial state must sit below this bound before a run.
 _CONSISTENCY_TOL = 1.0e-10
+
+# What the projection's two least-norm corrections name when they fail.
+_CHART_GRAM = "chart-scaled A A^T"
+_VELOCITY_GRAM = "velocity projection A A^T"
 
 
 def step_count(t_end, h):
@@ -323,20 +329,27 @@ def project(model, cmb, state, tol, max_iter):
     Position stage: Gauss-Newton through chart increments until the
     position residual infinity norm drops below tol. Velocity stage: exact
     orthogonal projection of V onto the null space of the Jacobian. Both
-    are :func:`least_norm` corrections with W = I (SingularKkt on a
-    Jacobian without full row rank, which spherical joints always have).
-    Returns ``(state, (gnorm, gvnorm))``: the infinity norms of g at the
-    final coordinates and of A V at the projected twists, bitwise what
+    are least-norm corrections with W = I (SingularKkt on a Jacobian
+    without full row rank, which spherical joints always have). A model
+    whose ``ground_schur`` factor is not None makes both in joint frames,
+    in floats, with its constant ``ground_grams``
+    (:func:`~liembs.dynamics.ground_increment` and
+    :func:`~liembs.dynamics.ground_velocity_projection`); any other model
+    through :func:`least_norm` on its dense Jacobian. Returns
+    ``(state, (gnorm, gvnorm))``: the infinity norms of g at the final
+    coordinates and of A V at the projected twists, bitwise what
     :func:`constraint_residuals` gives for that state.
     """
     if model.n_constraints == 0:
         return state, (0.0, 0.0)
     cmb = combo(cmb)
     qs = list(state.qs)
+    ground = getattr(model, "ground_schur", None) is not None
 
     for iteration in range(max_iter + 1):
         g = model.constraints(qs)
-        gnorm = _inf_norm(g)
+        gs = g.tolist()
+        gnorm = _inf_norm(gs)
         if gnorm < tol:
             break
         if iteration == max_iter:
@@ -346,14 +359,23 @@ def project(model, cmb, state, tol, max_iter):
             )
         # To first order apply_lgt(cmb, q, dX) moves the constraint by
         # A dpsi(0) dX, and dpsi(0) is diagonal, the inverse of chart_scale.
-        a_chart = model.jacobian(qs) / np.tile(cmb.chart_scale, model.n_bodies)
-        dx, _ = least_norm(a_chart, a_chart.T, -g, "chart-scaled A A^T")
-        qs = apply_lgt_stacked(cmb, qs, dx.tolist())
+        if ground:
+            dx = ground_increment(model, qs, gs, cmb.chart_scale, _CHART_GRAM)
+        else:
+            a_chart = model.jacobian(qs) / np.tile(cmb.chart_scale, model.n_bodies)
+            dx, _ = least_norm(a_chart, a_chart.T, -g, _CHART_GRAM)
+            dx = dx.tolist()
+        qs = apply_lgt_stacked(cmb, qs, dx)
 
-    a = model.jacobian(qs)
-    correction, _ = least_norm(a, a.T, a @ state.V, "velocity projection A A^T")
-    v = state.V - correction
-    gvnorm = _inf_norm(a @ v)
+    if ground:
+        vs = ground_velocity_projection(model, qs, state.V.tolist(), _VELOCITY_GRAM)
+        v = np.array(vs)
+    else:
+        a = model.jacobian(qs)
+        correction, _ = least_norm(a, a.T, a @ state.V, _VELOCITY_GRAM)
+        v = state.V - correction
+        vs = v.tolist()
+    gvnorm = _inf_norm(model.point_velocities(qs, vs))
     return MbsState(tuple(qs), v, state.t), (gnorm, gvnorm)
 
 

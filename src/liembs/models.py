@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _RCOND_LIMIT, _eigh_rcond
-from .lgt import alpha_map
+from .lgt import COMBOS, alpha_map
 from .motiongroups import DIRECT_PRODUCT, GROUP_MODELS, SEMIDIRECT, transform_point
 from .rotmaps import _floats, cross3, hat
 
@@ -63,6 +63,39 @@ def _curvature(rot, p, vi, semidirect):
     )
 
 
+def _point_velocity(rot, p, vi, semidirect):
+    """The world velocity of body point p as three floats: R d with
+    d = v + omega x p for body-fixed twists, rdot + R d with d = omega x p
+    for mixed ones; vi = (omega, v)."""
+    w0, w1, w2, u0, u1, u2 = vi
+    p0, p1, p2 = p
+    d0 = w1 * p2 - w2 * p1
+    d1 = w2 * p0 - w0 * p2
+    d2 = w0 * p1 - w1 * p0
+    if semidirect:
+        d0, d1, d2 = u0 + d0, u1 + d1, u2 + d2
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
+    x0 = r00 * d0 + r01 * d1 + r02 * d2
+    x1 = r10 * d0 + r11 * d1 + r12 * d2
+    x2 = r20 * d0 + r21 * d1 + r22 * d2
+    if semidirect:
+        return x0, x1, x2
+    return u0 + x0, u1 + x1, u2 + x2
+
+
+def _joint_frame_factor(rows, weight):
+    """(rcond, k_inv) of the joint-frame gram K = rows W rows^T, W the
+    weight: one eigh V diag(w) V^T gives its reciprocal condition, and
+    k_inv holds the rows of K^-1 = V diag(1/w) V^T as tuples of floats
+    when rcond passes the gate of 1e-12 and is None otherwise, so a
+    singular K divides by nothing and its solve raises."""
+    w, v, rcond = _eigh_rcond(rows @ weight @ rows.T)
+    k_inv = None
+    if rcond >= _RCOND_LIMIT:
+        k_inv = tuple(map(tuple, ((v / w) @ v.T).tolist()))
+    return rcond, k_inv
+
+
 @dataclass(frozen=True)
 class BodyParams:
     """Inertial parameters of one rigid body.
@@ -71,9 +104,11 @@ class BodyParams:
     mass, in the body frame; com_offset is the body-frame vector from the
     body frame origin to the center of mass. Construction is the one check
     of a body: mass must be finite and positive, inertia, com_offset and
-    gravity three finite numbers each, inertia's entries positive. Every
-    field is stored as Python floats whatever the caller passes, so a
-    numpy scalar cannot reach the float kernels of a step through them.
+    gravity three finite numbers each, inertia's entries positive, and the
+    mass and inertia entries with finite reciprocals, which the mass
+    inverse applies. Every field is stored as Python floats whatever the
+    caller passes, so a numpy scalar cannot reach the float kernels of a
+    step through them.
     """
 
     mass: float
@@ -89,6 +124,13 @@ class BodyParams:
         if any(t <= 0.0 for t in inertia):
             raise ValueError(
                 f"inertia must be three positive diagonal entries, got {inertia}"
+            )
+        # A subnormal value passes the checks above, but 1 / it overflows.
+        if not math.isfinite(1.0 / mass):
+            raise ValueError(f"mass must have a finite reciprocal, got {mass}")
+        if not all(math.isfinite(1.0 / t) for t in inertia):
+            raise ValueError(
+                f"inertia entries must have finite reciprocals, got {inertia}"
             )
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "inertia", inertia)
@@ -128,10 +170,12 @@ class SphericalJointSystem:
     ``constraints``, ``jacobian`` and ``adotv``, which feed the constrained
     solve in numpy, are closed-form float expressions per joint over R's
     nine entries, and build each output with one array conversion.
-    ``ground_schur`` is None unless every joint holds a body to the
-    ground; then it is the constant factor of the Schur complement (see
-    ``_ground_schur``), built once here, with which the constrained solve
-    needs neither these kernels nor an eigendecomposition per stage.
+    ``point_velocities`` gives A V in the same floats, for the residuals.
+    ``ground_schur`` and ``ground_grams`` are None unless every joint
+    holds a body to the ground; then they are the constant factors of the
+    Schur complement and of the projection grams (see ``_ground_factors``),
+    built once here, with which the constrained solve and the projection
+    need neither the Jacobian nor an eigendecomposition per step.
     """
 
     def __init__(self, bodies, joints, group_model):
@@ -184,44 +228,55 @@ class SphericalJointSystem:
         for i, params in enumerate(self.bodies):
             sl = slice(6 * i, 6 * i + 6)
             block = _mass_block(params, group_model)
+            try:
+                inverse = np.linalg.inv(block)
+            except np.linalg.LinAlgError:
+                inverse = None
+            if inverse is None or not np.isfinite(inverse).all():
+                raise ValueError(
+                    f"body {i}: the mass matrix is singular in floating point "
+                    "or its inverse is not finite; check its mass, inertia "
+                    "and com_offset"
+                )
             self.mass_matrix[sl, sl] = block
-            self.mass_inverse[sl, sl] = np.linalg.inv(block)
+            self.mass_inverse[sl, sl] = inverse
         self._reciprocals = [
             (1.0 / p.mass, *(1.0 / t for t in p.inertia)) for p in self.bodies
         ]
         self._weights = [tuple(p.mass * g for g in p.gravity) for p in self.bodies]
-        self.ground_schur = None
+        self.ground_schur = self.ground_grams = None
         if joints and all(b is None for _, _, b, _ in self._joint_points):
-            self.ground_schur = self._ground_schur()
+            self.ground_schur, self.ground_grams = self._ground_factors()
 
-    def _ground_schur(self):
-        """(joints, rcond, k_inv): the constant factor of the Schur
-        complement when every joint holds a body to the ground.
+    def _ground_factors(self):
+        """(ground_schur, ground_grams) when every joint holds a body to the
+        ground: ground_schur = (joints, rcond, k_inv) is the constant factor
+        of the Schur complement, ground_grams those of the projection grams.
 
         Joint j at body point p of body a has the Jacobian R_a [-hat(p), I]
-        in body-fixed twists and [-R_a hat(p), I] in mixed ones, whose
-        M^-1 block has the translational part I / m, so A M^-1 A^T =
-        F K F^T with F = blockdiag(R_a per joint) and K constant: its
-        (j, k) block is [-hat(p_j), I] W_a [-hat(p_k), I]^T when both
-        joints hold body a (W_a its M^-1 block), and zero otherwise.
-        joints holds per joint (6 a, p), the offset of body a's twist and p
-        as floats. One eigh of K gives rcond, the reciprocal condition of
-        the Schur complement at every configuration; k_inv holds the rows
-        of K^-1 = V diag(1/w) V^T as tuples of floats when rcond passes the
-        gate of 1e-12 and is None otherwise, and the solve then raises."""
-        rows = []
-        for a, p, _, _ in self._joint_points:
-            b = np.zeros((3, 6 * self.n_bodies))
-            b[:, 6 * a : 6 * a + 3] = -hat(p)
-            b[:, 6 * a + 3 : 6 * a + 6] = np.eye(3)
-            rows.append(b)
-        b = np.vstack(rows)
-        w, v, rcond = _eigh_rcond(b @ self.mass_inverse @ b.T)
-        k_inv = None
-        if rcond >= _RCOND_LIMIT:
-            k_inv = tuple(map(tuple, ((v / w) @ v.T).tolist()))
+        in body-fixed twists and [-R_a hat(p), I] in mixed ones, so for a
+        weight W whose translational blocks are multiples of I (M^-1 in
+        mixed twists, where they are I / m, and any diagonal W = D^2),
+        A W A^T = F K F^T with F = blockdiag(R_a per joint) and K constant:
+        its (j, k) block is [-hat(p_j), I] W_a [-hat(p_k), I]^T when both
+        joints hold body a (W_a its block of W), and zero otherwise. joints
+        holds per joint (6 a, p), the offset of body a's twist and p as
+        floats; rcond and k_inv are those of :func:`_joint_frame_factor`
+        for W = M^-1. ground_grams maps each combo's chart_scale c to the
+        factor for W = diag(1/c^2): the chart-scaled Gauss-Newton gram of
+        the projection, and for c = 1 its velocity gram A A^T."""
+        rows = np.zeros((self.n_constraints, 6 * self.n_bodies))
+        for j, (a, p, _, _) in enumerate(self._joint_points):
+            rows[3 * j : 3 * j + 3, 6 * a : 6 * a + 3] = -hat(p)
+            rows[3 * j : 3 * j + 3, 6 * a + 3 : 6 * a + 6] = np.eye(3)
         joints = tuple((6 * a, p) for a, p, _, _ in self._joint_points)
-        return joints, rcond, k_inv
+        schur = (joints, *_joint_frame_factor(rows, self.mass_inverse))
+        return schur, {
+            scale: _joint_frame_factor(
+                rows, np.diag(np.tile(scale, self.n_bodies) ** -2.0)
+            )
+            for scale in {c.chart_scale for c in COMBOS.values()}
+        }
 
     def forces(self, qs, v, t):
         """Gyroscopic bias plus gravity, stacked over bodies.
@@ -307,6 +362,27 @@ class SphericalJointSystem:
             y0, y1, y2 = p_b if b is None else transform_point(*poses[b], p_b)
             out += (x0 - y0, x1 - y1, x2 - y2)
         return np.array(out)
+
+    def point_velocities(self, qs, v):
+        """A V per joint: the world velocity of body a's joint point minus
+        that of body b, R (v + omega x p) for body-fixed twists and
+        rdot + R (omega x p) for mixed ones, as a list of floats; v is a
+        list of floats or an array."""
+        v = _floats(v)
+        rots = [alpha_map(q)[0].tolist() for q in qs]
+        semidirect = self.group_model == SEMIDIRECT
+        out = []
+        for a, p_a, b, p_b in self._joint_points:
+            x0, x1, x2 = _point_velocity(
+                rots[a], p_a, v[6 * a : 6 * a + 6], semidirect
+            )
+            if b is not None:
+                y0, y1, y2 = _point_velocity(
+                    rots[b], p_b, v[6 * b : 6 * b + 6], semidirect
+                )
+                x0, x1, x2 = x0 - y0, x1 - y1, x2 - y2
+            out += (x0, x1, x2)
+        return out
 
     def jacobian(self, qs):
         """Per joint the rows of body a's point velocity in its twist, minus

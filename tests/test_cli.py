@@ -173,6 +173,38 @@ def test_body_the_model_rejects_exits_2_naming_it(tmp_path, capsys, body, key, v
     assert f"model.bodies[{body}]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scenario, key, value, named",
+    [
+        ("pendulum_pinned.json", "mass_kg", 1e300, "model: body 0: the mass matrix"),
+        ("pendulum_pinned.json", "mass_kg", 1e-310, "model.bodies[0]: mass"),
+        (
+            "pendulum_pinned.json", "inertia_kgm2", [1e-310, 0.1, 0.06],
+            "model.bodies[0]: inertia",
+        ),
+        ("free_tumble.json", "mass_kg", 1e-310, "model.bodies[0]: mass"),
+        (
+            "free_tumble.json", "inertia_kgm2", [1e-310, 0.1, 0.06],
+            "model.bodies[0]: inertia",
+        ),
+    ],
+)
+def test_a_mass_or_inertia_without_a_usable_inverse_exits_2_naming_it(
+    tmp_path, capsys, scenario, key, value, named
+):
+    # A subnormal mass or inertia entry has a reciprocal that overflows, and
+    # at 1e300 kg the off-centre pendulum's mass matrix is singular in
+    # floats; each once reached the run as a chart or Schur failure (exit
+    # 4) or as numpy's "Singular matrix", which names no body.
+    doc = _load(scenario)
+    doc["model"]["bodies"][0][key] = value
+    path = _write(tmp_path, doc)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: model")
+    assert named in err
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_overflowing_initial_energy_exits_3(tmp_path, capsys):
     doc = _load("free_tumble.json")

@@ -15,7 +15,7 @@ from liembs.dynamics import (
     make_state,
     solve_kkt,
 )
-from liembs.integrate import MUNTHE_KAAS_RK4, IntegratorConfig, integrate
+from liembs.integrate import MUNTHE_KAAS_RK4, IntegratorConfig, integrate, project
 from liembs.lgt import QUAT_POS, apply_lgt, identity_coords, quat_pos
 from liembs.models import (
     BodyParams,
@@ -303,6 +303,32 @@ def test_a_body_held_by_two_ground_joints_fails_the_gate_at_solve_time(group, se
         integrate(model, cfg, state)
     assert info.value.step_index == 0
     assert isinstance(info.value.__cause__, SingularKkt)
+
+
+@pytest.mark.parametrize("group", [SEMIDIRECT, DIRECT_PRODUCT])
+@pytest.mark.parametrize(
+    "second", [_PIN_A, _PIN_B], ids=["same_joint_twice", "two_points"]
+)
+def test_a_body_held_by_two_ground_joints_fails_the_projection_gates(group, second):
+    # The projection grams share K's null space, whatever the chart scale:
+    # the velocity stage of a state on the constraints raises, and so does
+    # the Gauss-Newton step of one moved off them.
+    params = BodyParams(mass=1.0, inertia=(0.1, 0.2, 0.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = SphericalJointSystem(
+            [params],
+            [(0, _PIN_A, None, _PIN_A), (0, second, None, second)],
+            group,
+        )
+    assert all(k_inv is None for _, k_inv in model.ground_grams.values())
+    state = make_state([identity_coords(QUAT_POS)], np.zeros(6))
+    for cid in ("1a", "1d") if group == SEMIDIRECT else ("1b", "1c"):
+        with pytest.raises(SingularKkt, match=r"velocity projection A A\^T"):
+            project(model, cid, state, tol=1e-10, max_iter=3)
+        off = make_state([quat_pos([1.0, 0.0, 0.0, 0.0], [1e-3, 0.0, 0.0])], state.V)
+        with pytest.raises(SingularKkt, match=r"chart-scaled A A\^T"):
+            project(model, cid, off, tol=1e-10, max_iter=3)
 
 
 _OFF_COM = BodyParams(

@@ -39,7 +39,13 @@ from liembs.lgt import (
     identity_coords,
     quat_pos,
 )
-from liembs.models import BodyParams, free_rigid_body, pinned_body, two_body_chain
+from liembs.models import (
+    BodyParams,
+    SphericalJointSystem,
+    free_rigid_body,
+    pinned_body,
+    two_body_chain,
+)
 from liembs.motiongroups import (
     DIRECT_PRODUCT,
     SEMIDIRECT,
@@ -346,7 +352,10 @@ def test_velocity_projection_rejects_an_ill_conditioned_jacobian():
     tilt = 1e-7 * np.random.default_rng(3).standard_normal((3, 6))
 
     class NearlyRedundant:
+        # Without the pendulum's constant factor, project takes the dense
+        # path through this Jacobian.
         n_constraints = 6
+        ground_schur = None
 
         def __getattr__(self, name):
             return getattr(model, name)
@@ -383,6 +392,87 @@ def test_a_nan_constraint_reaches_the_residuals_and_stops_the_projection():
     assert gvnorm == constraint_residuals(model, state)[1]
     with pytest.raises(SingularKkt, match="non-finite multipliers"):
         project(NanConstraint(), "1a", state, tol=1e-10, max_iter=3)
+
+
+class _Dense:
+    """A model seen without its constant joint-frame factors, so that
+    project takes the dense least_norm path through its Jacobian."""
+
+    ground_schur = None
+
+    def __init__(self, model):
+        self._model = model
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+
+_HELD_BODIES = (
+    BodyParams(mass=2.0, inertia=(0.12, 0.1, 0.06)),
+    BodyParams(mass=0.7, inertia=(0.1, 0.2, 0.15), gravity=(0.3, 0.0, -9.81)),
+)
+# Per body held to the ground: its pin in the body frame, the world anchor
+# and the rotation vector of its orientation.
+_HELD_PINS = (
+    ((0.0, 0.0, 0.5), (0.0, 0.0, 0.0), (0.4, -0.3, 0.2)),
+    ((0.2, -0.1, -0.25), (0.5, 0.2, 0.1), (-0.7, 0.1, 0.5)),
+)
+
+
+def _held_to_the_ground(cid, n_bodies):
+    """n_bodies bodies in their CoM frames, each pinned to the ground, at
+    rest in a pose that meets the constraints."""
+    pins = _HELD_PINS[:n_bodies]
+    model = SphericalJointSystem(
+        _HELD_BODIES[:n_bodies],
+        [(i, p, None, anchor) for i, (p, anchor, _) in enumerate(pins)],
+        combo(cid).group_model,
+    )
+    qs = []
+    for p, anchor, rho in pins:
+        rho = np.array(rho)
+        rot = exp_sp1(rho) if combo(cid).abs_kind == QUAT_POS else rho
+        qs.append(_initial_coords(cid, rot, np.array(anchor) - exp_so3(rho) @ p))
+    return model, make_state(qs, np.zeros(6 * n_bodies))
+
+
+def _shipped_pendulum(cid):
+    root = Path(__file__).resolve().parent.parent
+    model, state, _ = load_scenario(root / "scenarios" / "pendulum_pinned.json").build(
+        combo_id=cid
+    )
+    return model, state
+
+
+@pytest.mark.parametrize(
+    "system, cid",
+    [("com_frame_pendulum", cid) for cid in COMBO_IDS]
+    + [("shipped_pendulum", cid) for cid in ("1a", "1d", "2a", "2d")]
+    + [("two_pinned_bodies", cid) for cid in COMBO_IDS],
+)
+def test_the_joint_frame_projection_matches_the_dense_one(system, cid):
+    # Each body's position bumped off its pin and its twist bumped off the
+    # constraint, so that Gauss-Newton iterates in both paths.
+    if system == "shipped_pendulum":
+        model, state = _shipped_pendulum(cid)
+    else:
+        n_bodies = 2 if system == "two_pinned_bodies" else 1
+        model, state = _held_to_the_ground(cid, n_bodies)
+    assert model.ground_schur is not None
+    rng = np.random.default_rng(29)
+    qs = [
+        type(q)(q.kind, q.rot, q.r + rng.uniform(-1e-3, 1e-3, 3)) for q in state.qs
+    ]
+    bad = make_state(qs, state.V + rng.uniform(-0.5, 0.5, state.V.size))
+    assert constraint_residuals(model, bad)[0] > 1e-5
+    got, _ = project(model, cid, bad, tol=1e-12, max_iter=10)
+    want, _ = project(_Dense(model), cid, bad, tol=1e-12, max_iter=10)
+
+    def coords(s):
+        return np.concatenate([np.concatenate([q.rot, q.r]) for q in s.qs])
+
+    for a, b in ((coords(got), coords(want)), (got.V, want.V)):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 def test_pendulum_residuals_stay_small_with_projection():

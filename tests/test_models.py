@@ -57,7 +57,9 @@ _NAN, _INF = float("nan"), float("inf")
         ("mass", 0.0),
         ("mass", _NAN),
         ("mass", _INF),
+        ("mass", 1e-310),  # positive, but 1 / mass overflows
         ("inertia", (1, -1, 1)),
+        ("inertia", (1e-310, 1, 1)),
         ("inertia", (1, _NAN, 1)),
         ("inertia", (1, 1, _INF)),
         ("inertia", (1, 1)),
@@ -111,6 +113,15 @@ def test_joint_with_a_bad_body_index_is_rejected(joint):
     ground = (0, (0, 0, 0.3), None, (0, 0, 0))
     with pytest.raises(ValueError, match="joint 1"):
         SphericalJointSystem([body, body], [ground, joint], SEMIDIRECT)
+
+
+def test_a_mass_matrix_without_a_usable_inverse_names_its_body():
+    # At 1e300 kg the rotational block m hat(s)^T hat(s) swamps the inertia
+    # about the center of mass, and the 6x6 block is singular in floats.
+    ok = BodyParams(mass=1.0, inertia=(0.1, 0.1, 0.02))
+    heavy = BodyParams(mass=1e300, inertia=(0.1, 0.1, 0.02), com_offset=(0, 0, -0.5))
+    with pytest.raises(ValueError, match="body 1: the mass matrix"):
+        SphericalJointSystem([ok, heavy], [], SEMIDIRECT)
 
 
 def test_free_body_rejects_off_com_frame():

@@ -341,6 +341,32 @@ def test_only_a_body_to_body_joint_takes_the_dense_schur_solve(
     assert counts["least_norm"] == per_step * _STEPS
 
 
+@pytest.mark.parametrize(
+    "scenario, cid",
+    _GROUND_HELD + [("chain_swing.json", cid) for cid in COMBO_IDS],
+)
+def test_only_a_body_to_body_joint_takes_the_dense_projection(
+    monkeypatch, tmp_path, scenario, cid
+):
+    # A ground-held step projects in joint frames with its constant factors
+    # and takes its residuals from the float point velocities: no Jacobian,
+    # least_norm or eigh per step. The chain's projection and its Schur
+    # solve run each at least once per step. The model is built (and its
+    # factors taken) before the counting starts.
+    model, state, cfg = _build(tmp_path, scenario, cid)
+    assert cfg.projection == "position+velocity"
+    counts = {"jacobian": 0, "least_norm": 0, "eigh": 0}
+    _count(monkeypatch, counts, SphericalJointSystem, "jacobian")
+    _count(monkeypatch, counts, np.linalg, "eigh")
+    for module in (liembs.dynamics, liembs.integrate):
+        _count(monkeypatch, counts, module, "least_norm")
+    liembs.integrate.integrate(model, cfg, state)
+    if model.ground_schur is None:
+        assert min(counts.values()) >= _STEPS, counts
+    else:
+        assert counts == {"jacobian": 0, "least_norm": 0, "eigh": 0}
+
+
 @pytest.mark.parametrize("scenario, cid", _GROUND_HELD)
 def test_the_joint_frame_solve_returns_python_floats(
     monkeypatch, tmp_path, scenario, cid
