@@ -33,11 +33,36 @@ the same way (``ground_grams``): A D^2 A^T = F K_c F^T for the diagonal
 D = diag(1 / chart_scale) of its Gauss-Newton step, and A A^T for its
 velocity stage is the case chart_scale = 1, so :func:`ground_increment`
 and :func:`ground_velocity_projection` share the solve's back-substitution
-lam~ -> A^T lam. A system with a joint between two bodies, whose Schur
-complement couples bodies through their relative rotation, keeps the
-dense path through :func:`least_norm`. The velocity residual |A V| of
-every model comes from its float ``point_velocities``, never from a
-Jacobian.
+lam~ -> A^T lam.
+
+A system with one joint i between two bodies a and b, whose body b no other
+joint holds, and with one or more other joints c, each holding a body to
+the ground (the two-body chain), keeps most of that: with lam_j = R_a lam~_j for the body
+a of every joint, its Schur complement is K + blockdiag(0, Q G Q^T), with
+K built as above from every joint's end on its body a, Q = R_a^T R_b of
+joint i and G = [-hat(p_b), I] W_b [-hat(p_b), I]^T constant. The model
+condenses the constant part once, in the same ``ground_schur`` with a
+body-to-body part: K_cc^-1, L = K_ic K_cc^-1, T0 = K_ii - L K_ci and G. A
+stage forms only the 3x3 pivot T = T0 + Q G Q^T in floats, solves it by
+its adjugate, lam~_i = T^-1 (r~_i - L r~_c) and lam~_c = K_cc^-1 r~_c -
+L^T lam~_i, takes the curvature from the model's ``adotv`` rotated by
+R_a^T, and back-substitutes as above, with body b's end added; no
+Jacobian, eigh or dense product. Its gate is a lower bound on the
+reciprocal condition of A M^-1 A^T, by Ostrowski's theorem on its block
+factorization: min(w_min(K_cc), 4 det T / tr(T)^2) / (max(w_max(K_cc),
+tr T) kappa^2), kappa the condition number of [[I, 0], [L, I]], where
+only det T varies. A stage whose T fails Sylvester's test, or whose bound
+is below 1e-10, a hundred times the gate, goes to the dense path, whose
+eigh gate decides it with the same message; so a stage the bound accepts
+is one eigh accepts. A system with two or more body-to-body joints, or
+one whose body b another joint holds, takes the dense path through
+:func:`least_norm` at every stage, and every system with a body-to-body
+joint projects through it. The velocity residual |A V| of every model
+comes from its float ``point_velocities``, never from a Jacobian.
+
+The joint-frame solves build the world multipliers lam only for a caller
+that reads them: :func:`forward_dynamics`, through which every stage
+solves, asks :func:`solve_kkt` for none.
 
 The state derivative is then rewritten in the local chart coordinates of a
 transition-map combo:
@@ -64,7 +89,8 @@ attributes ``n_bodies``, ``group_model``, ``mass_matrix``, ``mass_inverse``
 and ``point_velocities(qs, V)`` (A V as a list of floats). The attribute
 ``ground_schur``, the factor above, is optional: it is read with a None
 default, and a model without it takes the dense paths. A model whose
-``ground_schur`` is not None also supplies ``ground_grams``.
+``ground_schur`` is not None also supplies ``ground_grams``, None when the
+factor has a body-to-body part.
 """
 
 import math
@@ -85,6 +111,11 @@ from .lgt import (
 from .motiongroups import SEMIDIRECT
 
 _RCOND_LIMIT = 1.0e-12
+# The least lower bound on the Schur complement's reciprocal condition with
+# which a body-to-body joint's pivot is solved in joint frames, before the
+# model's margin for rounding: a hundred times the gate, so that any stage
+# it passes passes eigh's gate too.
+_PIVOT_LIMIT = 1.0e-10
 _SCHUR = "Schur complement A M^-1 A^T"
 # The chart scale whose projection gram is A A^T (W = I).
 _UNIT_SCALE = (1.0,) * 6
@@ -171,24 +202,30 @@ def _joint_rotations(qs, joints):
     return [alpha_map(qs[k // 6])[0].tolist() for k, _ in joints]
 
 
-def _back_substitute(model, joints, k_inv, rots, r, what):
-    """(A^T lam, lam) for the joint-frame right-hand side r (3 floats per
-    joint): lam~ = K^-1 r from the rows k_inv, lam_j = R_a lam~_j, and body
-    a's block of A^T lam gains (p x lam~_j, lam~_j) for body-fixed twists,
-    (p x lam~_j, lam_j) for mixed ones; both as lists of floats.
-    SingularKkt naming what when lam~ is not finite."""
-    lam_j = [sum(map(mul, row, r)) for row in k_inv]
+def _matvec(rows, x):
+    """The product of the rows and the vector x, all floats, as a list."""
+    return [sum(map(mul, row, x)) for row in rows]
+
+
+def _back_substitute(model, joints, rots, lam_j, what, world):
+    """(A^T lam, lam) from the joint-frame multipliers lam_j (3 floats per
+    joint): lam_j = R_a lam~_j, and body a's block of A^T lam gains
+    (p x lam~_j, lam~_j) for body-fixed twists, (p x lam~_j, lam_j) for
+    mixed ones. A^T lam is a list of floats, and lam the world multipliers
+    as one when world is true and None otherwise. SingularKkt naming what
+    when lam~ is not finite."""
     _require_finite_multipliers(lam_j, what)
     semidirect = model.group_model == SEMIDIRECT
     lam = []
     at_lam = [0.0] * (6 * model.n_bodies)
     for i, (k, (p0, p1, p2)) in enumerate(joints):
         l0, l1, l2 = lam_j[3 * i : 3 * i + 3]
-        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rots[i]
-        x0 = r00 * l0 + r01 * l1 + r02 * l2
-        x1 = r10 * l0 + r11 * l1 + r12 * l2
-        x2 = r20 * l0 + r21 * l1 + r22 * l2
-        lam += (x0, x1, x2)
+        if world or not semidirect:
+            (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rots[i]
+            x0 = r00 * l0 + r01 * l1 + r02 * l2
+            x1 = r10 * l0 + r11 * l1 + r12 * l2
+            x2 = r20 * l0 + r21 * l1 + r22 * l2
+            lam += (x0, x1, x2)
         at_lam[k] += p1 * l2 - p2 * l1
         at_lam[k + 1] += p2 * l0 - p0 * l2
         at_lam[k + 2] += p0 * l1 - p1 * l0
@@ -197,15 +234,24 @@ def _back_substitute(model, joints, k_inv, rots, r, what):
         at_lam[k + 3] += x0
         at_lam[k + 4] += x1
         at_lam[k + 5] += x2
-    return at_lam, lam
+    return at_lam, lam if world else None
 
 
-def _solve_in_joint_frames(model, factor, qs, v, u):
+def _accelerations(model, u, at_lam, lam):
+    """(Vdot, lam) with Vdot = u - M^-1 A^T lam as a list of floats and the
+    world multipliers lam, a list or None, as an array or None."""
+    correction = model.apply_mass_inverse(at_lam)
+    vdot = [a - b for a, b in zip(u, correction)]
+    return vdot, None if lam is None else np.array(lam)
+
+
+def _solve_in_joint_frames(model, factor, qs, v, u, multipliers):
     """(Vdot, lam) of a system whose every joint holds a body to the
     ground, from u = M^-1 Q and the model's constant factor: the joint
     frame multipliers lam~ = K^-1 r~ with r~_j = R_a^T (A u + adotv)_j, in
-    floats, then lam_j = R_a lam~_j and Vdot = u - M^-1 A^T lam."""
-    joints, rcond, k_inv = factor
+    floats, then lam_j = R_a lam~_j and Vdot = u - M^-1 A^T lam; lam is
+    None unless multipliers is true."""
+    joints, rcond, k_inv, _ = factor
     _require_rcond(rcond, _SCHUR)
     semidirect = model.group_model == SEMIDIRECT
     rots, r = [], []
@@ -232,9 +278,151 @@ def _solve_in_joint_frames(model, factor, qs, v, u):
             b1 + (a2 * p0 - a0 * p2) + (w2 * d0 - w0 * d2),
             b2 + (a0 * p1 - a1 * p0) + (w0 * d1 - w1 * d0),
         )
-    at_lam, lam = _back_substitute(model, joints, k_inv, rots, r, _SCHUR)
-    correction = model.apply_mass_inverse(at_lam)
-    return [a - b for a, b in zip(u, correction)], np.array(lam)
+    lam_j = _matvec(k_inv, r)
+    at_lam, lam = _back_substitute(model, joints, rots, lam_j, _SCHUR, multipliers)
+    return _accelerations(model, u, at_lam, lam)
+
+
+def _link_pivot(link, rot_a, rot_b):
+    """(bound, t_inv, Q) for the pivot T = T0 + Q G Q^T, Q = R_a^T R_b, of
+    the link part of a factor (see ``SphericalJointSystem._link_factor``):
+    bound = min(k_min, 4 det T / tr^2) / scale, a lower bound on the
+    reciprocal condition of the Schur complement A M^-1 A^T, and t_inv
+    the upper triangle of T^-1, from its adjugate, as six floats. bound is
+    0 unless T passes Sylvester's test with a finite determinant (NaN
+    fails it), t_inv is None unless also bound reaches the factor's floor
+    (1e-10 and a margin for the rounding of M^-1), and Q is given as its
+    rows."""
+    (t00, t01, t02, t11, t12, t22), g, (k_min, tr, scale, floor) = link[5:]
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rot_a
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = rot_b
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = g
+    q00 = a00 * b00 + a10 * b10 + a20 * b20
+    q01 = a00 * b01 + a10 * b11 + a20 * b21
+    q02 = a00 * b02 + a10 * b12 + a20 * b22
+    q10 = a01 * b00 + a11 * b10 + a21 * b20
+    q11 = a01 * b01 + a11 * b11 + a21 * b21
+    q12 = a01 * b02 + a11 * b12 + a21 * b22
+    q20 = a02 * b00 + a12 * b10 + a22 * b20
+    q21 = a02 * b01 + a12 * b11 + a22 * b21
+    q22 = a02 * b02 + a12 * b12 + a22 * b22
+    # T += H Q^T, row i of H = Q G being row i of Q times G
+    h0 = q00 * g00 + q01 * g10 + q02 * g20
+    h1 = q00 * g01 + q01 * g11 + q02 * g21
+    h2 = q00 * g02 + q01 * g12 + q02 * g22
+    t00 += h0 * q00 + h1 * q01 + h2 * q02
+    t01 += h0 * q10 + h1 * q11 + h2 * q12
+    t02 += h0 * q20 + h1 * q21 + h2 * q22
+    h0 = q10 * g00 + q11 * g10 + q12 * g20
+    h1 = q10 * g01 + q11 * g11 + q12 * g21
+    h2 = q10 * g02 + q11 * g12 + q12 * g22
+    t11 += h0 * q10 + h1 * q11 + h2 * q12
+    t12 += h0 * q20 + h1 * q21 + h2 * q22
+    h0 = q20 * g00 + q21 * g10 + q22 * g20
+    h1 = q20 * g01 + q21 * g11 + q22 * g21
+    h2 = q20 * g02 + q21 * g12 + q22 * g22
+    t22 += h0 * q20 + h1 * q21 + h2 * q22
+    c00 = t11 * t22 - t12 * t12
+    c01 = t02 * t12 - t01 * t22
+    c02 = t01 * t12 - t02 * t11
+    c11 = t00 * t22 - t02 * t02
+    c12 = t01 * t02 - t00 * t12
+    c22 = t00 * t11 - t01 * t01
+    det = t00 * c00 + t01 * c01 + t02 * c02
+    q = (q00, q01, q02), (q10, q11, q12), (q20, q21, q22)
+    if not (t00 > 0.0 and c22 > 0.0 and 0.0 < det < math.inf):
+        return 0.0, None, q
+    bound = min(k_min, 4.0 * (det / tr) / tr) / scale
+    if not bound >= floor:
+        return bound, None, q
+    inv = 1.0 / det
+    t_inv = c00 * inv, c01 * inv, c02 * inv, c11 * inv, c12 * inv, c22 * inv
+    return bound, t_inv, q
+
+
+def _solve_across_link(model, factor, qs, v, u, multipliers):
+    """(Vdot, lam) of a system with one body-to-body joint i, its body b
+    held by no other joint (see ``SphericalJointSystem._link_factor``),
+    from u = M^-1 Q, or None when the pivot fails its gate. In joint
+    frames, r~_j = R_a^T (A u + adotv)_j, with the curvature adotv from the
+    model: A u is u_v + u_w x p of body a for body-fixed twists and
+    u_w x p + R_a^T u_v for mixed ones, less body b's point acceleration
+    R_b (u_v + u_w x p_b), or u_v + R_b (u_w x p_b), for joint i. Then, c
+    the other joints, lam~_i = T^-1 (r~_i - L r~_c), lam~_c = K_cc^-1 r~_c
+    - L^T lam~_i and Vdot = u - M^-1 A^T lam, where body b's block of
+    A^T lam is -(p_b x mu, mu) for body-fixed twists and -(p_b x mu, lam_i)
+    for mixed ones, mu = R_b^T lam_i = Q^T lam~_i; lam is None unless
+    multipliers is true."""
+    joints, _, k_inv, link = factor
+    i, kb, (p0, p1, p2), l_rows, l_cols = link[:5]
+    rots = _joint_rotations(qs, joints)
+    _, t_inv, q = _link_pivot(link, rots[i], alpha_map(qs[kb // 6])[0].tolist())
+    if t_inv is None:
+        return None
+    semidirect = model.group_model == SEMIDIRECT
+    curv = model.adotv(qs, v).tolist()
+    # Body b's point acceleration R_a^T R_b d, d = u_v + u_w x p_b, for
+    # body-fixed twists; for mixed ones d = u_w x p_b, and u_v joins the
+    # world terms that R_a^T rotates.
+    a0, a1, a2, b0, b1, b2 = u[kb : kb + 6]
+    d0 = a1 * p2 - a2 * p1
+    d1 = a2 * p0 - a0 * p2
+    d2 = a0 * p1 - a1 * p0
+    if semidirect:
+        d0, d1, d2 = b0 + d0, b1 + d1, b2 + d2
+    else:
+        curv[3 * i] -= b0
+        curv[3 * i + 1] -= b1
+        curv[3 * i + 2] -= b2
+    r = []
+    for j, (k, (p0, p1, p2)) in enumerate(joints):
+        a0, a1, a2, b0, b1, b2 = u[k : k + 6]
+        c0, c1, c2 = curv[3 * j : 3 * j + 3]
+        if not semidirect:  # R_a^T u_v, rotated with the curvature
+            c0, c1, c2 = c0 + b0, c1 + b1, c2 + b2
+            b0 = b1 = b2 = 0.0
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rots[j]
+        r += (
+            (r00 * c0 + r10 * c1 + r20 * c2) + b0 + (a1 * p2 - a2 * p1),
+            (r01 * c0 + r11 * c1 + r21 * c2) + b1 + (a2 * p0 - a0 * p2),
+            (r02 * c0 + r12 * c1 + r22 * c2) + b2 + (a0 * p1 - a1 * p0),
+        )
+    r_c = r[: 3 * i] + r[3 * i + 3 :]
+    y0, y1, y2 = r[3 * i : 3 * i + 3]
+    e0, e1, e2 = _matvec(l_rows, r_c)
+    (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = q
+    y0 -= e0 + (q00 * d0 + q01 * d1 + q02 * d2)
+    y1 -= e1 + (q10 * d0 + q11 * d1 + q12 * d2)
+    y2 -= e2 + (q20 * d0 + q21 * d1 + q22 * d2)
+    s00, s01, s02, s11, s12, s22 = t_inv
+    l0 = s00 * y0 + s01 * y1 + s02 * y2
+    l1 = s01 * y0 + s11 * y1 + s12 * y2
+    l2 = s02 * y0 + s12 * y1 + s22 * y2
+    lam_c = [
+        z - (f0 * l0 + f1 * l1 + f2 * l2)
+        for z, (f0, f1, f2) in zip(_matvec(k_inv, r_c), l_cols)
+    ]
+    lam_c[3 * i : 3 * i] = l0, l1, l2
+    at_lam, lam = _back_substitute(model, joints, rots, lam_c, _SCHUR, multipliers)
+    # Body b's end: mu = Q^T lam~_i
+    p0, p1, p2 = link[2]
+    m0 = q00 * l0 + q10 * l1 + q20 * l2
+    m1 = q01 * l0 + q11 * l1 + q21 * l2
+    m2 = q02 * l0 + q12 * l1 + q22 * l2
+    at_lam[kb] -= p1 * m2 - p2 * m1
+    at_lam[kb + 1] -= p2 * m0 - p0 * m2
+    at_lam[kb + 2] -= p0 * m1 - p1 * m0
+    if semidirect:
+        x0, x1, x2 = m0, m1, m2
+    else:  # the world multiplier R_a lam~_i
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rots[i]
+        x0 = r00 * l0 + r01 * l1 + r02 * l2
+        x1 = r10 * l0 + r11 * l1 + r12 * l2
+        x2 = r20 * l0 + r21 * l1 + r22 * l2
+    at_lam[kb + 3] -= x0
+    at_lam[kb + 4] -= x1
+    at_lam[kb + 5] -= x2
+    return _accelerations(model, u, at_lam, lam)
 
 
 def ground_increment(model, qs, g, chart_scale, what):
@@ -256,7 +444,8 @@ def ground_increment(model, qs, g, chart_scale, what):
             -(r01 * g0 + r11 * g1 + r21 * g2),
             -(r02 * g0 + r12 * g1 + r22 * g2),
         )
-    at_lam, _ = _back_substitute(model, joints, k_inv, rots, r, what)
+    lam_j = _matvec(k_inv, r)
+    at_lam, _ = _back_substitute(model, joints, rots, lam_j, what, False)
     return [x / c for x, c in zip(at_lam, chart_scale * model.n_bodies)]
 
 
@@ -288,11 +477,12 @@ def ground_velocity_projection(model, qs, v, what):
             b1 + (w2 * p0 - w0 * p2),
             b2 + (w0 * p1 - w1 * p0),
         )
-    at_lam, _ = _back_substitute(model, joints, k_inv, rots, r, what)
+    lam_j = _matvec(k_inv, r)
+    at_lam, _ = _back_substitute(model, joints, rots, lam_j, what, False)
     return [a - b for a, b in zip(v, at_lam)]
 
 
-def solve_kkt(model, qs, v, t):
+def solve_kkt(model, qs, v, t, *, multipliers=True):
     """Accelerations and constraint multipliers at coordinates qs, twists v
     (a list of floats) and time t.
 
@@ -300,18 +490,22 @@ def solve_kkt(model, qs, v, t):
     frame multipliers. For unconstrained models lam is one shared empty
     read-only array and Vdot is the model's apply_mass_inverse(Q). A model
     whose ``ground_schur`` factor is not None is solved in joint frames in
-    floats; any other constrained model through :func:`least_norm` with
-    W = M^-1. SingularKkt from the gate on the Schur complement A M^-1 A^T
-    (redundant constraints or a singular configuration).
+    floats, and then lam is None unless multipliers is true; a stage whose
+    body-to-body pivot fails its gate, and any other constrained model,
+    through :func:`least_norm` with W = M^-1. SingularKkt from the gate on
+    the Schur complement A M^-1 A^T (redundant constraints or a singular
+    configuration).
     """
     q = model.forces(qs, v, t)
     if model.n_constraints == 0:
         return model.apply_mass_inverse(q), _NO_MULTIPLIERS
     factor = getattr(model, "ground_schur", None)
     if factor is not None:
-        return _solve_in_joint_frames(
-            model, factor, qs, v, model.apply_mass_inverse(q)
-        )
+        solve = _solve_in_joint_frames if factor[3] is None else _solve_across_link
+        u = model.apply_mass_inverse(q)
+        solved = solve(model, factor, qs, v, u, multipliers)
+        if solved is not None:
+            return solved
 
     m_inv = model.mass_inverse
     m_inv_q = m_inv @ q
@@ -322,8 +516,9 @@ def solve_kkt(model, qs, v, t):
 
 
 def forward_dynamics(model, qs, v, t):
-    """The acceleration component of :func:`solve_kkt`."""
-    vdot, _ = solve_kkt(model, qs, v, t)
+    """The acceleration component of :func:`solve_kkt`, which then builds
+    no world multipliers in joint frames."""
+    vdot, _ = solve_kkt(model, qs, v, t, multipliers=False)
     return vdot
 
 

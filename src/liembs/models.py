@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _RCOND_LIMIT, _eigh_rcond
+from .dynamics import _PIVOT_LIMIT, _RCOND_LIMIT, _eigh_rcond
 from .lgt import COMBOS, alpha_map
 from .motiongroups import DIRECT_PRODUCT, GROUP_MODELS, SEMIDIRECT, transform_point
 from .rotmaps import _floats, cross3, hat
@@ -171,11 +171,18 @@ class SphericalJointSystem:
     solve in numpy, are closed-form float expressions per joint over R's
     nine entries, and build each output with one array conversion.
     ``point_velocities`` gives A V in the same floats, for the residuals.
-    ``ground_schur`` and ``ground_grams`` are None unless every joint
-    holds a body to the ground; then they are the constant factors of the
-    Schur complement and of the projection grams (see ``_ground_factors``),
-    built once here, with which the constrained solve and the projection
-    need neither the Jacobian nor an eigendecomposition per step.
+    ``ground_schur`` and ``ground_grams`` are the constant factors of the
+    Schur complement and of the projection grams, built once here. When
+    every joint holds a body to the ground both are set (see
+    ``_ground_factors``), and the constrained solve and the projection need
+    neither the Jacobian nor an eigendecomposition per step. When one joint
+    joins two bodies, the second of which no other joint holds, and one or
+    more other joints each hold a body to the ground (``two_body_chain``),
+    only ``ground_schur`` is set: the ground joints' block condensed once,
+    with the constants of the one 3x3 pivot the stage solve forms from the
+    two bodies' relative rotation and the bound that gates it (see
+    ``_link_factor``); such a system projects through its Jacobian. Any
+    other system gets None for both and takes the dense paths.
     """
 
     def __init__(self, bodies, joints, group_model):
@@ -245,13 +252,28 @@ class SphericalJointSystem:
         ]
         self._weights = [tuple(p.mass * g for g in p.gravity) for p in self.bodies]
         self.ground_schur = self.ground_grams = None
-        if joints and all(b is None for _, _, b, _ in self._joint_points):
+        points = self._joint_points
+        links = [j for j, joint in enumerate(points) if joint[2] is not None]
+        if joints and not links:
             self.ground_schur, self.ground_grams = self._ground_factors()
+        elif len(links) == 1 and len(joints) > 1:
+            self.ground_schur = self._link_factor(links[0])
+
+    def _end_rows(self):
+        """Per joint the rows [-hat(p)  I] at the twist of its body a, p the
+        joint's point on a: body a's part of A is F rows in body-fixed
+        twists, F = blockdiag(R_a per joint)."""
+        rows = np.zeros((self.n_constraints, 6 * self.n_bodies))
+        for j, (a, p, _, _) in enumerate(self._joint_points):
+            rows[3 * j : 3 * j + 3, 6 * a : 6 * a + 3] = -hat(p)
+            rows[3 * j : 3 * j + 3, 6 * a + 3 : 6 * a + 6] = np.eye(3)
+        return rows
 
     def _ground_factors(self):
         """(ground_schur, ground_grams) when every joint holds a body to the
-        ground: ground_schur = (joints, rcond, k_inv) is the constant factor
-        of the Schur complement, ground_grams those of the projection grams.
+        ground: ground_schur = (joints, rcond, k_inv, None) is the constant
+        factor of the Schur complement, ground_grams those of the projection
+        grams.
 
         Joint j at body point p of body a has the Jacobian R_a [-hat(p), I]
         in body-fixed twists and [-R_a hat(p), I] in mixed ones, so for a
@@ -265,18 +287,96 @@ class SphericalJointSystem:
         for W = M^-1. ground_grams maps each combo's chart_scale c to the
         factor for W = diag(1/c^2): the chart-scaled Gauss-Newton gram of
         the projection, and for c = 1 its velocity gram A A^T."""
-        rows = np.zeros((self.n_constraints, 6 * self.n_bodies))
-        for j, (a, p, _, _) in enumerate(self._joint_points):
-            rows[3 * j : 3 * j + 3, 6 * a : 6 * a + 3] = -hat(p)
-            rows[3 * j : 3 * j + 3, 6 * a + 3 : 6 * a + 6] = np.eye(3)
+        rows = self._end_rows()
         joints = tuple((6 * a, p) for a, p, _, _ in self._joint_points)
-        schur = (joints, *_joint_frame_factor(rows, self.mass_inverse))
+        schur = (joints, *_joint_frame_factor(rows, self.mass_inverse), None)
         return schur, {
             scale: _joint_frame_factor(
                 rows, np.diag(np.tile(scale, self.n_bodies) ** -2.0)
             )
             for scale in {c.chart_scale for c in COMBOS.values()}
         }
+
+    def _link_factor(self, i):
+        """ground_schur of a system whose one body-to-body joint, joint i,
+        holds a body b that no other joint holds, the one or more others
+        each holding a body to the ground; None when b carries another
+        joint, or when the ground joints' block fails its gate (then
+        A M^-1 A^T, which holds that block, fails too, and the dense solve
+        raises).
+
+        In joint frames, lam_j = R_a lam~_j with a the body of joint j's
+        first point, the Schur complement is K + blockdiag(0, Q G Q^T)
+        with Q = R_a^T R_b of joint i: K is the constant of
+        :meth:`_ground_factors` over every joint's a end, and
+        G = [-hat(p_b), I] W_b [-hat(p_b), I]^T is the constant of its b
+        end, p_b its point on b and W_b body b's block of M^-1. With c the
+        other joints, eliminating them leaves the one 3x3 pivot
+        T = T0 + Q G Q^T, T0 = K_ii - L K_ci, L = K_ic K_cc^-1.
+
+        The factor is (joints, rcond, k_inv, link): joints is every joint's
+        a end as in :meth:`_ground_factors`, rcond and k_inv those of K_cc,
+        and link = (i, 6 b, p_b, l_rows, l_cols, t0, g, gate) with the rows
+        of L and of L^T, T0's upper triangle (t00, t01, t02, t11, t12, t22)
+        and G's rows as floats. gate = (k_min, tr, scale) bounds the
+        reciprocal condition of the Schur complement from below, by
+        Ostrowski's theorem on [[I, 0], [L, I]] blockdiag(K_cc, T)
+        [[I, 0], [L, I]]^T, as min(k_min, 4 det T / tr^2) / scale: k_min is
+        K_cc's least eigenvalue, tr = tr T0 + tr G the trace of every T,
+        and scale = max(K_cc's largest eigenvalue, tr) kappa^2, kappa the
+        condition number of [[I, 0], [L, I]]. 4 det T / tr^2 and tr bound
+        T's least and largest eigenvalues. A stage is solved here when its
+        bound reaches floor: 1e-10, a hundred times the dense gate, plus a
+        bound on how far the rounding of the float M^-1 (its first-order
+        error W (I - M W)) and of forming A M^-1 A^T can move the ratio the
+        dense eigh reads, so that a stage solved here is one eigh passes.
+        For bodies whose mass blocks are well conditioned that term is near
+        1e-15; for a block near singular in floats it lifts the floor
+        above every bound, and the stages take the dense path."""
+        _, _, b, p_b = self._joint_points[i]
+        others = self._joint_points[:i] + self._joint_points[i + 1 :]
+        if any(b in (a, b2) for a, _, b2, _ in others):
+            return None
+        rows = self._end_rows()
+        c = [j for j in range(self.n_constraints) if j // 3 != i]
+        rcond, k_inv = _joint_frame_factor(rows[c], self.mass_inverse)
+        if k_inv is None:
+            return None
+        k = rows @ self.mass_inverse @ rows.T
+        v = slice(3 * i, 3 * i + 3)
+        k_cc, k_cv = k[np.ix_(c, c)], k[c, v]
+        l_rows = k_cv.T @ np.array(k_inv)
+        t0 = k[v, v] - l_rows @ k_cv
+        n = 6 * self.n_bodies
+        end = np.zeros((3, n))
+        end[:, 6 * b : 6 * b + 3] = -hat(p_b)
+        end[:, 6 * b + 3 : 6 * b + 6] = np.eye(3)
+        g = end @ self.mass_inverse @ end.T
+        w = np.linalg.eigvalsh(k_cc)
+        unit_lower = np.eye(len(c) + 3)
+        unit_lower[len(c) :, : len(c)] = l_rows
+        tr = float(np.trace(t0) + np.trace(g))
+        scale = max(float(w[-1]), tr) * float(np.linalg.cond(unit_lower)) ** 2
+        # How far the float M^-1, off by about W (I - M W), and the rounding
+        # of A W A^T can move the ratio the dense eigh reads, relative to
+        # its w_max: |A| is at most |ends| under 3x3 blocks of ones, and
+        # w_max at least the mean eigenvalue tr(K + G) / (3c + 3).
+        ends = np.abs(np.vstack([rows, end]))
+        w_inv = self.mass_inverse
+        err = np.abs(w_inv @ (np.eye(n) - self.mass_matrix @ w_inv))
+        err += n * np.finfo(float).eps * np.abs(w_inv)
+        spread = 18.0 * np.linalg.norm(ends @ err @ ends.T, 2) * (len(c) + 3)
+        floor = _PIVOT_LIMIT + float(spread / (np.trace(k) + np.trace(g)))
+        joints = tuple((6 * a, p) for a, p, _, _ in self._joint_points)
+        link = (
+            i, 6 * b, p_b,
+            tuple(map(tuple, l_rows.tolist())),
+            tuple(map(tuple, l_rows.T.tolist())),
+            tuple(t0[np.triu_indices(3)].tolist()),
+            tuple(map(tuple, g.tolist())),
+            (float(w[0]), tr, scale, floor),
+        )
+        return joints, rcond, k_inv, link
 
     def forces(self, qs, v, t):
         """Gyroscopic bias plus gravity, stacked over bodies.

@@ -225,6 +225,23 @@ def test_integration_failure_exits_4_with_step_index(tmp_path, capsys):
     assert "step 0" in err
 
 
+@pytest.mark.parametrize(
+    "key, value", [("mass_kg", 1e300), ("inertia_kgm2", [1e-300, 1.0, 1.0])]
+)
+def test_a_chain_singular_in_floats_exits_4_naming_the_schur_gate(
+    tmp_path, capsys, key, value
+):
+    # The joint-frame pivot's bound rejects the stage, and the dense
+    # solve it falls back to raises from its eigh gate.
+    doc = _load("chain_swing.json")
+    doc["model"]["bodies"][1][key] = value
+    path = _write(tmp_path, doc)
+    assert main(["run", str(path), "--out", str(tmp_path / "out.csv")]) == 4
+    err = capsys.readouterr().err
+    assert "step 0 at t=0 failed: Schur complement A M^-1 A^T reciprocal" in err
+    assert err.rstrip().endswith("below 1e-12")
+
+
 def test_overflowing_step_count_exits_2_with_path(tmp_path, capsys):
     doc = _load("free_tumble.json")
     doc["integrator"]["t_end_s"] = 1e308  # t_end_s / h_s overflows to inf

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from liembs import SingularKkt, StepFailed, VariantMismatch
+import liembs.dynamics
 from liembs.dynamics import (
+    _link_pivot,
     constraint_residuals,
     forward_dynamics,
     least_norm,
@@ -16,7 +18,7 @@ from liembs.dynamics import (
     solve_kkt,
 )
 from liembs.integrate import MUNTHE_KAAS_RK4, IntegratorConfig, integrate, project
-from liembs.lgt import QUAT_POS, apply_lgt, identity_coords, quat_pos
+from liembs.lgt import QUAT_POS, alpha_map, apply_lgt, identity_coords, quat_pos
 from liembs.models import (
     BodyParams,
     SphericalJointSystem,
@@ -191,28 +193,163 @@ def test_least_norm_checks_each_multiplier_when_their_sum_overflows():
         least_norm(a, a.T, np.array([1.0, math.nan, 1.0]), "test gram")
 
 
+_CHAIN_POINTS = ((0.0, 0.0, 0.3), (0.0, 0.0, -0.3), (0.1, 0.0, 0.25))
+
+
+def _chains(group):
+    """Two-body chains of the group model: both body frames at the centres
+    of mass and, for body-fixed twists, both off them (the direct-product
+    model needs them at the centres of mass)."""
+    pairs = [
+        (
+            BodyParams(mass=1.2, inertia=(0.4, 0.5, 0.3)),
+            BodyParams(mass=0.7, inertia=(0.1, 0.2, 0.15), gravity=(0.3, 0.0, -9.81)),
+        )
+    ]
+    if group == SEMIDIRECT:
+        pairs.append(
+            (
+                BodyParams(
+                    mass=1.2, inertia=(0.4, 0.5, 0.3), com_offset=(0.0, 0.1, -0.2)
+                ),
+                BodyParams(
+                    mass=0.7, inertia=(0.1, 0.2, 0.15), com_offset=(-0.05, 0.1, 0.15)
+                ),
+            )
+        )
+    return [two_body_chain(*pair, _CHAIN_POINTS, group_model=group) for pair in pairs]
+
+
+def _no_dense_solve(*args):
+    raise AssertionError("the dense least_norm was called")
+
+
 @pytest.mark.parametrize("group", [SEMIDIRECT, DIRECT_PRODUCT])
-def test_schur_solve_matches_dense_saddle_solve(group):
-    # The direct-product model needs body frames at the centres of mass.
+def test_schur_solve_matches_dense_saddle_solve(monkeypatch, group):
+    # The pinned body solves with its ground-held factor and each chain
+    # with its body-to-body pivot, neither through the dense least_norm;
+    # a solve without multipliers gives the same accelerations.
+    monkeypatch.setattr(liembs.dynamics, "least_norm", _no_dense_solve)
     off = (0.0, 0.1, -0.2) if group == SEMIDIRECT else (0.0, 0.0, 0.0)
     p1 = BodyParams(mass=1.2, inertia=(0.4, 0.5, 0.3), com_offset=off)
-    p2 = BodyParams(mass=0.7, inertia=(0.1, 0.2, 0.15))
-    models = [
-        pinned_body(p1, (0.0, 0.0, 0.3), group_model=group),
-        two_body_chain(
-            p1, p2, ((0.0, 0.0, 0.3), (0.0, 0.0, -0.3), (0.1, 0.0, 0.25)),
-            group_model=group,
-        ),
-    ]
+    models = [pinned_body(p1, (0.0, 0.0, 0.3), group_model=group), *_chains(group)]
     rng = np.random.default_rng(63)
     for model in models:
+        assert model.ground_schur is not None
         for _ in range(20):
-            state = _random_quat_state(rng, model.n_bodies)
-            vdot, lam = solve_kkt(model, state.qs, state.V, state.t)
+            state = _random_quat_state(rng, model.n_bodies, v_scale=3.0)
+            vdot, lam = solve_kkt(model, state.qs, state.V.tolist(), state.t)
+            assert solve_kkt(
+                model, state.qs, state.V.tolist(), state.t, multipliers=False
+            ) == (vdot, None)
             vdot_ref, lam_ref = oracles.dense_kkt_solve(model, state)
             for got, want in ((vdot, vdot_ref), (lam, lam_ref)):
                 scale = float(np.max(np.abs(want)))
-                assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+                assert float(np.max(np.abs(np.asarray(got) - want))) <= 1e-12 * scale
+
+
+def test_the_pivot_bound_never_exceeds_the_schur_ratio():
+    # Over random chains with masses and inertias from 1e-6 to 1e6, the
+    # pivot's bound stays below eigh's w_min / w_max of the dense A M^-1 A^T
+    # up to the factor's margin for rounding (its floor less 1e-10), which
+    # for a mass block near singular in floats covers the error of the
+    # float M^-1 that eigh's ratio carries; and a stage the bound accepts
+    # is one eigh's gate accepts.
+    rng = np.random.default_rng(71)
+    checked = accepted = 0
+    for k in range(300):
+        group = (SEMIDIRECT, DIRECT_PRODUCT)[k % 2]
+        off = 0.2 if group == SEMIDIRECT else 0.0
+        bodies = [
+            BodyParams(
+                mass=10.0 ** rng.uniform(-6.0, 6.0),
+                inertia=10.0 ** rng.uniform(-6.0, 6.0, 3),
+                com_offset=rng.uniform(-off, off, 3),
+            )
+            for _ in range(2)
+        ]
+        points = rng.uniform(-0.5, 0.5, (3, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = two_body_chain(*bodies, points, group_model=group)
+        if model.ground_schur is None:  # the ground joint's block fails its gate
+            continue
+        state = _random_quat_state(rng, 2)
+        a = model.jacobian(state.qs)
+        w = np.linalg.eigvalsh(a @ model.mass_inverse @ a.T)
+        ratio = float(w[0] / w[-1])
+        rot_a, rot_b = (alpha_map(q)[0].tolist() for q in state.qs)
+        link = model.ground_schur[3]
+        bound, t_inv, _ = _link_pivot(link, rot_a, rot_b)
+        margin = link[-1][-1] - 1e-10
+        assert 0.0 < margin and bound <= ratio + margin, (k, bound, ratio, margin)
+        if t_inv is not None:
+            assert ratio >= 1e-12
+            accepted += 1
+        checked += 1
+    assert checked >= 250 and 0 < accepted < checked
+
+
+_HEAVY_LINK = ((0.0, 0.0, 0.3), (0.0, 0.0, -0.3), (0.0, 0.0, 0.25))
+
+
+@pytest.mark.parametrize(
+    "link_body",
+    [
+        BodyParams(mass=1e300, inertia=(0.05, 0.05, 0.01)),
+        BodyParams(mass=0.5, inertia=(1e-300, 1.0, 1.0)),
+    ],
+    ids=["heavy", "thin"],
+)
+@pytest.mark.parametrize("group", [SEMIDIRECT, DIRECT_PRODUCT])
+def test_a_chain_singular_in_floats_falls_back_to_the_dense_gate(group, link_body):
+    # The shipped chain's joints in line, its second body at 1e300 kg or
+    # with an inertia entry of 1e-300: the model builds without a numpy
+    # warning, the pivot's bound fails, and the dense eigh gate raises.
+    upper = BodyParams(mass=1.0, inertia=(0.1, 0.1, 0.02))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = two_body_chain(upper, link_body, _HEAVY_LINK, group_model=group)
+        state = make_state([identity_coords(QUAT_POS)] * 2, np.zeros(12))
+        rot = alpha_map(state.qs[0])[0].tolist()
+        assert _link_pivot(model.ground_schur[3], rot, rot)[1] is None
+        with pytest.raises(SingularKkt, match=_SCHUR_GATE):
+            solve_kkt(model, state.qs, state.V.tolist(), state.t)
+
+
+@pytest.mark.parametrize("group", [SEMIDIRECT, DIRECT_PRODUCT])
+def test_a_chain_between_the_gates_takes_the_dense_solve(monkeypatch, group):
+    # At 1e10 kg the second body leaves A M^-1 A^T a reciprocal condition
+    # of 1.6e-11 while both bodies share an orientation: the pivot's bound
+    # sends the stage to least_norm, whose eigh gate passes it. The solve
+    # matches the oracle to the forward error of a backward-stable solve,
+    # eps / ratio.
+    upper = BodyParams(mass=1.0, inertia=(0.1, 0.1, 0.02))
+    lower = BodyParams(mass=1e10, inertia=(0.05, 0.05, 0.01))
+    model = two_body_chain(upper, lower, _HEAVY_LINK, group_model=group)
+    calls = []
+    dense = liembs.dynamics.least_norm
+    monkeypatch.setattr(
+        liembs.dynamics, "least_norm", lambda *args: calls.append(1) or dense(*args)
+    )
+    rng = np.random.default_rng(12)
+    for k in range(20):
+        rot = exp_sp1(oracles.random_vector(rng, 3.0))
+        qs = [quat_pos(rot, rng.normal(size=3)) for _ in range(2)]
+        state = make_state(qs, rng.normal(size=12))
+        a = model.jacobian(state.qs)
+        w = np.linalg.eigvalsh(a @ model.mass_inverse @ a.T)
+        ratio = float(w[0] / w[-1])
+        assert 1e-12 < ratio < 1e-10
+        vdot, lam = solve_kkt(model, state.qs, state.V.tolist(), state.t)
+        assert len(calls) == k + 1
+        vdot_ref, lam_ref = oracles.dense_kkt_solve(model, state, rcond_limit=0.0)
+        # V dot is u - M^-1 A^T lam, whose terms are far larger than it.
+        terms = float(np.max(np.abs(model.mass_inverse @ a.T @ lam_ref)))
+        tol = 10.0 * np.finfo(float).eps / ratio
+        assert float(np.max(np.abs(np.asarray(vdot) - vdot_ref))) <= tol * terms
+        lam_scale = float(np.max(np.abs(lam_ref)))
+        assert float(np.max(np.abs(lam - lam_ref))) <= tol * lam_scale
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -266,10 +403,23 @@ def test_ground_held_solve_in_joint_frames_matches_dense_saddle_solve(group):
 
 
 def test_only_a_system_held_to_the_ground_alone_gets_the_constant_factor():
+    # The projection grams are factored only for a system held to the
+    # ground alone. The chain's Schur complement gets a factor too, with a
+    # body-to-body part; a system whose body-to-body joint ends at a body
+    # another joint holds, or with two such joints, gets none.
     params = BodyParams(mass=1.0, inertia=(0.1, 0.2, 0.3))
     assert free_rigid_body(params).ground_schur is None
+    held = pinned_body(params, _PIN_A)
+    assert held.ground_schur[3] is None and held.ground_grams is not None
     chain = two_body_chain(params, params, (_PIN_A, (0.0, 0.0, -0.3), _PIN_B))
-    assert chain.ground_schur is None
+    assert chain.ground_schur[3] is not None and chain.ground_grams is None
+    link = (0, (0.0, 0.0, -0.3), 1, _PIN_B)
+    for joints in (
+        [(0, _PIN_A, None, _PIN_A), link, (1, _PIN_A, None, _PIN_B)],
+        [(0, _PIN_A, None, _PIN_A), link, (1, _PIN_A, 2, _PIN_B)],
+    ):
+        model = SphericalJointSystem([params] * 3, joints, SEMIDIRECT)
+        assert model.ground_schur is None and model.ground_grams is None
 
 
 _SCHUR_GATE = r"Schur complement A M\^-1 A\^T reciprocal condition .* below 1e-12"
@@ -292,7 +442,7 @@ def test_a_body_held_by_two_ground_joints_fails_the_gate_at_solve_time(group, se
             [(0, _PIN_A, None, _PIN_A), (0, second, None, second)],
             group,
         )
-    _, rcond, k_inv = model.ground_schur
+    _, rcond, k_inv, _ = model.ground_schur
     assert rcond < 1e-12 and k_inv is None
     state = make_state([identity_coords(QUAT_POS)], np.zeros(6))
     with pytest.raises(SingularKkt, match=_SCHUR_GATE):

@@ -8,6 +8,7 @@ tracer module is loaded by path; one test installs its ``Tracer`` around a
 few steps of every combo and uninstalls it before it checks the metrics.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -326,19 +327,35 @@ def _build(tmp_path, scenario, cid):
 @pytest.mark.parametrize(
     "scenario, cid, per_step",
     [(scenario, cid, 0) for scenario, cid in _GROUND_HELD]
-    + [("chain_swing.json", cid, 4) for cid in COMBO_IDS],
+    + [("chain_swing.json", cid, 0) for cid in COMBO_IDS],
 )
 def test_only_a_body_to_body_joint_takes_the_dense_schur_solve(
     monkeypatch, tmp_path, scenario, cid, per_step
 ):
     # A system held to the ground alone solves in joint frames with its
-    # constant factor; the chain's Schur complement goes through the dense
-    # least_norm once per stage.
+    # constant factor, and so does the chain, whose one body-to-body joint
+    # leaves a 3x3 pivot per stage; neither reaches the dense least_norm.
     counts = {"least_norm": 0}
     _count(monkeypatch, counts, liembs.dynamics, "least_norm")
     model, state, cfg = _build(tmp_path, scenario, cid)
     liembs.integrate.integrate(model, cfg, state)
     assert counts["least_norm"] == per_step * _STEPS
+
+
+@pytest.mark.parametrize("cid", COMBO_IDS)
+def test_the_chain_stage_solve_reads_only_the_curvature(monkeypatch, tmp_path, cid):
+    # Unprojected, a step runs only its four stage solves and the record:
+    # each solve reads adotv once, in place of the Jacobian, least_norm
+    # and eigh of the dense path.
+    model, state, cfg = _build(tmp_path, "chain_swing.json", cid)
+    cfg = dataclasses.replace(cfg, projection="off")
+    counts = {"jacobian": 0, "adotv": 0, "least_norm": 0, "eigh": 0}
+    _count(monkeypatch, counts, SphericalJointSystem, "jacobian")
+    _count(monkeypatch, counts, SphericalJointSystem, "adotv")
+    _count(monkeypatch, counts, np.linalg, "eigh")
+    _count(monkeypatch, counts, liembs.dynamics, "least_norm")
+    liembs.integrate.integrate(model, cfg, state)
+    assert counts == {"jacobian": 0, "adotv": 4 * _STEPS, "least_norm": 0, "eigh": 0}
 
 
 @pytest.mark.parametrize(
@@ -350,9 +367,9 @@ def test_only_a_body_to_body_joint_takes_the_dense_projection(
 ):
     # A ground-held step projects in joint frames with its constant factors
     # and takes its residuals from the float point velocities: no Jacobian,
-    # least_norm or eigh per step. The chain's projection and its Schur
-    # solve run each at least once per step. The model is built (and its
-    # factors taken) before the counting starts.
+    # least_norm or eigh per step. The chain, which has no projection
+    # factors, projects through its Jacobian at least once per step. The
+    # model is built (and its factors taken) before the counting starts.
     model, state, cfg = _build(tmp_path, scenario, cid)
     assert cfg.projection == "position+velocity"
     counts = {"jacobian": 0, "least_norm": 0, "eigh": 0}
@@ -361,7 +378,7 @@ def test_only_a_body_to_body_joint_takes_the_dense_projection(
     for module in (liembs.dynamics, liembs.integrate):
         _count(monkeypatch, counts, module, "least_norm")
     liembs.integrate.integrate(model, cfg, state)
-    if model.ground_schur is None:
+    if model.ground_grams is None:
         assert min(counts.values()) >= _STEPS, counts
     else:
         assert counts == {"jacobian": 0, "least_norm": 0, "eigh": 0}
