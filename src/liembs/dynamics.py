@@ -19,48 +19,51 @@ solved in :func:`least_norm` (one eigendecomposition), which the
 projection of a system with a joint between two bodies reuses. Without
 constraints Vdot = M^-1 Q, which the model applies body by body in floats.
 
-When every joint holds a body to the ground the geometry makes the Schur
-complement constant up to rotations: A M^-1 A^T = F K F^T, with
-F = blockdiag(R_a) over the joints' bodies and K a constant the model
-factors once (its ``ground_schur``). The multipliers are then solved in
-joint frames in floats, lam~ = K^-1 r~ with r~_j = R_a^T (A M^-1 Q +
-adotv)_j, which is (u_v + u_w x p) + w x (v + w x p) for body-fixed twists
-and u_w x p + R_a^T u_v + w x (w x p) for mixed ones (u = M^-1 Q); then
-lam_j = R_a lam~_j and Vdot = u - M^-1 A^T lam, with no Jacobian, eigh or
-6N x 6N product per stage. K's eigenvalues are those of A M^-1 A^T, so
-the gate is the same ratio, computed once. The projection's grams factor
-the same way (``ground_grams``): A D^2 A^T = F K_c F^T for the diagonal
-D = diag(1 / chart_scale) of its Gauss-Newton step, and A A^T for its
-velocity stage is the case chart_scale = 1, so :func:`ground_increment`
-and :func:`ground_velocity_projection` share the solve's back-substitution
-lam~ -> A^T lam.
+A joint's rows of A depend on the configuration only through the rotation
+R_a of the body at its first end, and of the body at its second, so the
+constrained solve works in joint frames, lam_j = R_a lam~_j. When every
+joint holds a body to the ground, A M^-1 A^T = F K F^T with
+F = blockdiag(R_a) and K constant. When one joint i, the link, joins body
+a to a body b that no other joint holds, and one or more others c each
+hold a body to the ground (the two-body chain), it is
+K + blockdiag(0, Q G Q^T) in joint frames, with K over every joint's end
+on its body a, Q = R_a^T R_b of the link and G the constant of its end on
+b. The model condenses the constant part once (its ``ground_schur``): K^-1
+with no link; with one, K_cc^-1, L = K_ic K_cc^-1, T0 = K_ii - L K_ci and
+G.
 
-A system with one joint i between two bodies a and b, whose body b no other
-joint holds, and with one or more other joints c, each holding a body to
-the ground (the two-body chain), keeps most of that: with lam_j = R_a lam~_j for the body
-a of every joint, its Schur complement is K + blockdiag(0, Q G Q^T), with
-K built as above from every joint's end on its body a, Q = R_a^T R_b of
-joint i and G = [-hat(p_b), I] W_b [-hat(p_b), I]^T constant. The model
-condenses the constant part once, in the same ``ground_schur`` with a
-body-to-body part: K_cc^-1, L = K_ic K_cc^-1, T0 = K_ii - L K_ci and G. A
-stage forms only the 3x3 pivot T = T0 + Q G Q^T in floats, solves it by
-its adjugate, lam~_i = T^-1 (r~_i - L r~_c) and lam~_c = K_cc^-1 r~_c -
-L^T lam~_i, takes the curvature from the model's ``adotv`` rotated by
-R_a^T, and back-substitutes as above, with body b's end added; no
-Jacobian, eigh or dense product. Its gate is a lower bound on the
-reciprocal condition of A M^-1 A^T, by Ostrowski's theorem on its block
-factorization: min(w_min(K_cc), 4 det T / tr(T)^2) / (max(w_max(K_cc),
-tr T) kappa^2), kappa the condition number of [[I, 0], [L, I]], where
-only det T varies. A stage whose T fails Sylvester's test, or whose bound
-is below 1e-10, a hundred times the gate, goes to the dense path, whose
-eigh gate decides it with the same message; so a stage the bound accepts
-is one eigh accepts. A system with two or more body-to-body joints, or
-one whose body b another joint holds, takes the dense path through
-:func:`least_norm` at every stage, and every system with a body-to-body
-joint projects through it. The velocity residual |A V| of every model
+A stage then solves in floats, with no Jacobian, adotv, eigh or 6N x 6N
+product. Joint j's residual r~_j = R_a^T (A u + adotv)_j, u = M^-1 Q, is
+a closed form at body a's end: (u_v + u_w x p) + w x (v + w x p) for
+body-fixed twists and R_a^T u_v + u_w x p + w x (w x p) for mixed ones;
+the link's less the same terms at body b's end, in R_b's frame, turned by
+Q. With no link lam~ = K^-1 r~. With one, the stage forms the 3x3 pivot
+T = T0 + Q G Q^T, solves it by its adjugate, lam~_i = T^-1 (r~_i -
+L r~_c), and lam~_c = K_cc^-1 r~_c - L^T lam~_i. One back-substitution
+gives A^T lam, body b's end included, and Vdot = u - M^-1 A^T lam.
+
+With no link K's eigenvalues are those of A M^-1 A^T, so the gate is the
+same ratio, computed once. With one it is a lower bound on that ratio, by
+Ostrowski's theorem on the block factorization: min(w_min(K_cc),
+4 det T / tr(T)^2) / (max(w_max(K_cc), tr T) kappa^2), kappa the
+condition number of [[I, 0], [L, I]], where only det T varies. A stage
+whose T fails Sylvester's test, or whose bound is below 1e-10, a hundred
+times the gate, goes to the dense path, whose eigh gate decides it with
+the same message; so a stage the bound accepts is one eigh accepts. Any
+other constrained system (two or more links, a link alone, or one whose
+body b another joint holds) takes the dense path through
+:func:`least_norm` at every stage.
+
+A ground-held system's projection grams factor the same way
+(``ground_grams``): A D^2 A^T = F K_c F^T for the diagonal
+D = diag(1 / chart_scale) of its Gauss-Newton step, and A A^T of its
+velocity stage is the case chart_scale = 1, so
+:func:`ground_increment` and :func:`ground_velocity_projection` share the
+solve's residual and back-substitution. A system with a link projects
+through :func:`least_norm`. The velocity residual |A V| of every model
 comes from its float ``point_velocities``, never from a Jacobian.
 
-The joint-frame solves build the world multipliers lam only for a caller
+The joint-frame solve builds the world multipliers lam only for a caller
 that reads them: :func:`forward_dynamics`, through which every stage
 solves, asks :func:`solve_kkt` for none.
 
@@ -87,16 +90,15 @@ attributes ``n_bodies``, ``group_model``, ``mass_matrix``, ``mass_inverse``
 ``forces(qs, V, t)`` and ``apply_mass_inverse(Q)`` (lists of floats),
 ``constraints(qs)``, ``jacobian(qs)``, ``adotv(qs, V)``, ``energy(qs, V)``
 and ``point_velocities(qs, V)`` (A V as a list of floats). The attribute
-``ground_schur``, the factor above, is optional: it is read with a None
-default, and a model without it takes the dense paths. A model whose
-``ground_schur`` is not None also supplies ``ground_grams``, None when the
-factor has a body-to-body part.
+``ground_schur``, the factor above, and ``ground_grams`` are optional:
+each is read with a None default, and a model without them takes the
+dense paths. A model with ``ground_grams`` also has ``ground_schur``.
 """
 
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, sub
 
 import numpy as np
 
@@ -156,7 +158,8 @@ def _inf_norm(xs):
 def _eigh_rcond(gram):
     """(w, v, rcond): the eigh V diag(w) V^T of a symmetric gram and its
     reciprocal condition w_min / w_max as a float, 0 when w_max is not
-    positive (a zero or non-finite gram) or when eigh fails (on a NaN
+    positive (a zero gram), when the ratio is not finite (a non-finite
+    gram, whose eigenvalues can be NaN) or when eigh fails (on a NaN
     entry; w and v are then None). An indefinite gram gives a negative
     ratio."""
     try:
@@ -164,7 +167,8 @@ def _eigh_rcond(gram):
     except np.linalg.LinAlgError:
         return None, None, 0.0
     ws = w.tolist()
-    return w, v, ws[0] / ws[-1] if ws[-1] > 0 else 0.0
+    rcond = ws[0] / ws[-1] if ws[-1] > 0 else 0.0
+    return w, v, rcond if math.isfinite(rcond) else 0.0
 
 
 def _require_rcond(rcond, what):
@@ -197,28 +201,61 @@ def least_norm(a, w_at, rhs, what):
     return w_at @ lam, lam
 
 
-def _joint_rotations(qs, joints):
-    """R_a of each joint's body as three rows of floats."""
-    return [alpha_map(qs[k // 6])[0].tolist() for k, _ in joints]
-
-
 def _matvec(rows, x):
     """The product of the rows and the vector x, all floats, as a list."""
     return [sum(map(mul, row, x)) for row in rows]
 
 
-def _back_substitute(model, joints, rots, lam_j, what, world):
-    """(A^T lam, lam) from the joint-frame multipliers lam_j (3 floats per
-    joint): lam_j = R_a lam~_j, and body a's block of A^T lam gains
-    (p x lam~_j, lam~_j) for body-fixed twists, (p x lam~_j, lam_j) for
-    mixed ones. A^T lam is a list of floats, and lam the world multipliers
+def _end_residuals(semidirect, qs, ends, x, v=None):
+    """(r, rots) at the joint ends (6 k, p) at coordinates qs: rots holds
+    each end's body rotation R as three rows of floats, and r the floats
+    R^T (A x + adotv) per end, the velocity of the body point p under the
+    twists x in R's frame, x_v + x_w x p for body-fixed twists and
+    R^T x_v + x_w x p for mixed ones, plus, for twists v, the curvature
+    w x d, d = v + w x p for body-fixed twists and w x p for mixed ones
+    (none when v is None)."""
+    rots, r = [], []
+    for k, (p0, p1, p2) in ends:
+        rot = alpha_map(qs[k // 6])[0].tolist()
+        rots.append(rot)
+        a0, a1, a2, b0, b1, b2 = x[k : k + 6]
+        if not semidirect:
+            (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
+            b0, b1, b2 = (
+                r00 * b0 + r10 * b1 + r20 * b2,
+                r01 * b0 + r11 * b1 + r21 * b2,
+                r02 * b0 + r12 * b1 + r22 * b2,
+            )
+        b0 += a1 * p2 - a2 * p1
+        b1 += a2 * p0 - a0 * p2
+        b2 += a0 * p1 - a1 * p0
+        if v is not None:
+            w0, w1, w2, v0, v1, v2 = v[k : k + 6]
+            d0 = w1 * p2 - w2 * p1
+            d1 = w2 * p0 - w0 * p2
+            d2 = w0 * p1 - w1 * p0
+            if semidirect:
+                d0, d1, d2 = v0 + d0, v1 + d1, v2 + d2
+            b0 += w1 * d2 - w2 * d1
+            b1 += w2 * d0 - w0 * d2
+            b2 += w0 * d1 - w1 * d0
+        r += (b0, b1, b2)
+    return r, rots
+
+
+def _back_substitute(model, ends, rots, lam_j, what, world):
+    """(A^T lam, lam) from the joint-frame forces lam_j, 3 floats per joint
+    end (6 k, p) in the frame of its body's rotation R (rots, one per end):
+    the end's world force is R lam~_j, and its body's block of A^T lam
+    gains (p x lam~_j, lam~_j) for body-fixed twists, (p x lam~_j, R lam~_j)
+    for mixed ones. A^T lam is a list of floats, and lam the world forces
     as one when world is true and None otherwise. SingularKkt naming what
     when lam~ is not finite."""
     _require_finite_multipliers(lam_j, what)
     semidirect = model.group_model == SEMIDIRECT
     lam = []
     at_lam = [0.0] * (6 * model.n_bodies)
-    for i, (k, (p0, p1, p2)) in enumerate(joints):
+    for i, (k, (p0, p1, p2)) in enumerate(ends):
         l0, l1, l2 = lam_j[3 * i : 3 * i + 3]
         if world or not semidirect:
             (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rots[i]
@@ -237,62 +274,16 @@ def _back_substitute(model, joints, rots, lam_j, what, world):
     return at_lam, lam if world else None
 
 
-def _accelerations(model, u, at_lam, lam):
-    """(Vdot, lam) with Vdot = u - M^-1 A^T lam as a list of floats and the
-    world multipliers lam, a list or None, as an array or None."""
-    correction = model.apply_mass_inverse(at_lam)
-    vdot = [a - b for a, b in zip(u, correction)]
-    return vdot, None if lam is None else np.array(lam)
-
-
-def _solve_in_joint_frames(model, factor, qs, v, u, multipliers):
-    """(Vdot, lam) of a system whose every joint holds a body to the
-    ground, from u = M^-1 Q and the model's constant factor: the joint
-    frame multipliers lam~ = K^-1 r~ with r~_j = R_a^T (A u + adotv)_j, in
-    floats, then lam_j = R_a lam~_j and Vdot = u - M^-1 A^T lam; lam is
-    None unless multipliers is true."""
-    joints, rcond, k_inv, _ = factor
-    _require_rcond(rcond, _SCHUR)
-    semidirect = model.group_model == SEMIDIRECT
-    rots, r = [], []
-    for k, (p0, p1, p2) in joints:
-        rot = alpha_map(qs[k // 6])[0].tolist()
-        rots.append(rot)
-        w0, w1, w2, v0, v1, v2 = v[k : k + 6]
-        a0, a1, a2, b0, b1, b2 = u[k : k + 6]
-        # d = v + omega x p for body-fixed twists, omega x p for mixed ones
-        d0 = w1 * p2 - w2 * p1
-        d1 = w2 * p0 - w0 * p2
-        d2 = w0 * p1 - w1 * p0
-        if semidirect:
-            d0, d1, d2 = v0 + d0, v1 + d1, v2 + d2
-        else:  # the point's world velocity term R^T u_v
-            (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
-            b0, b1, b2 = (
-                r00 * b0 + r10 * b1 + r20 * b2,
-                r01 * b0 + r11 * b1 + r21 * b2,
-                r02 * b0 + r12 * b1 + r22 * b2,
-            )
-        r += (
-            b0 + (a1 * p2 - a2 * p1) + (w1 * d2 - w2 * d1),
-            b1 + (a2 * p0 - a0 * p2) + (w2 * d0 - w0 * d2),
-            b2 + (a0 * p1 - a1 * p0) + (w0 * d1 - w1 * d0),
-        )
-    lam_j = _matvec(k_inv, r)
-    at_lam, lam = _back_substitute(model, joints, rots, lam_j, _SCHUR, multipliers)
-    return _accelerations(model, u, at_lam, lam)
-
-
 def _link_pivot(link, rot_a, rot_b):
     """(bound, t_inv, Q) for the pivot T = T0 + Q G Q^T, Q = R_a^T R_b, of
-    the link part of a factor (see ``SphericalJointSystem._link_factor``):
-    bound = min(k_min, 4 det T / tr^2) / scale, a lower bound on the
-    reciprocal condition of the Schur complement A M^-1 A^T, and t_inv
-    the upper triangle of T^-1, from its adjugate, as six floats. bound is
-    0 unless T passes Sylvester's test with a finite determinant (NaN
-    fails it), t_inv is None unless also bound reaches the factor's floor
-    (1e-10 and a margin for the rounding of M^-1), and Q is given as its
-    rows."""
+    the link part of a factor (see
+    ``SphericalJointSystem._joint_frame_factors``): bound =
+    min(k_min, 4 det T / tr^2) / scale, a lower bound on the reciprocal
+    condition of the Schur complement A M^-1 A^T, and t_inv the upper
+    triangle of T^-1, from its adjugate, as six floats. bound is 0 unless T
+    passes Sylvester's test with a finite determinant (NaN fails it), t_inv
+    is None unless also bound reaches the factor's floor (1e-10 and a
+    margin for the rounding of M^-1), and Q is given as its rows."""
     (t00, t01, t02, t11, t12, t22), g, (k_min, tr, scale, floor) = link[5:]
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rot_a
     (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = rot_b
@@ -340,89 +331,55 @@ def _link_pivot(link, rot_a, rot_b):
     return bound, t_inv, q
 
 
-def _solve_across_link(model, factor, qs, v, u, multipliers):
-    """(Vdot, lam) of a system with one body-to-body joint i, its body b
-    held by no other joint (see ``SphericalJointSystem._link_factor``),
-    from u = M^-1 Q, or None when the pivot fails its gate. In joint
-    frames, r~_j = R_a^T (A u + adotv)_j, with the curvature adotv from the
-    model: A u is u_v + u_w x p of body a for body-fixed twists and
-    u_w x p + R_a^T u_v for mixed ones, less body b's point acceleration
-    R_b (u_v + u_w x p_b), or u_v + R_b (u_w x p_b), for joint i. Then, c
-    the other joints, lam~_i = T^-1 (r~_i - L r~_c), lam~_c = K_cc^-1 r~_c
-    - L^T lam~_i and Vdot = u - M^-1 A^T lam, where body b's block of
-    A^T lam is -(p_b x mu, mu) for body-fixed twists and -(p_b x mu, lam_i)
-    for mixed ones, mu = R_b^T lam_i = Q^T lam~_i; lam is None unless
-    multipliers is true."""
-    joints, _, k_inv, link = factor
-    i, kb, (p0, p1, p2), l_rows, l_cols = link[:5]
-    rots = _joint_rotations(qs, joints)
-    _, t_inv, q = _link_pivot(link, rots[i], alpha_map(qs[kb // 6])[0].tolist())
-    if t_inv is None:
-        return None
+def _solve_in_joint_frames(model, factor, qs, v, u, multipliers):
+    """(Vdot, lam) from u = M^-1 Q and the model's joint-frame factor (see
+    ``SphericalJointSystem._joint_frame_factors``), or None when its link's
+    pivot fails its gate. Joint j's residual r~_j = R_a^T (A u + adotv)_j
+    at body a's end is u's point velocity there (:func:`_end_residuals`)
+    plus the curvature w x d, d = v + w x p for body-fixed twists and
+    w x p for mixed ones; the link joint i less Q e_b, e_b the same terms
+    at body b's end in R_b's frame and Q = R_a^T R_b. Without a link
+    lam~ = K^-1 r~; with one, c the other joints, lam~_i = T^-1 (r~_i -
+    L r~_c) and lam~_c = K_cc^-1 r~_c - L^T lam~_i, and body b's end takes
+    the force -Q^T lam~_i. Then Vdot = u - M^-1 A^T lam, and lam, the world
+    multipliers lam_j = R_a lam~_j, is None unless multipliers is true."""
+    joints, rcond, k_inv, link = factor
+    _require_rcond(rcond, _SCHUR)
     semidirect = model.group_model == SEMIDIRECT
-    curv = model.adotv(qs, v).tolist()
-    # Body b's point acceleration R_a^T R_b d, d = u_v + u_w x p_b, for
-    # body-fixed twists; for mixed ones d = u_w x p_b, and u_v joins the
-    # world terms that R_a^T rotates.
-    a0, a1, a2, b0, b1, b2 = u[kb : kb + 6]
-    d0 = a1 * p2 - a2 * p1
-    d1 = a2 * p0 - a0 * p2
-    d2 = a0 * p1 - a1 * p0
-    if semidirect:
-        d0, d1, d2 = b0 + d0, b1 + d1, b2 + d2
+    ends = joints if link is None else joints + (link[1:3],)
+    r, rots = _end_residuals(semidirect, qs, ends, u, v)
+    if link is None:
+        lam_j = _matvec(k_inv, r)
     else:
-        curv[3 * i] -= b0
-        curv[3 * i + 1] -= b1
-        curv[3 * i + 2] -= b2
-    r = []
-    for j, (k, (p0, p1, p2)) in enumerate(joints):
-        a0, a1, a2, b0, b1, b2 = u[k : k + 6]
-        c0, c1, c2 = curv[3 * j : 3 * j + 3]
-        if not semidirect:  # R_a^T u_v, rotated with the curvature
-            c0, c1, c2 = c0 + b0, c1 + b1, c2 + b2
-            b0 = b1 = b2 = 0.0
-        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rots[j]
-        r += (
-            (r00 * c0 + r10 * c1 + r20 * c2) + b0 + (a1 * p2 - a2 * p1),
-            (r01 * c0 + r11 * c1 + r21 * c2) + b1 + (a2 * p0 - a0 * p2),
-            (r02 * c0 + r12 * c1 + r22 * c2) + b2 + (a0 * p1 - a1 * p0),
+        i, _, _, l_rows, l_cols = link[:5]
+        _, t_inv, q = _link_pivot(link, rots[i], rots[-1])
+        if t_inv is None:
+            return None
+        e0, e1, e2 = r[-3:]
+        y0, y1, y2 = r[3 * i : 3 * i + 3]
+        r_c = r[: 3 * i] + r[3 * i + 3 : -3]
+        f0, f1, f2 = _matvec(l_rows, r_c)
+        (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = q
+        y0 -= f0 + (q00 * e0 + q01 * e1 + q02 * e2)
+        y1 -= f1 + (q10 * e0 + q11 * e1 + q12 * e2)
+        y2 -= f2 + (q20 * e0 + q21 * e1 + q22 * e2)
+        s00, s01, s02, s11, s12, s22 = t_inv
+        l0 = s00 * y0 + s01 * y1 + s02 * y2
+        l1 = s01 * y0 + s11 * y1 + s12 * y2
+        l2 = s02 * y0 + s12 * y1 + s22 * y2
+        lam_j = [
+            z - (g0 * l0 + g1 * l1 + g2 * l2)
+            for z, (g0, g1, g2) in zip(_matvec(k_inv, r_c), l_cols)
+        ]
+        lam_j[3 * i : 3 * i] = l0, l1, l2
+        lam_j += (
+            -(q00 * l0 + q10 * l1 + q20 * l2),
+            -(q01 * l0 + q11 * l1 + q21 * l2),
+            -(q02 * l0 + q12 * l1 + q22 * l2),
         )
-    r_c = r[: 3 * i] + r[3 * i + 3 :]
-    y0, y1, y2 = r[3 * i : 3 * i + 3]
-    e0, e1, e2 = _matvec(l_rows, r_c)
-    (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = q
-    y0 -= e0 + (q00 * d0 + q01 * d1 + q02 * d2)
-    y1 -= e1 + (q10 * d0 + q11 * d1 + q12 * d2)
-    y2 -= e2 + (q20 * d0 + q21 * d1 + q22 * d2)
-    s00, s01, s02, s11, s12, s22 = t_inv
-    l0 = s00 * y0 + s01 * y1 + s02 * y2
-    l1 = s01 * y0 + s11 * y1 + s12 * y2
-    l2 = s02 * y0 + s12 * y1 + s22 * y2
-    lam_c = [
-        z - (f0 * l0 + f1 * l1 + f2 * l2)
-        for z, (f0, f1, f2) in zip(_matvec(k_inv, r_c), l_cols)
-    ]
-    lam_c[3 * i : 3 * i] = l0, l1, l2
-    at_lam, lam = _back_substitute(model, joints, rots, lam_c, _SCHUR, multipliers)
-    # Body b's end: mu = Q^T lam~_i
-    p0, p1, p2 = link[2]
-    m0 = q00 * l0 + q10 * l1 + q20 * l2
-    m1 = q01 * l0 + q11 * l1 + q21 * l2
-    m2 = q02 * l0 + q12 * l1 + q22 * l2
-    at_lam[kb] -= p1 * m2 - p2 * m1
-    at_lam[kb + 1] -= p2 * m0 - p0 * m2
-    at_lam[kb + 2] -= p0 * m1 - p1 * m0
-    if semidirect:
-        x0, x1, x2 = m0, m1, m2
-    else:  # the world multiplier R_a lam~_i
-        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rots[i]
-        x0 = r00 * l0 + r01 * l1 + r02 * l2
-        x1 = r10 * l0 + r11 * l1 + r12 * l2
-        x2 = r20 * l0 + r21 * l1 + r22 * l2
-    at_lam[kb + 3] -= x0
-    at_lam[kb + 4] -= x1
-    at_lam[kb + 5] -= x2
-    return _accelerations(model, u, at_lam, lam)
+    at_lam, lam = _back_substitute(model, ends, rots, lam_j, _SCHUR, multipliers)
+    vdot = list(map(sub, u, model.apply_mass_inverse(at_lam)))
+    return vdot, None if lam is None else np.array(lam[: 3 * len(joints)])
 
 
 def ground_increment(model, qs, g, chart_scale, what):
@@ -435,7 +392,7 @@ def ground_increment(model, qs, g, chart_scale, what):
     joints = model.ground_schur[0]
     rcond, k_inv = model.ground_grams[chart_scale]
     _require_rcond(rcond, what)
-    rots = _joint_rotations(qs, joints)
+    rots = [alpha_map(qs[k // 6])[0].tolist() for k, _ in joints]
     r = []
     for i, ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)) in enumerate(rots):
         g0, g1, g2 = g[3 * i : 3 * i + 3]
@@ -454,32 +411,15 @@ def ground_velocity_projection(model, qs, v, what):
     twists v (a list of floats) onto the null space of A, for a model whose
     every joint holds a body to the ground, in joint frames: lam~ solves
     K lam~ = r~ with K the unit-scale ``ground_grams`` factor and
-    r~_j = R_a^T (A V)_j, which is v + omega x p for body-fixed twists and
-    R_a^T rdot + omega x p for mixed ones. SingularKkt naming what from
-    the gate on K or on non-finite multipliers."""
+    r~_j = R_a^T (A V)_j from :func:`_end_residuals`. SingularKkt naming
+    what from the gate on K or on non-finite multipliers."""
     joints = model.ground_schur[0]
     rcond, k_inv = model.ground_grams[_UNIT_SCALE]
     _require_rcond(rcond, what)
-    semidirect = model.group_model == SEMIDIRECT
-    rots = _joint_rotations(qs, joints)
-    r = []
-    for rot, (k, (p0, p1, p2)) in zip(rots, joints):
-        w0, w1, w2, b0, b1, b2 = v[k : k + 6]
-        if not semidirect:  # R^T rdot
-            (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
-            b0, b1, b2 = (
-                r00 * b0 + r10 * b1 + r20 * b2,
-                r01 * b0 + r11 * b1 + r21 * b2,
-                r02 * b0 + r12 * b1 + r22 * b2,
-            )
-        r += (
-            b0 + (w1 * p2 - w2 * p1),
-            b1 + (w2 * p0 - w0 * p2),
-            b2 + (w0 * p1 - w1 * p0),
-        )
+    r, rots = _end_residuals(model.group_model == SEMIDIRECT, qs, joints, v)
     lam_j = _matvec(k_inv, r)
     at_lam, _ = _back_substitute(model, joints, rots, lam_j, what, False)
-    return [a - b for a, b in zip(v, at_lam)]
+    return list(map(sub, v, at_lam))
 
 
 def solve_kkt(model, qs, v, t, *, multipliers=True):
@@ -501,9 +441,8 @@ def solve_kkt(model, qs, v, t, *, multipliers=True):
         return model.apply_mass_inverse(q), _NO_MULTIPLIERS
     factor = getattr(model, "ground_schur", None)
     if factor is not None:
-        solve = _solve_in_joint_frames if factor[3] is None else _solve_across_link
         u = model.apply_mass_inverse(q)
-        solved = solve(model, factor, qs, v, u, multipliers)
+        solved = _solve_in_joint_frames(model, factor, qs, v, u, multipliers)
         if solved is not None:
             return solved
 

@@ -331,9 +331,9 @@ def project(model, cmb, state, tol, max_iter):
     orthogonal projection of V onto the null space of the Jacobian. Both
     are least-norm corrections with W = I (SingularKkt on a Jacobian
     without full row rank, which spherical joints always have). A model
-    whose ``ground_schur`` and ``ground_grams`` factors are both not None
-    (every joint holds a body to the ground) makes both in joint frames,
-    in floats, with its constant ``ground_grams``
+    whose ``ground_grams`` factor is not None (every joint holds a body to
+    the ground) makes both in joint frames, in floats, with those constant
+    grams
     (:func:`~liembs.dynamics.ground_increment` and
     :func:`~liembs.dynamics.ground_velocity_projection`); any other model
     through :func:`least_norm` on its dense Jacobian. Returns
@@ -345,10 +345,7 @@ def project(model, cmb, state, tol, max_iter):
         return state, (0.0, 0.0)
     cmb = combo(cmb)
     qs = list(state.qs)
-    ground = (
-        getattr(model, "ground_schur", None) is not None
-        and model.ground_grams is not None
-    )
+    ground = getattr(model, "ground_grams", None) is not None
 
     for iteration in range(max_iter + 1):
         g = model.constraints(qs)

@@ -83,13 +83,13 @@ def _point_velocity(rot, p, vi, semidirect):
     return u0 + x0, u1 + x1, u2 + x2
 
 
-def _joint_frame_factor(rows, weight):
-    """(rcond, k_inv) of the joint-frame gram K = rows W rows^T, W the
-    weight: one eigh V diag(w) V^T gives its reciprocal condition, and
-    k_inv holds the rows of K^-1 = V diag(1/w) V^T as tuples of floats
-    when rcond passes the gate of 1e-12 and is None otherwise, so a
-    singular K divides by nothing and its solve raises."""
-    w, v, rcond = _eigh_rcond(rows @ weight @ rows.T)
+def _joint_frame_factor(gram):
+    """(rcond, k_inv) of a joint-frame gram K: one eigh V diag(w) V^T gives
+    its reciprocal condition, and k_inv holds the rows of
+    K^-1 = V diag(1/w) V^T as tuples of floats when rcond passes the gate
+    of 1e-12 and is None otherwise, so a singular K divides by nothing and
+    its solve raises."""
+    w, v, rcond = _eigh_rcond(gram)
     k_inv = None
     if rcond >= _RCOND_LIMIT:
         k_inv = tuple(map(tuple, ((v / w) @ v.T).tolist()))
@@ -171,18 +171,15 @@ class SphericalJointSystem:
     solve in numpy, are closed-form float expressions per joint over R's
     nine entries, and build each output with one array conversion.
     ``point_velocities`` gives A V in the same floats, for the residuals.
-    ``ground_schur`` and ``ground_grams`` are the constant factors of the
-    Schur complement and of the projection grams, built once here. When
-    every joint holds a body to the ground both are set (see
-    ``_ground_factors``), and the constrained solve and the projection need
-    neither the Jacobian nor an eigendecomposition per step. When one joint
-    joins two bodies, the second of which no other joint holds, and one or
-    more other joints each hold a body to the ground (``two_body_chain``),
-    only ``ground_schur`` is set: the ground joints' block condensed once,
-    with the constants of the one 3x3 pivot the stage solve forms from the
-    two bodies' relative rotation and the bound that gates it (see
-    ``_link_factor``); such a system projects through its Jacobian. Any
-    other system gets None for both and takes the dense paths.
+    ``ground_schur`` and ``ground_grams`` are the constant joint-frame
+    factors of the Schur complement and of the projection grams, built once
+    by ``_joint_frame_factors``. ``ground_schur`` is set when every joint
+    holds a body to the ground, or when one joint, the link, joins two
+    bodies, the second of which no other joint holds, and the others each
+    hold a body to the ground (``two_body_chain``); a stage then solves
+    with no Jacobian, curvature kernel or eigendecomposition. Only a
+    system with no link gets ``ground_grams`` and projects in joint frames
+    too. Any other system gets None for both and takes the dense paths.
     """
 
     def __init__(self, bodies, joints, group_model):
@@ -251,123 +248,114 @@ class SphericalJointSystem:
             (1.0 / p.mass, *(1.0 / t for t in p.inertia)) for p in self.bodies
         ]
         self._weights = [tuple(p.mass * g for g in p.gravity) for p in self.bodies]
-        self.ground_schur = self.ground_grams = None
-        points = self._joint_points
-        links = [j for j, joint in enumerate(points) if joint[2] is not None]
-        if joints and not links:
-            self.ground_schur, self.ground_grams = self._ground_factors()
-        elif len(links) == 1 and len(joints) > 1:
-            self.ground_schur = self._link_factor(links[0])
+        self.ground_schur, self.ground_grams = self._joint_frame_factors()
 
-    def _end_rows(self):
-        """Per joint the rows [-hat(p)  I] at the twist of its body a, p the
-        joint's point on a: body a's part of A is F rows in body-fixed
-        twists, F = blockdiag(R_a per joint)."""
-        rows = np.zeros((self.n_constraints, 6 * self.n_bodies))
-        for j, (a, p, _, _) in enumerate(self._joint_points):
-            rows[3 * j : 3 * j + 3, 6 * a : 6 * a + 3] = -hat(p)
-            rows[3 * j : 3 * j + 3, 6 * a + 3 : 6 * a + 6] = np.eye(3)
-        return rows
-
-    def _ground_factors(self):
-        """(ground_schur, ground_grams) when every joint holds a body to the
-        ground: ground_schur = (joints, rcond, k_inv, None) is the constant
-        factor of the Schur complement, ground_grams those of the projection
-        grams.
+    def _joint_frame_factors(self):
+        """(ground_schur, ground_grams): the constant factors of the Schur
+        complement and of the projection grams in joint frames, None for a
+        system that has none.
 
         Joint j at body point p of body a has the Jacobian R_a [-hat(p), I]
-        in body-fixed twists and [-R_a hat(p), I] in mixed ones, so for a
-        weight W whose translational blocks are multiples of I (M^-1 in
-        mixed twists, where they are I / m, and any diagonal W = D^2),
-        A W A^T = F K F^T with F = blockdiag(R_a per joint) and K constant:
-        its (j, k) block is [-hat(p_j), I] W_a [-hat(p_k), I]^T when both
-        joints hold body a (W_a its block of W), and zero otherwise. joints
-        holds per joint (6 a, p), the offset of body a's twist and p as
-        floats; rcond and k_inv are those of :func:`_joint_frame_factor`
-        for W = M^-1. ground_grams maps each combo's chart_scale c to the
-        factor for W = diag(1/c^2): the chart-scaled Gauss-Newton gram of
-        the projection, and for c = 1 its velocity gram A A^T."""
-        rows = self._end_rows()
-        joints = tuple((6 * a, p) for a, p, _, _ in self._joint_points)
-        schur = (joints, *_joint_frame_factor(rows, self.mass_inverse), None)
-        return schur, {
-            scale: _joint_frame_factor(
-                rows, np.diag(np.tile(scale, self.n_bodies) ** -2.0)
-            )
-            for scale in {c.chart_scale for c in COMBOS.values()}
-        }
+        in body-fixed twists and [-R_a hat(p), I] in mixed ones at its a
+        end, so for a weight W whose translational blocks are multiples of
+        I (M^-1 in mixed twists, where they are I / m, and any diagonal
+        W = D^2) the a ends give A W A^T = F K F^T with F = blockdiag(R_a
+        per joint) and K constant: its (j, k) block is [-hat(p_j), I] W_a
+        [-hat(p_k), I]^T when both joints hold body a (W_a its block of W),
+        and zero otherwise. ground_schur is (joints, rcond, k_inv, link):
+        joints holds per joint (6 a, p), the offset of body a's twist and p
+        as floats, and rcond and k_inv are the :func:`_joint_frame_factor`
+        of K for W = M^-1 over the a ends of every joint but the link.
 
-    def _link_factor(self, i):
-        """ground_schur of a system whose one body-to-body joint, joint i,
-        holds a body b that no other joint holds, the one or more others
-        each holding a body to the ground; None when b carries another
-        joint, or when the ground joints' block fails its gate (then
-        A M^-1 A^T, which holds that block, fails too, and the dense solve
-        raises).
+        When every joint holds a body to the ground, link is None and
+        ground_grams maps each combo's chart_scale c to the factor for
+        W = diag(1/c^2): the chart-scaled Gauss-Newton gram of the
+        projection, and for c = 1 its velocity gram A A^T.
 
-        In joint frames, lam_j = R_a lam~_j with a the body of joint j's
-        first point, the Schur complement is K + blockdiag(0, Q G Q^T)
-        with Q = R_a^T R_b of joint i: K is the constant of
-        :meth:`_ground_factors` over every joint's a end, and
-        G = [-hat(p_b), I] W_b [-hat(p_b), I]^T is the constant of its b
-        end, p_b its point on b and W_b body b's block of M^-1. With c the
-        other joints, eliminating them leaves the one 3x3 pivot
-        T = T0 + Q G Q^T, T0 = K_ii - L K_ci, L = K_ic K_cc^-1.
-
-        The factor is (joints, rcond, k_inv, link): joints is every joint's
-        a end as in :meth:`_ground_factors`, rcond and k_inv those of K_cc,
-        and link = (i, 6 b, p_b, l_rows, l_cols, t0, g, gate) with the rows
-        of L and of L^T, T0's upper triangle (t00, t01, t02, t11, t12, t22)
-        and G's rows as floats. gate = (k_min, tr, scale) bounds the
-        reciprocal condition of the Schur complement from below, by
-        Ostrowski's theorem on [[I, 0], [L, I]] blockdiag(K_cc, T)
-        [[I, 0], [L, I]]^T, as min(k_min, 4 det T / tr^2) / scale: k_min is
-        K_cc's least eigenvalue, tr = tr T0 + tr G the trace of every T,
-        and scale = max(K_cc's largest eigenvalue, tr) kappa^2, kappa the
+        When one joint i, the link, joins body a to a body b that no other
+        joint holds, and one or more others each hold a body to the
+        ground, ground_grams is None and, in joint frames, the Schur
+        complement is K + blockdiag(0, Q G Q^T) with K over every joint's
+        a end, Q = R_a^T R_b of joint i and G = [-hat(p_b), I] W_b
+        [-hat(p_b), I]^T the constant of its b end, p_b its point on b.
+        With c the other joints, eliminating them leaves the one 3x3 pivot
+        T = T0 + Q G Q^T, T0 = K_ii - L K_ci, L = K_ic K_cc^-1. ground_schur
+        is None when K_cc fails its gate (then A M^-1 A^T, which holds that
+        block, fails too, and the dense solve raises). link = (i, 6 b, p_b,
+        l_rows, l_cols, t0, g, gate) holds the rows of L and of L^T, T0's
+        upper triangle (t00, t01, t02, t11, t12, t22) and G's rows as
+        floats. gate = (k_min, tr, scale, floor) bounds the reciprocal
+        condition of the Schur complement from below, by Ostrowski's
+        theorem on [[I, 0], [L, I]] blockdiag(K_cc, T) [[I, 0], [L, I]]^T,
+        as min(k_min, 4 det T / tr^2) / scale: k_min is K_cc's least
+        eigenvalue, tr = tr T0 + tr G the trace of every T, and
+        scale = max(K_cc's largest eigenvalue, tr) kappa^2, kappa the
         condition number of [[I, 0], [L, I]]. 4 det T / tr^2 and tr bound
-        T's least and largest eigenvalues. A stage is solved here when its
-        bound reaches floor: 1e-10, a hundred times the dense gate, plus a
-        bound on how far the rounding of the float M^-1 (its first-order
-        error W (I - M W)) and of forming A M^-1 A^T can move the ratio the
-        dense eigh reads, so that a stage solved here is one eigh passes.
-        For bodies whose mass blocks are well conditioned that term is near
-        1e-15; for a block near singular in floats it lifts the floor
-        above every bound, and the stages take the dense path."""
-        _, _, b, p_b = self._joint_points[i]
-        others = self._joint_points[:i] + self._joint_points[i + 1 :]
-        if any(b in (a, b2) for a, _, b2, _ in others):
-            return None
-        rows = self._end_rows()
-        c = [j for j in range(self.n_constraints) if j // 3 != i]
-        rcond, k_inv = _joint_frame_factor(rows[c], self.mass_inverse)
-        if k_inv is None:
-            return None
-        k = rows @ self.mass_inverse @ rows.T
-        v = slice(3 * i, 3 * i + 3)
-        k_cc, k_cv = k[np.ix_(c, c)], k[c, v]
-        l_rows = k_cv.T @ np.array(k_inv)
-        t0 = k[v, v] - l_rows @ k_cv
-        n = 6 * self.n_bodies
-        end = np.zeros((3, n))
-        end[:, 6 * b : 6 * b + 3] = -hat(p_b)
-        end[:, 6 * b + 3 : 6 * b + 6] = np.eye(3)
-        g = end @ self.mass_inverse @ end.T
-        w = np.linalg.eigvalsh(k_cc)
-        unit_lower = np.eye(len(c) + 3)
-        unit_lower[len(c) :, : len(c)] = l_rows
-        tr = float(np.trace(t0) + np.trace(g))
-        scale = max(float(w[-1]), tr) * float(np.linalg.cond(unit_lower)) ** 2
-        # How far the float M^-1, off by about W (I - M W), and the rounding
-        # of A W A^T can move the ratio the dense eigh reads, relative to
-        # its w_max: |A| is at most |ends| under 3x3 blocks of ones, and
-        # w_max at least the mean eigenvalue tr(K + G) / (3c + 3).
-        ends = np.abs(np.vstack([rows, end]))
-        w_inv = self.mass_inverse
-        err = np.abs(w_inv @ (np.eye(n) - self.mass_matrix @ w_inv))
-        err += n * np.finfo(float).eps * np.abs(w_inv)
-        spread = 18.0 * np.linalg.norm(ends @ err @ ends.T, 2) * (len(c) + 3)
-        floor = _PIVOT_LIMIT + float(spread / (np.trace(k) + np.trace(g)))
-        joints = tuple((6 * a, p) for a, p, _, _ in self._joint_points)
+        T's least and largest eigenvalues. A stage is solved in joint
+        frames when its bound reaches floor: 1e-10, a hundred times the
+        dense gate, plus a bound on how far the rounding of the float M^-1
+        (its first-order error W (I - M W)) and of forming A M^-1 A^T can
+        move the ratio the dense eigh reads, so that a stage solved there
+        is one eigh passes. For bodies whose mass blocks are well
+        conditioned that term is near 1e-15; for a block near singular in
+        floats it lifts the floor above every bound, and the stages take
+        the dense path.
+
+        Any other system (no joint, two or more links, a link alone or one
+        whose body b another joint holds) gets neither factor. The
+        products run with numpy's overflow and invalid-value warnings off:
+        a gram that overflows is not finite, and its gate rejects it."""
+        points = self._joint_points
+        links = [j for j, (_, _, b, _) in enumerate(points) if b is not None]
+        if not points or len(links) > 1 or len(links) == len(points):
+            return None, None
+        joints = tuple((6 * a, p) for a, p, _, _ in points)
+        # The rows [-hat(p)  I] at the twist of body a of each joint end
+        # (a, p): every joint's a end, then the link's b end.
+        ends = [(a, p) for a, p, _, _ in points] + [points[i][2:] for i in links]
+        rows = np.zeros((3 * len(ends), 6 * self.n_bodies))
+        for j, (a, p) in enumerate(ends):
+            rows[3 * j : 3 * j + 3, 6 * a : 6 * a + 6] = np.hstack([-hat(p), np.eye(3)])
+        m = 3 * len(points)
+        c = [j for j in range(m) if j // 3 not in links]
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = rows @ self.mass_inverse @ rows.T
+            k_cc = gram[np.ix_(c, c)]
+            rcond, k_inv = _joint_frame_factor(k_cc)
+            if not links:
+                return (joints, rcond, k_inv, None), {
+                    scale: _joint_frame_factor(
+                        rows @ np.diag(np.tile(scale, self.n_bodies) ** -2.0) @ rows.T
+                    )
+                    for scale in {cmb.chart_scale for cmb in COMBOS.values()}
+                }
+            (i,) = links
+            _, _, b, p_b = points[i]
+            if k_inv is None or any(a == b for a, _, _, _ in points):
+                return None, None
+            v = slice(3 * i, 3 * i + 3)
+            k_cv = gram[c, v]
+            l_rows = k_cv.T @ np.array(k_inv)
+            t0 = gram[v, v] - l_rows @ k_cv
+            g = gram[m:, m:]
+            w = np.linalg.eigvalsh(k_cc)
+            unit_lower = np.eye(len(c) + 3)
+            unit_lower[len(c) :, : len(c)] = l_rows
+            tr = float(np.trace(t0) + np.trace(g))
+            scale = max(float(w[-1]), tr) * float(np.linalg.cond(unit_lower)) ** 2
+            # How far the float M^-1, off by about W (I - M W), and the
+            # rounding of A W A^T can move the ratio the dense eigh reads,
+            # relative to its w_max: |A| is at most |rows| under 3x3 blocks
+            # of ones, and w_max at least the mean eigenvalue
+            # tr(K + G) / (3c + 3).
+            n = 6 * self.n_bodies
+            w_inv = self.mass_inverse
+            err = np.abs(w_inv @ (np.eye(n) - self.mass_matrix @ w_inv))
+            err += n * np.finfo(float).eps * np.abs(w_inv)
+            abs_rows = np.abs(rows)
+            spread = 18.0 * np.linalg.norm(abs_rows @ err @ abs_rows.T, 2)
+            spread *= len(c) + 3
+            floor = _PIVOT_LIMIT + float(spread / np.trace(gram))
         link = (
             i, 6 * b, p_b,
             tuple(map(tuple, l_rows.tolist())),
@@ -376,7 +364,7 @@ class SphericalJointSystem:
             tuple(map(tuple, g.tolist())),
             (float(w[0]), tr, scale, floor),
         )
-        return joints, rcond, k_inv, link
+        return (joints, rcond, k_inv, link), None
 
     def forces(self, qs, v, t):
         """Gyroscopic bias plus gravity, stacked over bodies.

@@ -248,6 +248,37 @@ def test_schur_solve_matches_dense_saddle_solve(monkeypatch, group):
                 assert float(np.max(np.abs(np.asarray(got) - want))) <= 1e-12 * scale
 
 
+
+@pytest.mark.parametrize("group", [SEMIDIRECT, DIRECT_PRODUCT])
+def test_a_link_ahead_of_two_ground_joints_matches_dense_saddle_solve(
+    monkeypatch, group
+):
+    # The link is joint 0, so its residual and multiplier lead r_c and
+    # lam_c; the ground joints hold bodies 0 and 2, so K_cc is block
+    # diagonal, and body 1 hangs from the link alone.
+    monkeypatch.setattr(liembs.dynamics, "least_norm", _no_dense_solve)
+    off = (0.0, 0.1, -0.2) if group == SEMIDIRECT else (0.0, 0.0, 0.0)
+    bodies = [
+        BodyParams(mass=1.2, inertia=(0.4, 0.5, 0.3), com_offset=off),
+        BodyParams(mass=0.7, inertia=(0.1, 0.2, 0.15), gravity=(0.3, 0.0, -9.81)),
+        BodyParams(mass=0.9, inertia=(0.2, 0.3, 0.25)),
+    ]
+    joints = [
+        (0, (0.0, 0.0, -0.3), 1, (0.1, 0.0, 0.25)),
+        (0, _PIN_A, None, (0.0, 0.0, 0.0)),
+        (2, _PIN_B, None, (0.5, 0.2, 0.1)),
+    ]
+    model = SphericalJointSystem(bodies, joints, group)
+    assert model.ground_schur[3][0] == 0
+    rng = np.random.default_rng(65)
+    for _ in range(20):
+        state = _random_quat_state(rng, model.n_bodies, v_scale=3.0)
+        vdot, lam = solve_kkt(model, state.qs, state.V.tolist(), state.t)
+        vdot_ref, lam_ref = oracles.dense_kkt_solve(model, state)
+        for got, want in ((vdot, vdot_ref), (lam, lam_ref)):
+            scale = float(np.max(np.abs(want)))
+            assert float(np.max(np.abs(np.asarray(got) - want))) <= 1e-12 * scale
+
 def test_the_pivot_bound_never_exceeds_the_schur_ratio():
     # Over random chains with masses and inertias from 1e-6 to 1e6, the
     # pivot's bound stays below eigh's w_min / w_max of the dense A M^-1 A^T
@@ -316,6 +347,30 @@ def test_a_chain_singular_in_floats_falls_back_to_the_dense_gate(group, link_bod
         with pytest.raises(SingularKkt, match=_SCHUR_GATE):
             solve_kkt(model, state.qs, state.V.tolist(), state.t)
 
+
+
+@pytest.mark.parametrize("group", [SEMIDIRECT, DIRECT_PRODUCT])
+def test_a_gram_that_overflows_builds_quietly_and_fails_the_gate(group):
+    # An inertia entry of 1e-307 and a 30 m arm overflow the joint-frame
+    # gram of that body's joint end. Both models build without a numpy
+    # warning (which pytest would raise), and the solve raises with the
+    # overflowed gram's reciprocal condition read as 0, not NaN. The
+    # chain's stage falls back to the dense least_norm, whose gram
+    # overflows at solve time; the CLI runs its steps under this errstate.
+    thin = BodyParams(mass=1.0, inertia=(1e-307, 1.0, 1.0))
+    upper = BodyParams(mass=1.0, inertia=(0.1, 0.1, 0.02))
+    arm = (0.0, 0.0, 30.0)
+    models = [
+        pinned_body(thin, arm, group_model=group),
+        two_body_chain(upper, thin, (*_HEAVY_LINK[:2], arm), group_model=group),
+    ]
+    zero = _SCHUR_GATE.replace(".*", r"0\.000e\+00")
+    for model in models:
+        n = model.n_bodies
+        state = make_state([identity_coords(QUAT_POS)] * n, np.zeros(6 * n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SingularKkt, match=zero):
+                solve_kkt(model, state.qs, state.V.tolist(), state.t)
 
 @pytest.mark.parametrize("group", [SEMIDIRECT, DIRECT_PRODUCT])
 def test_a_chain_between_the_gates_takes_the_dense_solve(monkeypatch, group):

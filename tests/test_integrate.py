@@ -355,7 +355,7 @@ def test_velocity_projection_rejects_an_ill_conditioned_jacobian():
         # Without the pendulum's constant factor, project takes the dense
         # path through this Jacobian.
         n_constraints = 6
-        ground_schur = None
+        ground_schur = ground_grams = None
 
         def __getattr__(self, name):
             return getattr(model, name)
@@ -398,7 +398,7 @@ class _Dense:
     """A model seen without its constant joint-frame factors, so that
     project takes the dense least_norm path through its Jacobian."""
 
-    ground_schur = None
+    ground_schur = ground_grams = None
 
     def __init__(self, model):
         self._model = model
