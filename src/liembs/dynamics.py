@@ -15,9 +15,9 @@ definite system
 
     (A M^-1 A^T) lambda = A M^-1 Q + adotv,    Vdot = M^-1 (Q - A^T lambda),
 
-solved in :func:`least_norm` (one eigendecomposition), which the
-projection of a system with a joint between two bodies reuses. Without
-constraints Vdot = M^-1 Q, which the model applies body by body in floats.
+solved in :func:`least_norm` (one eigendecomposition) when no
+joint-frame factor below serves. Without constraints Vdot = M^-1 Q, which
+the model applies body by body in floats.
 
 A joint's rows of A depend on the configuration only through the rotation
 R_a of the body at its first end, and of the body at its second, so the
@@ -54,14 +54,18 @@ other constrained system (two or more links, a link alone, or one whose
 body b another joint holds) takes the dense path through
 :func:`least_norm` at every stage.
 
-A ground-held system's projection grams factor the same way
-(``ground_grams``): A D^2 A^T = F K_c F^T for the diagonal
-D = diag(1 / chart_scale) of its Gauss-Newton step, and A A^T of its
-velocity stage is the case chart_scale = 1, so
-:func:`ground_increment` and :func:`ground_velocity_projection` share the
-solve's residual and back-substitution. A system with a link projects
-through :func:`least_norm`. The velocity residual |A V| of every model
-comes from its float ``point_velocities``, never from a Jacobian.
+The projection grams factor the same way (``ground_grams``, one per
+weight): the Gauss-Newton gram A D^2 A^T, D = diag(1 / chart_scale), and
+the velocity gram A A^T, the case chart_scale = 1, have the constant part
+K, and with a link L, T0 and G, of their own weight. The Schur solve,
+:func:`ground_increment` and :func:`ground_velocity_projection` share one
+multiplier solve, :func:`_joint_frame_solve`, and differ only in their
+residual r~: R_a^T (A u + adotv) for the stage, -R_a^T g_j for
+Gauss-Newton, where the link's b end has none of its own, and R_a^T A V
+for the velocity projection. A projection whose pivot fails its gate
+takes the dense path through :func:`least_norm`, as a stage does. The
+velocity residual |A V| of every model comes from its float
+``point_velocities``, never from a Jacobian.
 
 The joint-frame solve builds the world multipliers lam only for a caller
 that reads them: :func:`forward_dynamics`, through which every stage
@@ -92,7 +96,7 @@ attributes ``n_bodies``, ``group_model``, ``mass_matrix``, ``mass_inverse``
 and ``point_velocities(qs, V)`` (A V as a list of floats). The attribute
 ``ground_schur``, the factor above, and ``ground_grams`` are optional:
 each is read with a None default, and a model without them takes the
-dense paths. A model with ``ground_grams`` also has ``ground_schur``.
+dense paths.
 """
 
 import math
@@ -192,13 +196,16 @@ def least_norm(a, w_at, rhs, what):
     correction, on one eigh V diag(w) V^T of A W A^T. SingularKkt naming
     what when its reciprocal condition w_min / w_max is below 1e-12, or
     when rhs or lam is not finite; rhs is checked before the products, so a
-    non-finite entry meets no numpy arithmetic."""
-    w, v, rcond = _eigh_rcond(a @ w_at)
-    _require_rcond(rcond, what)
-    _require_finite_multipliers(rhs.tolist(), what)
-    lam = v @ ((rhs @ v) / w)
-    _require_finite_multipliers(lam.tolist(), what)
-    return w_at @ lam, lam
+    non-finite entry meets no numpy arithmetic. The products run with
+    numpy's overflow and invalid-value warnings off: a gram that overflows
+    is not finite, and the gate reads its reciprocal condition as 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, v, rcond = _eigh_rcond(a @ w_at)
+        _require_rcond(rcond, what)
+        _require_finite_multipliers(rhs.tolist(), what)
+        lam = v @ ((rhs @ v) / w)
+        _require_finite_multipliers(lam.tolist(), what)
+        return w_at @ lam, lam
 
 
 def _matvec(rows, x):
@@ -284,7 +291,7 @@ def _link_pivot(link, rot_a, rot_b):
     passes Sylvester's test with a finite determinant (NaN fails it), t_inv
     is None unless also bound reaches the factor's floor (1e-10 and a
     margin for the rounding of M^-1), and Q is given as its rows."""
-    (t00, t01, t02, t11, t12, t22), g, (k_min, tr, scale, floor) = link[5:]
+    (t00, t01, t02, t11, t12, t22), g, (k_min, tr, scale, floor) = link[3:]
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rot_a
     (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = rot_b
     (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = g
@@ -331,27 +338,25 @@ def _link_pivot(link, rot_a, rot_b):
     return bound, t_inv, q
 
 
-def _solve_in_joint_frames(model, factor, qs, v, u, multipliers):
-    """(Vdot, lam) from u = M^-1 Q and the model's joint-frame factor (see
-    ``SphericalJointSystem._joint_frame_factors``), or None when its link's
-    pivot fails its gate. Joint j's residual r~_j = R_a^T (A u + adotv)_j
-    at body a's end is u's point velocity there (:func:`_end_residuals`)
-    plus the curvature w x d, d = v + w x p for body-fixed twists and
-    w x p for mixed ones; the link joint i less Q e_b, e_b the same terms
-    at body b's end in R_b's frame and Q = R_a^T R_b. Without a link
-    lam~ = K^-1 r~; with one, c the other joints, lam~_i = T^-1 (r~_i -
+def _joint_frame_solve(model, factor, r, rots, what, world):
+    """(A^T lam, lam) with (A W A^T) lam = F r~ for the weight W of a
+    joint-frame factor (see ``SphericalJointSystem._joint_frame_factors``),
+    F = blockdiag(R_a), or None when its link's pivot fails its gate.
+
+    r holds three floats per end of the factor, every joint's a end and
+    then the link's b end, and rots their rotations. Without a link
+    lam~ = K^-1 r~. With one, c the other joints, r~_i = r_i - Q e_b with
+    e_b the link's b end entries and Q = R_a^T R_b, lam~_i = T^-1 (r~_i -
     L r~_c) and lam~_c = K_cc^-1 r~_c - L^T lam~_i, and body b's end takes
-    the force -Q^T lam~_i. Then Vdot = u - M^-1 A^T lam, and lam, the world
-    multipliers lam_j = R_a lam~_j, is None unless multipliers is true."""
-    joints, rcond, k_inv, link = factor
-    _require_rcond(rcond, _SCHUR)
-    semidirect = model.group_model == SEMIDIRECT
-    ends = joints if link is None else joints + (link[1:3],)
-    r, rots = _end_residuals(semidirect, qs, ends, u, v)
+    the force -Q^T lam~_i. A^T lam and lam are as :func:`_back_substitute`
+    gives them. SingularKkt naming what from the gate on K (K_cc with a
+    link) or on non-finite multipliers."""
+    ends, rcond, k_inv, link = factor
+    _require_rcond(rcond, what)
     if link is None:
         lam_j = _matvec(k_inv, r)
     else:
-        i, _, _, l_rows, l_cols = link[:5]
+        i, l_rows, l_cols = link[:3]
         _, t_inv, q = _link_pivot(link, rots[i], rots[-1])
         if t_inv is None:
             return None
@@ -377,49 +382,70 @@ def _solve_in_joint_frames(model, factor, qs, v, u, multipliers):
             -(q01 * l0 + q11 * l1 + q21 * l2),
             -(q02 * l0 + q12 * l1 + q22 * l2),
         )
-    at_lam, lam = _back_substitute(model, ends, rots, lam_j, _SCHUR, multipliers)
+    return _back_substitute(model, ends, rots, lam_j, what, world)
+
+
+def _solve_in_joint_frames(model, factor, qs, v, u, multipliers):
+    """(Vdot, lam) from u = M^-1 Q and the model's joint-frame factor of
+    A M^-1 A^T, or None when its link's pivot fails its gate: joint j's
+    residual R_a^T (A u + adotv)_j at body a's end is u's point velocity
+    there plus the curvature (:func:`_end_residuals`), and the link's b end
+    gives the same terms in R_b's frame; :func:`_joint_frame_solve` takes
+    them to A^T lam. Then Vdot = u - M^-1 A^T lam, and lam, the world
+    multipliers lam_j = R_a lam~_j, is None unless multipliers is true."""
+    semidirect = model.group_model == SEMIDIRECT
+    r, rots = _end_residuals(semidirect, qs, factor[0], u, v)
+    solved = _joint_frame_solve(model, factor, r, rots, _SCHUR, multipliers)
+    if solved is None:
+        return None
+    at_lam, lam = solved
     vdot = list(map(sub, u, model.apply_mass_inverse(at_lam)))
-    return vdot, None if lam is None else np.array(lam[: 3 * len(joints)])
+    return vdot, None if lam is None else np.array(lam[: model.n_constraints])
 
 
 def ground_increment(model, qs, g, chart_scale, what):
     """The Gauss-Newton increment dX = D A^T lam, (A D^2 A^T) lam = -g with
-    D = diag(1 / chart_scale), of a model whose every joint holds a body to
-    the ground, in joint frames: lam~ solves K lam~ = r~ with
-    r~_j = -R_a^T g_j and K the model's constant ``ground_grams`` factor
-    for chart_scale. g and the result are lists of floats. SingularKkt
-    naming what from the gate on K or on non-finite multipliers."""
-    joints = model.ground_schur[0]
-    rcond, k_inv = model.ground_grams[chart_scale]
-    _require_rcond(rcond, what)
-    rots = [alpha_map(qs[k // 6])[0].tolist() for k, _ in joints]
-    r = []
-    for i, ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)) in enumerate(rots):
-        g0, g1, g2 = g[3 * i : 3 * i + 3]
-        r += (
+    D = diag(1 / chart_scale), in joint frames with the model's
+    ``ground_grams`` factor for chart_scale: joint j's residual is
+    -R_a^T g_j, and a link's b end has none of its own. g and the result
+    are lists of floats; None when the factor is None or its link's pivot
+    fails its gate. SingularKkt naming what from the gate on K or on
+    non-finite multipliers."""
+    factor = model.ground_grams[chart_scale]
+    if factor is None:
+        return None
+    rots = [alpha_map(qs[k // 6])[0].tolist() for k, _ in factor[0]]
+    r = [0.0] * (3 * len(rots))
+    for j in range(0, len(g), 3):
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rots[j // 3]
+        g0, g1, g2 = g[j : j + 3]
+        r[j : j + 3] = (
             -(r00 * g0 + r10 * g1 + r20 * g2),
             -(r01 * g0 + r11 * g1 + r21 * g2),
             -(r02 * g0 + r12 * g1 + r22 * g2),
         )
-    lam_j = _matvec(k_inv, r)
-    at_lam, _ = _back_substitute(model, joints, rots, lam_j, what, False)
-    return [x / c for x, c in zip(at_lam, chart_scale * model.n_bodies)]
+    solved = _joint_frame_solve(model, factor, r, rots, what, False)
+    if solved is None:
+        return None
+    return [x / c for x, c in zip(solved[0], chart_scale * model.n_bodies)]
 
 
 def ground_velocity_projection(model, qs, v, what):
     """V - A^T lam with (A A^T) lam = A V, the orthogonal projection of the
-    twists v (a list of floats) onto the null space of A, for a model whose
-    every joint holds a body to the ground, in joint frames: lam~ solves
-    K lam~ = r~ with K the unit-scale ``ground_grams`` factor and
-    r~_j = R_a^T (A V)_j from :func:`_end_residuals`. SingularKkt naming
-    what from the gate on K or on non-finite multipliers."""
-    joints = model.ground_schur[0]
-    rcond, k_inv = model.ground_grams[_UNIT_SCALE]
-    _require_rcond(rcond, what)
-    r, rots = _end_residuals(model.group_model == SEMIDIRECT, qs, joints, v)
-    lam_j = _matvec(k_inv, r)
-    at_lam, _ = _back_substitute(model, joints, rots, lam_j, what, False)
-    return list(map(sub, v, at_lam))
+    twists v (a list of floats) onto the null space of A, in joint frames
+    with the model's unit-scale ``ground_grams`` factor: joint j's residual
+    is R_a^T (A V)_j from :func:`_end_residuals`. None when the factor is
+    None or its link's pivot fails its gate. SingularKkt naming what from
+    the gate on K or on non-finite multipliers."""
+    factor = model.ground_grams[_UNIT_SCALE]
+    if factor is None:
+        return None
+    semidirect = model.group_model == SEMIDIRECT
+    r, rots = _end_residuals(semidirect, qs, factor[0], v)
+    solved = _joint_frame_solve(model, factor, r, rots, what, False)
+    if solved is None:
+        return None
+    return list(map(sub, v, solved[0]))
 
 
 def solve_kkt(model, qs, v, t, *, multipliers=True):
@@ -447,11 +473,13 @@ def solve_kkt(model, qs, v, t, *, multipliers=True):
             return solved
 
     m_inv = model.mass_inverse
-    m_inv_q = m_inv @ q
     a = model.jacobian(qs)
-    rhs = a @ m_inv_q + model.adotv(qs, v)
-    correction, lam = least_norm(a, m_inv @ a.T, rhs, _SCHUR)
-    return (m_inv_q - correction).tolist(), lam
+    # As in least_norm: a product that overflows reaches its gates quietly.
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_inv_q = m_inv @ q
+        rhs = a @ m_inv_q + model.adotv(qs, v)
+        correction, lam = least_norm(a, m_inv @ a.T, rhs, _SCHUR)
+        return (m_inv_q - correction).tolist(), lam
 
 
 def forward_dynamics(model, qs, v, t):

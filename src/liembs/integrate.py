@@ -331,12 +331,13 @@ def project(model, cmb, state, tol, max_iter):
     orthogonal projection of V onto the null space of the Jacobian. Both
     are least-norm corrections with W = I (SingularKkt on a Jacobian
     without full row rank, which spherical joints always have). A model
-    whose ``ground_grams`` factor is not None (every joint holds a body to
-    the ground) makes both in joint frames, in floats, with those constant
-    grams
-    (:func:`~liembs.dynamics.ground_increment` and
-    :func:`~liembs.dynamics.ground_velocity_projection`); any other model
-    through :func:`least_norm` on its dense Jacobian. Returns
+    whose ``ground_grams`` is not None (every joint holds a body to the
+    ground, or one link joins a body that no other joint holds, as in the
+    two-body chain) makes both in joint frames, in floats, with those
+    constant factors (:func:`~liembs.dynamics.ground_increment` and
+    :func:`~liembs.dynamics.ground_velocity_projection`); a correction
+    whose link pivot fails its gate, and any other model, through
+    :func:`least_norm` on its dense Jacobian. Returns
     ``(state, (gnorm, gvnorm))``: the infinity norms of g at the final
     coordinates and of A V at the projected twists, bitwise what
     :func:`constraint_residuals` gives for that state.
@@ -345,7 +346,7 @@ def project(model, cmb, state, tol, max_iter):
         return state, (0.0, 0.0)
     cmb = combo(cmb)
     qs = list(state.qs)
-    ground = getattr(model, "ground_grams", None) is not None
+    joint_frames = getattr(model, "ground_grams", None) is not None
 
     for iteration in range(max_iter + 1):
         g = model.constraints(qs)
@@ -360,22 +361,25 @@ def project(model, cmb, state, tol, max_iter):
             )
         # To first order apply_lgt(cmb, q, dX) moves the constraint by
         # A dpsi(0) dX, and dpsi(0) is diagonal, the inverse of chart_scale.
-        if ground:
+        dx = None
+        if joint_frames:
             dx = ground_increment(model, qs, gs, cmb.chart_scale, _CHART_GRAM)
-        else:
+        if dx is None:
             a_chart = model.jacobian(qs) / np.tile(cmb.chart_scale, model.n_bodies)
             dx, _ = least_norm(a_chart, a_chart.T, -g, _CHART_GRAM)
             dx = dx.tolist()
         qs = apply_lgt_stacked(cmb, qs, dx)
 
-    if ground:
+    vs = None
+    if joint_frames:
         vs = ground_velocity_projection(model, qs, state.V.tolist(), _VELOCITY_GRAM)
-        v = np.array(vs)
-    else:
+    if vs is None:
         a = model.jacobian(qs)
         correction, _ = least_norm(a, a.T, a @ state.V, _VELOCITY_GRAM)
         v = state.V - correction
         vs = v.tolist()
+    else:
+        v = np.array(vs)
     gvnorm = _inf_norm(model.point_velocities(qs, vs))
     return MbsState(tuple(qs), v, state.t), (gnorm, gvnorm)
 

@@ -172,14 +172,14 @@ class SphericalJointSystem:
     nine entries, and build each output with one array conversion.
     ``point_velocities`` gives A V in the same floats, for the residuals.
     ``ground_schur`` and ``ground_grams`` are the constant joint-frame
-    factors of the Schur complement and of the projection grams, built once
-    by ``_joint_frame_factors``. ``ground_schur`` is set when every joint
-    holds a body to the ground, or when one joint, the link, joins two
-    bodies, the second of which no other joint holds, and the others each
-    hold a body to the ground (``two_body_chain``); a stage then solves
-    with no Jacobian, curvature kernel or eigendecomposition. Only a
-    system with no link gets ``ground_grams`` and projects in joint frames
-    too. Any other system gets None for both and takes the dense paths.
+    factors of the Schur complement and of the projection grams (one per
+    chart scale), built once by ``_joint_frame_factors``. A system gets
+    both when every joint holds a body to the ground, or when one joint,
+    the link, joins two bodies, the second of which no other joint holds,
+    and the others each hold a body to the ground (``two_body_chain``); a
+    stage and a projection then solve with no Jacobian, curvature kernel or
+    eigendecomposition. Any other system gets None for both and takes the
+    dense paths.
     """
 
     def __init__(self, bodies, joints, group_model):
@@ -248,91 +248,95 @@ class SphericalJointSystem:
             (1.0 / p.mass, *(1.0 / t for t in p.inertia)) for p in self.bodies
         ]
         self._weights = [tuple(p.mass * g for g in p.gravity) for p in self.bodies]
-        self.ground_schur, self.ground_grams = self._joint_frame_factors()
+        # The Schur complement's factor (W = M^-1) and, for a system that
+        # has it, one per projection gram: W = diag(1/c^2) for each combo's
+        # chart scale c, c = 1 being the velocity stage's A A^T.
+        self.ground_schur = self._joint_frame_factors(self.mass_inverse, self.mass_matrix)
+        self.ground_grams = None
+        if self.ground_schur is not None:
+            self.ground_grams = {}
+            for scale in {cmb.chart_scale for cmb in COMBOS.values()}:
+                d = np.tile(scale, self.n_bodies)
+                self.ground_grams[scale] = self._joint_frame_factors(
+                    np.diag(d**-2.0), np.diag(d**2.0)
+                )
 
-    def _joint_frame_factors(self):
-        """(ground_schur, ground_grams): the constant factors of the Schur
-        complement and of the projection grams in joint frames, None for a
+    def _joint_frame_factors(self, weight, inverse):
+        """The constant factor, in joint frames, of the gram A W A^T for the
+        weight W (weight, and inverse its inverse W^-1), or None for a
         system that has none.
 
         Joint j at body point p of body a has the Jacobian R_a [-hat(p), I]
         in body-fixed twists and [-R_a hat(p), I] in mixed ones at its a
         end, so for a weight W whose translational blocks are multiples of
-        I (M^-1 in mixed twists, where they are I / m, and any diagonal
-        W = D^2) the a ends give A W A^T = F K F^T with F = blockdiag(R_a
-        per joint) and K constant: its (j, k) block is [-hat(p_j), I] W_a
-        [-hat(p_k), I]^T when both joints hold body a (W_a its block of W),
-        and zero otherwise. ground_schur is (joints, rcond, k_inv, link):
-        joints holds per joint (6 a, p), the offset of body a's twist and p
-        as floats, and rcond and k_inv are the :func:`_joint_frame_factor`
-        of K for W = M^-1 over the a ends of every joint but the link.
-
-        When every joint holds a body to the ground, link is None and
-        ground_grams maps each combo's chart_scale c to the factor for
-        W = diag(1/c^2): the chart-scaled Gauss-Newton gram of the
-        projection, and for c = 1 its velocity gram A A^T.
+        I (M^-1 in mixed twists, where they are I / m, and any
+        W = diag(1/c^2) of a combo's chart scale c) the a ends give
+        A W A^T = F K F^T with F = blockdiag(R_a per joint) and K
+        constant: its (j, k) block is [-hat(p_j), I] W_a [-hat(p_k), I]^T
+        when both joints hold body a (W_a its block of W), and zero
+        otherwise. The factor is (ends, rcond, k_inv, link): ends holds per
+        joint end (6 k, p), the offset of its body k's twist and its point
+        p as floats, every joint's a end and then the link's b end, and
+        rcond and k_inv are the :func:`_joint_frame_factor` of K over the a
+        ends of every joint but the link. When every joint holds a body to
+        the ground, link is None.
 
         When one joint i, the link, joins body a to a body b that no other
         joint holds, and one or more others each hold a body to the
-        ground, ground_grams is None and, in joint frames, the Schur
-        complement is K + blockdiag(0, Q G Q^T) with K over every joint's
-        a end, Q = R_a^T R_b of joint i and G = [-hat(p_b), I] W_b
-        [-hat(p_b), I]^T the constant of its b end, p_b its point on b.
-        With c the other joints, eliminating them leaves the one 3x3 pivot
-        T = T0 + Q G Q^T, T0 = K_ii - L K_ci, L = K_ic K_cc^-1. ground_schur
-        is None when K_cc fails its gate (then A M^-1 A^T, which holds that
-        block, fails too, and the dense solve raises). link = (i, 6 b, p_b,
-        l_rows, l_cols, t0, g, gate) holds the rows of L and of L^T, T0's
-        upper triangle (t00, t01, t02, t11, t12, t22) and G's rows as
-        floats. gate = (k_min, tr, scale, floor) bounds the reciprocal
-        condition of the Schur complement from below, by Ostrowski's
-        theorem on [[I, 0], [L, I]] blockdiag(K_cc, T) [[I, 0], [L, I]]^T,
-        as min(k_min, 4 det T / tr^2) / scale: k_min is K_cc's least
-        eigenvalue, tr = tr T0 + tr G the trace of every T, and
-        scale = max(K_cc's largest eigenvalue, tr) kappa^2, kappa the
-        condition number of [[I, 0], [L, I]]. 4 det T / tr^2 and tr bound
-        T's least and largest eigenvalues. A stage is solved in joint
+        ground, the gram in joint frames is K + blockdiag(0, Q G Q^T) with
+        K over every joint's a end, Q = R_a^T R_b of joint i and
+        G = [-hat(p_b), I] W_b [-hat(p_b), I]^T the constant of its b end,
+        p_b its point on b. With c the other joints, eliminating them
+        leaves the one 3x3 pivot T = T0 + Q G Q^T, T0 = K_ii - L K_ci,
+        L = K_ic K_cc^-1. The factor is None when K_cc fails its gate (then
+        A W A^T, which holds that block, fails too, and the dense solve
+        raises). link = (i, l_rows, l_cols, t0, g, gate) holds the rows
+        of L and of L^T, T0's upper triangle (t00, t01, t02, t11,
+        t12, t22) and G's rows as floats. gate = (k_min, tr, scale, floor)
+        bounds the reciprocal condition of A W A^T from below, by
+        Ostrowski's theorem on [[I, 0], [L, I]] blockdiag(K_cc, T)
+        [[I, 0], [L, I]]^T, as min(k_min, 4 det T / tr^2) / scale: k_min
+        is K_cc's least eigenvalue, tr = tr T0 + tr G the trace of every
+        T, and scale = max(K_cc's largest eigenvalue, tr) kappa^2, kappa
+        the condition number of [[I, 0], [L, I]]. 4 det T / tr^2 and tr
+        bound T's least and largest eigenvalues. A solve runs in joint
         frames when its bound reaches floor: 1e-10, a hundred times the
-        dense gate, plus a bound on how far the rounding of the float M^-1
-        (its first-order error W (I - M W)) and of forming A M^-1 A^T can
-        move the ratio the dense eigh reads, so that a stage solved there
-        is one eigh passes. For bodies whose mass blocks are well
+        dense gate, plus a bound on how far the rounding of the float W
+        (its first-order error W (I - W^-1 W)) and of forming A W A^T can
+        move the ratio the dense eigh reads, so that a solve made there is
+        one eigh passes. For M^-1 of bodies whose mass blocks are well
         conditioned that term is near 1e-15; for a block near singular in
-        floats it lifts the floor above every bound, and the stages take
+        floats it lifts the floor above every bound, and the solves take
         the dense path.
 
         Any other system (no joint, two or more links, a link alone or one
-        whose body b another joint holds) gets neither factor. The
-        products run with numpy's overflow and invalid-value warnings off:
-        a gram that overflows is not finite, and its gate rejects it."""
+        whose body b another joint holds) has no factor. The products run
+        with numpy's overflow and invalid-value warnings off: a gram that
+        overflows is not finite, and its gate rejects it."""
         points = self._joint_points
         links = [j for j, (_, _, b, _) in enumerate(points) if b is not None]
         if not points or len(links) > 1 or len(links) == len(points):
-            return None, None
-        joints = tuple((6 * a, p) for a, p, _, _ in points)
+            return None
+        if links and any(a == points[links[0]][2] for a, _, _, _ in points):
+            return None
         # The rows [-hat(p)  I] at the twist of body a of each joint end
         # (a, p): every joint's a end, then the link's b end.
         ends = [(a, p) for a, p, _, _ in points] + [points[i][2:] for i in links]
+        offsets = tuple((6 * a, p) for a, p in ends)
         rows = np.zeros((3 * len(ends), 6 * self.n_bodies))
         for j, (a, p) in enumerate(ends):
             rows[3 * j : 3 * j + 3, 6 * a : 6 * a + 6] = np.hstack([-hat(p), np.eye(3)])
         m = 3 * len(points)
         c = [j for j in range(m) if j // 3 not in links]
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = rows @ self.mass_inverse @ rows.T
+            gram = rows @ weight @ rows.T
             k_cc = gram[np.ix_(c, c)]
             rcond, k_inv = _joint_frame_factor(k_cc)
             if not links:
-                return (joints, rcond, k_inv, None), {
-                    scale: _joint_frame_factor(
-                        rows @ np.diag(np.tile(scale, self.n_bodies) ** -2.0) @ rows.T
-                    )
-                    for scale in {cmb.chart_scale for cmb in COMBOS.values()}
-                }
+                return offsets, rcond, k_inv, None
+            if k_inv is None:
+                return None
             (i,) = links
-            _, _, b, p_b = points[i]
-            if k_inv is None or any(a == b for a, _, _, _ in points):
-                return None, None
             v = slice(3 * i, 3 * i + 3)
             k_cv = gram[c, v]
             l_rows = k_cv.T @ np.array(k_inv)
@@ -343,28 +347,27 @@ class SphericalJointSystem:
             unit_lower[len(c) :, : len(c)] = l_rows
             tr = float(np.trace(t0) + np.trace(g))
             scale = max(float(w[-1]), tr) * float(np.linalg.cond(unit_lower)) ** 2
-            # How far the float M^-1, off by about W (I - M W), and the
+            # How far the float W, off by about W (I - W^-1 W), and the
             # rounding of A W A^T can move the ratio the dense eigh reads,
             # relative to its w_max: |A| is at most |rows| under 3x3 blocks
             # of ones, and w_max at least the mean eigenvalue
             # tr(K + G) / (3c + 3).
             n = 6 * self.n_bodies
-            w_inv = self.mass_inverse
-            err = np.abs(w_inv @ (np.eye(n) - self.mass_matrix @ w_inv))
-            err += n * np.finfo(float).eps * np.abs(w_inv)
+            err = np.abs(weight @ (np.eye(n) - inverse @ weight))
+            err += n * np.finfo(float).eps * np.abs(weight)
             abs_rows = np.abs(rows)
             spread = 18.0 * np.linalg.norm(abs_rows @ err @ abs_rows.T, 2)
             spread *= len(c) + 3
             floor = _PIVOT_LIMIT + float(spread / np.trace(gram))
         link = (
-            i, 6 * b, p_b,
+            i,
             tuple(map(tuple, l_rows.tolist())),
             tuple(map(tuple, l_rows.T.tolist())),
             tuple(t0[np.triu_indices(3)].tolist()),
             tuple(map(tuple, g.tolist())),
             (float(w[0]), tr, scale, floor),
         )
-        return (joints, rcond, k_inv, link), None
+        return offsets, rcond, k_inv, link
 
     def forces(self, qs, v, t):
         """Gyroscopic bias plus gravity, stacked over bodies.

@@ -40,7 +40,6 @@ phi within 10% of either switch (mpmath, 80 random x per switch).
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -142,21 +141,33 @@ def trig_coefficients(phi):
     return alpha, beta, gamma
 
 
-def _bernoulli_terms(n_terms):
-    """|B_2n| / (2n)! for n = 1..n_terms, exact, from the Bernoulli recurrence."""
-    b = [Fraction(1)]
-    for m in range(1, 2 * n_terms + 1):
-        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
-    return [abs(b[2 * n]) / math.factorial(2 * n) for n in range(1, n_terms + 1)]
-
-
 # (1 - sinc(phi)) / phi**2 = sum_n (-1)**n phi**2n / (2n + 3)!, to phi**14;
 # (1 - gamma(phi)) / phi**2 = f(phi) = sum_n |B_2n+2| / (2n + 2)! phi**2n, to
-# phi**16; (1/beta + gamma - 2) / phi**4 = f'(phi) / phi, to phi**14.
-_F_TERMS = _bernoulli_terms(9)
+# phi**16; (1/beta + gamma - 2) / phi**4 = f'(phi) / phi, to phi**14. The
+# last two are the exact Bernoulli terms rounded once (tests/oracles.py
+# recomputes them).
 _DEXP_QUAD_SERIES = tuple((-1) ** n / math.factorial(2 * n + 3) for n in range(8))
-_DEXP_INV_QUAD_SERIES = tuple(map(float, _F_TERMS))
-_B_QUARTIC_SERIES = tuple(float(2 * n * f) for n, f in enumerate(_F_TERMS[1:], 1))
+_DEXP_INV_QUAD_SERIES = (
+    0.08333333333333333,
+    0.001388888888888889,
+    3.306878306878307e-05,
+    8.267195767195768e-07,
+    2.08767569878681e-08,
+    5.284190138687493e-10,
+    1.3382536530684679e-11,
+    3.3896802963225827e-13,
+    8.586062056277845e-15,
+)
+_B_QUARTIC_SERIES = (
+    0.002777777777777778,
+    0.00013227513227513228,
+    4.96031746031746e-06,
+    1.670140559029448e-07,
+    5.2841901386874934e-09,
+    1.6059043836821613e-10,
+    4.745552414851616e-12,
+    1.3737699290044552e-13,
+)
 
 
 def phi2_series(coefficients, phi2):

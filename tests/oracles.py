@@ -15,6 +15,7 @@ skew block top-left.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -537,3 +538,13 @@ def quat_norm_error(q):
         return math.nan
     a, b, c, d = q.rot.tolist()
     return abs(math.sqrt(a * a + b * b + c * c + d * d) - 1.0)
+
+
+def bernoulli_terms(n_terms):
+    """|B_2n| / (2n)! for n = 1..n_terms, exact, from the Bernoulli
+    recurrence: the terms of (1 - gamma(phi)) / phi**2 whose rounding
+    rotmaps stores as float literals."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * n_terms + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return [abs(b[2 * n]) / math.factorial(2 * n) for n in range(1, n_terms + 1)]

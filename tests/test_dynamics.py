@@ -1,5 +1,6 @@
 """Tests for the descriptor-form dynamics and local right-hand side."""
 
+import dataclasses
 import math
 import warnings
 
@@ -18,7 +19,7 @@ from liembs.dynamics import (
     solve_kkt,
 )
 from liembs.integrate import MUNTHE_KAAS_RK4, IntegratorConfig, integrate, project
-from liembs.lgt import QUAT_POS, alpha_map, apply_lgt, identity_coords, quat_pos
+from liembs.lgt import COMBOS, QUAT_POS, alpha_map, apply_lgt, identity_coords, quat_pos
 from liembs.models import (
     BodyParams,
     SphericalJointSystem,
@@ -321,6 +322,47 @@ def test_the_pivot_bound_never_exceeds_the_schur_ratio():
     assert checked >= 250 and 0 < accepted < checked
 
 
+@pytest.mark.parametrize(
+    "scale", sorted({cmb.chart_scale for cmb in COMBOS.values()})
+)
+def test_the_pivot_bound_never_exceeds_the_projection_gram_ratio(scale):
+    # The same for each projection weight W = diag(1/c^2), c the chart
+    # scale, against eigh of the dense A W A^T: over random chains whose
+    # joint arms run from 1e-3 to 1e7 m, the bound stays below the ratio up
+    # to the factor's margin, and a stage it accepts is one eigh accepts.
+    rng = np.random.default_rng(72)
+    body = BodyParams(mass=1.0, inertia=(0.1, 0.2, 0.3))
+    checked = accepted = 0
+    for k in range(200):
+        group = (SEMIDIRECT, DIRECT_PRODUCT)[k % 2]
+        off = 0.2 if group == SEMIDIRECT else 0.0
+        bodies = [
+            dataclasses.replace(body, com_offset=rng.uniform(-off, off, 3))
+            for _ in range(2)
+        ]
+        points = rng.uniform(-1.0, 1.0, (3, 3)) * 10.0 ** rng.uniform(-3.0, 7.0, (3, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = two_body_chain(*bodies, points, group_model=group)
+        factor = (model.ground_grams or {}).get(scale)
+        if factor is None:  # the ground joint's block fails its gate
+            continue
+        state = _random_quat_state(rng, 2)
+        a = model.jacobian(state.qs) / np.tile(scale, 2)
+        w = np.linalg.eigvalsh(a @ a.T)
+        ratio = float(w[0] / w[-1])
+        rot_a, rot_b = (alpha_map(q)[0].tolist() for q in state.qs)
+        link = factor[3]
+        bound, t_inv, _ = _link_pivot(link, rot_a, rot_b)
+        margin = link[-1][-1] - 1e-10
+        assert 0.0 < margin and bound <= ratio + margin, (k, bound, ratio, margin)
+        if t_inv is not None:
+            assert ratio >= 1e-12
+            accepted += 1
+        checked += 1
+    assert checked >= 150 and 0 < accepted < checked
+
+
 _HEAVY_LINK = ((0.0, 0.0, 0.3), (0.0, 0.0, -0.3), (0.0, 0.0, 0.25))
 
 
@@ -352,11 +394,10 @@ def test_a_chain_singular_in_floats_falls_back_to_the_dense_gate(group, link_bod
 @pytest.mark.parametrize("group", [SEMIDIRECT, DIRECT_PRODUCT])
 def test_a_gram_that_overflows_builds_quietly_and_fails_the_gate(group):
     # An inertia entry of 1e-307 and a 30 m arm overflow the joint-frame
-    # gram of that body's joint end. Both models build without a numpy
-    # warning (which pytest would raise), and the solve raises with the
-    # overflowed gram's reciprocal condition read as 0, not NaN. The
-    # chain's stage falls back to the dense least_norm, whose gram
-    # overflows at solve time; the CLI runs its steps under this errstate.
+    # gram of that body's joint end. Both models build and solve without a
+    # numpy warning, and the solve raises with the overflowed gram's
+    # reciprocal condition read as 0, not NaN. The chain's stage falls back
+    # to the dense least_norm, whose gram overflows at solve time.
     thin = BodyParams(mass=1.0, inertia=(1e-307, 1.0, 1.0))
     upper = BodyParams(mass=1.0, inertia=(0.1, 0.1, 0.02))
     arm = (0.0, 0.0, 30.0)
@@ -368,7 +409,8 @@ def test_a_gram_that_overflows_builds_quietly_and_fails_the_gate(group):
     for model in models:
         n = model.n_bodies
         state = make_state([identity_coords(QUAT_POS)] * n, np.zeros(6 * n))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(SingularKkt, match=zero):
                 solve_kkt(model, state.qs, state.V.tolist(), state.t)
 
@@ -457,17 +499,20 @@ def test_ground_held_solve_in_joint_frames_matches_dense_saddle_solve(group):
                 assert float(np.max(np.abs(np.asarray(got) - want))) <= 1e-12 * scale
 
 
-def test_only_a_system_held_to_the_ground_alone_gets_the_constant_factor():
-    # The projection grams are factored only for a system held to the
-    # ground alone. The chain's Schur complement gets a factor too, with a
+def test_only_a_ground_held_or_single_link_system_gets_the_constant_factors():
+    # A system held to the ground alone gets the Schur complement's factor
+    # and one per projection gram, and so does the chain, each with a
     # body-to-body part; a system whose body-to-body joint ends at a body
     # another joint holds, or with two such joints, gets none.
     params = BodyParams(mass=1.0, inertia=(0.1, 0.2, 0.3))
     assert free_rigid_body(params).ground_schur is None
     held = pinned_body(params, _PIN_A)
-    assert held.ground_schur[3] is None and held.ground_grams is not None
     chain = two_body_chain(params, params, (_PIN_A, (0.0, 0.0, -0.3), _PIN_B))
-    assert chain.ground_schur[3] is not None and chain.ground_grams is None
+    scales = {cmb.chart_scale for cmb in COMBOS.values()}
+    for model, has_link in ((held, False), (chain, True)):
+        assert set(model.ground_grams) == scales
+        for factor in (model.ground_schur, *model.ground_grams.values()):
+            assert (factor[3] is not None) == has_link
     link = (0, (0.0, 0.0, -0.3), 1, _PIN_B)
     for joints in (
         [(0, _PIN_A, None, _PIN_A), link, (1, _PIN_A, None, _PIN_B)],
@@ -526,7 +571,7 @@ def test_a_body_held_by_two_ground_joints_fails_the_projection_gates(group, seco
             [(0, _PIN_A, None, _PIN_A), (0, second, None, second)],
             group,
         )
-    assert all(k_inv is None for _, k_inv in model.ground_grams.values())
+    assert all(factor[2] is None for factor in model.ground_grams.values())
     state = make_state([identity_coords(QUAT_POS)], np.zeros(6))
     for cid in ("1a", "1d") if group == SEMIDIRECT else ("1b", "1c"):
         with pytest.raises(SingularKkt, match=r"velocity projection A A\^T"):

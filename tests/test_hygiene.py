@@ -3,10 +3,14 @@
 Each module of ``src/liembs`` is parsed with ``ast`` and must not keep a
 module-level import it never reads (a name listed in ``__all__`` counts as
 read), nor a private module-level function or class that neither it nor a
-sibling module importing the name references.
+sibling module importing the name references. The CLI's start-up must not
+import modules it has no use for.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,9 +53,10 @@ def _private_definitions(tree):
                 yield node.name
 
 
+_SRC = Path(__file__).resolve().parent.parent / "src"
 _TREES = {
     p.stem: ast.parse(p.read_text(), filename=str(p))
-    for p in (Path(__file__).resolve().parent.parent / "src" / "liembs").glob("*.py")
+    for p in (_SRC / "liembs").glob("*.py")
 }
 
 
@@ -75,3 +80,20 @@ def test_module_reads_every_import_and_private_definition(stem):
     used = read | _imported_from(stem)
     unused_private = [n for n in _private_definitions(tree) if n not in used]
     assert unused_private == [], f"{stem}: private definitions never used"
+
+
+def test_the_cli_starts_without_fractions_decimal_or_scipy():
+    # Each would add milliseconds to every CLI start; none is needed there.
+    code = (
+        "import liembs.cli; import sys; print(sorted(m for m in "
+        "('fractions', 'decimal', 'scipy') if m in sys.modules))"
+    )
+    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert proc.stdout == "[]\n"

@@ -1,11 +1,14 @@
 """Tests for the fixed-step integrators and the constraint projection."""
 
+import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import liembs.integrate
 from liembs import lgt
 from liembs.cli import load_scenario
 from liembs.dynamics import constraint_residuals, make_state, solve_kkt
@@ -444,35 +447,139 @@ def _shipped_pendulum(cid):
     return model, state
 
 
+# The rotation vectors of the two chain bodies' orientations.
+_CHAIN_POSE = ((0.4, -0.3, 0.2), (-0.7, 0.1, 0.5))
+
+
+def _posed_chain(cid, bodies, points):
+    """The two-body chain of the bodies and joint points, anchored at the
+    origin, at rest in the orientations _CHAIN_POSE, its positions solved
+    from its joints."""
+    model = two_body_chain(*bodies, points, group_model=combo(cid).group_model)
+    p_ground, p_link, p_b = (np.array(p) for p in points)
+    rots = [exp_so3(np.array(rho)) for rho in _CHAIN_POSE]
+    r0 = -rots[0] @ p_ground
+    positions = (r0, r0 + rots[0] @ p_link - rots[1] @ p_b)
+    qs = [
+        _initial_coords(
+            cid,
+            exp_sp1(np.array(rho)) if combo(cid).abs_kind == QUAT_POS else rho,
+            r,
+        )
+        for rho, r in zip(_CHAIN_POSE, positions)
+    ]
+    return model, make_state(qs, np.zeros(12))
+
+
+def _shipped_chain(cid):
+    """The shipped chain_swing model, posed as _posed_chain poses it."""
+    path = Path(__file__).resolve().parent.parent / "scenarios" / "chain_swing.json"
+    spec = json.loads(path.read_text())["model"]
+    bodies = [
+        BodyParams(mass=b["mass_kg"], inertia=b["inertia_kgm2"]) for b in spec["bodies"]
+    ]
+    model, state = _posed_chain(cid, bodies, spec["joint_points_m"])
+    shipped, _, _ = load_scenario(path).build(combo_id=cid)
+    assert model.ground_schur == shipped.ground_schur
+    return model, state
+
+
+_OFF_COM_CHAIN = (
+    BodyParams(mass=1.2, inertia=(0.4, 0.5, 0.3), com_offset=(0.0, 0.1, -0.2)),
+    BodyParams(mass=0.7, inertia=(0.1, 0.2, 0.15), com_offset=(-0.05, 0.1, 0.15)),
+)
+_OFF_COM_POINTS = ((0.1, 0.0, 0.3), (0.0, -0.1, -0.3), (0.05, 0.0, 0.25))
+_SEMIDIRECT_IDS = ("1a", "1d", "2a", "2d")
+
+
+def _count_dense_solves(monkeypatch):
+    """A list that gains an entry for each least_norm call of project."""
+    dense = liembs.integrate.least_norm
+    calls = []
+    monkeypatch.setattr(
+        liembs.integrate, "least_norm", lambda *args: calls.append(1) or dense(*args)
+    )
+    return calls
+
+
 @pytest.mark.parametrize(
     "system, cid",
     [("com_frame_pendulum", cid) for cid in COMBO_IDS]
-    + [("shipped_pendulum", cid) for cid in ("1a", "1d", "2a", "2d")]
-    + [("two_pinned_bodies", cid) for cid in COMBO_IDS],
+    + [("shipped_pendulum", cid) for cid in _SEMIDIRECT_IDS]
+    + [("two_pinned_bodies", cid) for cid in COMBO_IDS]
+    + [("shipped_chain", cid) for cid in COMBO_IDS]
+    + [("off_com_chain", cid) for cid in _SEMIDIRECT_IDS],
 )
-def test_the_joint_frame_projection_matches_the_dense_one(system, cid):
-    # Each body's position bumped off its pin and its twist bumped off the
-    # constraint, so that Gauss-Newton iterates in both paths.
+def test_the_joint_frame_projection_matches_the_dense_one(monkeypatch, system, cid):
+    # Each body's position bumped off its joints and its twist bumped off
+    # the constraint, so that Gauss-Newton iterates in both paths; the
+    # joint-frame one never reaches the dense least_norm.
     if system == "shipped_pendulum":
         model, state = _shipped_pendulum(cid)
+    elif system == "shipped_chain":
+        model, state = _shipped_chain(cid)
+    elif system == "off_com_chain":
+        model, state = _posed_chain(cid, _OFF_COM_CHAIN, _OFF_COM_POINTS)
     else:
         n_bodies = 2 if system == "two_pinned_bodies" else 1
         model, state = _held_to_the_ground(cid, n_bodies)
-    assert model.ground_schur is not None
+    assert model.ground_grams is not None
     rng = np.random.default_rng(29)
     qs = [
         type(q)(q.kind, q.rot, q.r + rng.uniform(-1e-3, 1e-3, 3)) for q in state.qs
     ]
     bad = make_state(qs, state.V + rng.uniform(-0.5, 0.5, state.V.size))
     assert constraint_residuals(model, bad)[0] > 1e-5
+    calls = _count_dense_solves(monkeypatch)
     got, _ = project(model, cid, bad, tol=1e-12, max_iter=10)
+    assert calls == []
     want, _ = project(_Dense(model), cid, bad, tol=1e-12, max_iter=10)
+    assert len(calls) >= 2  # a Gauss-Newton step and the velocity stage
 
     def coords(s):
         return np.concatenate([np.concatenate([q.rot, q.r]) for q in s.qs])
 
     for a, b in ((coords(got), coords(want)), (got.V, want.V)):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("cid", COMBO_IDS)
+def test_a_chain_between_the_gates_takes_the_dense_projection(monkeypatch, cid):
+    # A 100 km arm on the second body leaves A A^T a reciprocal condition
+    # near 5e-11: the pivot's bound sends the velocity stage to least_norm,
+    # whose eigh gate passes it, and the projection is the dense one's.
+    points = ((0.0, 0.0, 0.3), (0.0, 0.0, -0.3), (0.0, 0.0, 1e5))
+    model, state = _posed_chain(cid, _HELD_BODIES, points)
+    state = make_state(state.qs, np.random.default_rng(31).normal(size=12))
+    a = model.jacobian(state.qs)
+    w = np.linalg.eigvalsh(a @ a.T)
+    assert 1e-12 < w[0] / w[-1] < 1e-10
+    assert constraint_residuals(model, state)[0] < 1e-9
+    calls = _count_dense_solves(monkeypatch)
+    got, _ = project(model, cid, state, tol=1e-9, max_iter=3)
+    assert len(calls) == 1
+    want, _ = project(_Dense(model), cid, state, tol=1e-9, max_iter=3)
+    assert np.array_equal(got.V, want.V)
+
+
+@pytest.mark.parametrize("cid", COMBO_IDS)
+def test_a_projection_gram_that_overflows_fails_the_dense_gate_quietly(cid):
+    # A 1e160 m arm overflows the chain's velocity gram: its pivot fails,
+    # and the dense least_norm reads the overflowed A A^T's reciprocal
+    # condition as 0 without a numpy warning. The anchor far out keeps the
+    # posed joints met exactly, so only the velocity stage runs.
+    points = ((0.0, 0.0, 0.5), (0.0, 0.0, -0.5), (0.0, 0.0, 1e160))
+    model = two_body_chain(
+        *_HELD_BODIES, points, (0.0, 0.0, 1e160), combo(cid).group_model
+    )
+    qs = [_initial_coords(cid, r=(0.0, 0.0, z)) for z in (1e160, 0.0)]
+    state = make_state(qs, np.ones(12))
+    assert constraint_residuals(model, state)[0] == 0.0
+    zero = r"velocity projection A A\^T reciprocal condition 0\.000e\+00"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularKkt, match=zero):
+            project(model, cid, state, tol=1e-10, max_iter=3)
 
 
 def test_pendulum_residuals_stay_small_with_projection():

@@ -84,20 +84,24 @@ def test_dexp_inv_quad_matches_mpmath_across_series_switch():
 
 def test_series_tables_are_the_correctly_rounded_exact_terms():
     # Exact terms: (-1)**n / (2n + 3)! for (1 - sinc)/phi^2, f_n =
-    # |B_2n+2| / (2n + 2)! for f = (1 - gamma)/phi^2 from mpmath's Bernoulli
-    # fractions, and 2(n+1) f_(n+1) for the quartic f'(phi)/phi. float() of a
-    # Fraction is correctly rounded, so each entry must equal it exactly.
+    # |B_2n+2| / (2n + 2)! for f = (1 - gamma)/phi^2 from the Bernoulli
+    # recurrence, and 2(n+1) f_(n+1) for the quartic f'(phi)/phi. float() of
+    # a Fraction is correctly rounded, so each entry must equal it exactly.
+    sinc_terms = [Fraction((-1) ** n, math.factorial(2 * n + 3)) for n in range(8)]
+    assert rotmaps._DEXP_QUAD_SERIES == tuple(map(float, sinc_terms))
+    f = oracles.bernoulli_terms(9)
+    assert rotmaps._DEXP_INV_QUAD_SERIES == tuple(map(float, f))
+    quartic = [2 * (n + 1) * f[n + 1] for n in range(8)]
+    assert rotmaps._B_QUARTIC_SERIES == tuple(map(float, quartic))
+
+
+def test_the_bernoulli_recurrence_matches_mpmath():
     mpmath = pytest.importorskip("mpmath")
-    f = [
+    assert oracles.bernoulli_terms(9) == [
         abs(Fraction(*map(int, mpmath.bernfrac(2 * n + 2))))
         / math.factorial(2 * n + 2)
         for n in range(9)
     ]
-    sinc_terms = [Fraction((-1) ** n, math.factorial(2 * n + 3)) for n in range(8)]
-    assert rotmaps._DEXP_QUAD_SERIES == tuple(map(float, sinc_terms))
-    assert rotmaps._DEXP_INV_QUAD_SERIES == tuple(map(float, f))
-    quartic = [2 * (n + 1) * f[n + 1] for n in range(8)]
-    assert rotmaps._B_QUARTIC_SERIES == tuple(map(float, quartic))
 
 
 def test_dexp_quad_matches_mpmath_across_series_switch():
