@@ -75,20 +75,29 @@ The state derivative is then rewritten in the local chart coordinates of a
 transition-map combo:
 
     qdot  -> Xdot = dpsi_inv(-X) V   (per body)
-    Vdot  -> from the saddle system evaluated at q = apply_lgt(combo, q_k, X)
+    Vdot  -> from the saddle system evaluated at the pose alpha(q_k) psi(X)
 
-The model reads q only through its pose, so a stage builds q on the
-model's first read of a body, and not at all when the model reads none (a
-weightless free body). At X = 0, the first RK stage, q is q_k itself, whose
-poses the previous step has already built. The inverse differential enters
-only through its action on the twist: ``combo_dpsi_inv(combo, -X_i, V_i)``
-is a float expression per body, and no 6x6 matrix is formed during a step.
+which is the pose of apply_lgt(combo, q_k, X), the group element
+g_k exp(X) at which Munthe-Kaas evaluates an RK stage. The model reads a
+body only through its pose, so a stage hands it that pose alone:
+:func:`~liembs.lgt.lgt_poses` composes R_k exp(x) or R_k cay(c), and
+r_k + y or r_k + R_k t(y), in floats, on the model's first read of a body,
+and not at all when the model reads none (a weightless free body). A stage
+runs no transition map, so it cannot raise CompoundAnglePi; only the
+step's update of the configuration can. At X = 0, the first RK stage, q is
+q_k itself, whose poses the previous step has already built. The inverse
+differential enters only through its action on the twist:
+``combo_dpsi_inv(combo, -X_i, V_i)`` is a float expression per body, and
+no 6x6 matrix is formed during a step.
 
 A stage works on lists of Python floats. numpy enters only in the dense
 constrained solve, which converts Q once and returns Vdot with one tolist,
 and in the array of multipliers the joint-frame solve returns.
 
-Models are duck-typed; see :mod:`liembs.models` for the interface in use:
+Models are duck-typed; see :mod:`liembs.models` for the interface in use.
+A stage configuration acts as AbsCoords: reading ``kind``, ``rot`` or ``r``
+of one builds the stage's coordinates through one apply_lgt_stacked call,
+shared by every body. The model supplies
 attributes ``n_bodies``, ``group_model``, ``mass_matrix``, ``mass_inverse``
 (the inverse of ``mass_matrix``), ``n_constraints`` and methods
 ``forces(qs, V, t)`` and ``apply_mass_inverse(Q)`` (lists of floats),
@@ -112,6 +121,7 @@ from .lgt import (
     apply_lgt_stacked,
     combo,
     combo_dpsi_inv,
+    lgt_poses,
     require_compatible,
 )
 from .motiongroups import SEMIDIRECT
@@ -511,6 +521,36 @@ class _OnFirstRead(Sequence):
         return self._n
 
 
+class _StageCoords:
+    """One body's configuration at an RK stage. ``pose`` is composed by
+    :func:`~liembs.lgt.lgt_poses`; any other public attribute (``kind``,
+    ``rot``, ``r``) is read from the AbsCoords that coords, shared by the
+    stage's bodies, builds for all of them through one apply_lgt_stacked
+    call on the first such read."""
+
+    __slots__ = ("pose", "_coords", "_i")
+
+    def __init__(self, pose, coords, i):
+        self.pose, self._coords, self._i = pose, coords, i
+
+    def __getattr__(self, name):
+        # Reached only for names that are not slots.
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self._coords[self._i], name)
+
+
+def _stage_coords(cmb, qs_k, x):
+    """The configuration at the local coordinates x: one
+    :class:`_StageCoords` per body, their poses composed in one lgt_poses
+    call."""
+    coords = _OnFirstRead(lambda: apply_lgt_stacked(cmb, qs_k, x), len(qs_k))
+    return [
+        _StageCoords(pose, coords, i)
+        for i, pose in enumerate(lgt_poses(cmb, qs_k, x))
+    ]
+
+
 def local_rhs(model, cmb, qs_k, x, v, t):
     """Right-hand side of the local-coordinate state equations.
 
@@ -518,20 +558,21 @@ def local_rhs(model, cmb, qs_k, x, v, t):
     stacked local coordinates and v the stacked twists, both lists of 6N
     floats. Returns (Vdot, Xdot) as lists of floats, where
     Xdot_i = dpsi_inv(-x_i) V_i in the combo's chart and Vdot comes from
-    the saddle system at the reconstructed configuration
-    apply_lgt(cmb, qs_k, x). That configuration is qs_k itself when x is
-    zero, and otherwise is built by one apply_lgt_stacked call on the
-    model's first read of it, or never. A stage the model reads no
-    coordinate of therefore cannot raise from the transition map (such as
-    CompoundAnglePi near a composed angle of 2 pi); the step's own update
-    of the configuration still can.
+    the saddle system at the configuration whose pose is
+    compose(alpha_map(q_k), psi(x)) body by body. That configuration is
+    qs_k itself when x is zero. Otherwise its poses are composed in floats
+    by one lgt_poses call on the model's first read of a body, or never,
+    and its coordinates are built by one apply_lgt_stacked call only if
+    the model reads kind, rot or r of one. No stage of a model that reads
+    only poses runs the transition map, so none raises CompoundAnglePi;
+    the step's own update of the configuration still can.
     """
     cmb = combo(cmb)
     # The combo is its own label, formatted only if the check raises.
     require_compatible(cmb, cmb.abs_kind, cmb.group_model, model, qs_k)
     neg_x = [-c for c in x]
     if any(neg_x):
-        qs = _OnFirstRead(lambda: apply_lgt_stacked(cmb, qs_k, x), len(qs_k))
+        qs = _OnFirstRead(lambda: _stage_coords(cmb, qs_k, x), len(qs_k))
     else:
         qs = qs_k
     vdot = forward_dynamics(model, qs, v, t)

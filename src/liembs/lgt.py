@@ -26,7 +26,9 @@ from :mod:`liembs.motiongroups`, ``apply_lgt`` branches on its fields, and
 ``require_compatible`` checks a model and coordinates against it.
 
 The defining contract: for every combo, ``alpha_map(apply_lgt(combo, q, X))
-== compose(combo.group_model, alpha_map(q), combo.psi(X))``.
+== compose(combo.group_model, alpha_map(q), combo.psi(X))``. The right-hand
+side of that identity is what ``lgt_poses`` computes, in floats and with no
+coordinates built, for an RK stage, whose model reads only poses.
 """
 
 import math
@@ -51,11 +53,15 @@ from .motiongroups import (
 )
 from .rotmaps import (
     _floats,
+    _matrix,
     bch_so3,
     cay_so3,
+    cay_so3_entries,
     compose_axisangle_rodrigues,
     dexp_so3,
+    dexp_so3_entries,
     exp_so3,
+    exp_so3_entries,
     exp_sp1,
     quat_mul,
     quat_to_rotmat,
@@ -279,7 +285,7 @@ def apply_lgt(cmb, q, x):
         r_new = (r0 + y0, r1 + y1, r2 + y2)
     else:
         rot_map = dexp_so3(rot_local) if cmb.chart == "exp" else cay_so3(rot_local)
-        dr_body = se3_translation(cmb.chart, rot_map, (y0, y1, y2))
+        dr_body = se3_translation(cmb.chart, rot_map.ravel().tolist(), (y0, y1, y2))
         rot, r = alpha_map(q)
         r_new = transform_point(rot.tolist(), r.tolist(), dr_body)
     return AbsCoords(cmb.abs_kind, rot_new, np.array(r_new))
@@ -298,6 +304,54 @@ def apply_lgt_stacked(cmb, qs, x_stacked):
         apply_lgt(cmb, qi, x_stacked[6 * i : 6 * i + 6])
         for i, qi in enumerate(qs)
     ]
+
+
+def lgt_poses(cmb, qs, x_stacked):
+    """The poses alpha_map(apply_lgt(cmb, q_i, x_i)) of the bodies qs
+    advanced by the stacked local coordinates, composed in floats as
+    compose(group_model, alpha_map(q_i), psi(x_i)), with no coordinates
+    built: the rotation is R exp_so3(x) or R cay_so3(c), the position
+    r + y for mixed twists and r + R se3_translation(chart, ., y) for the
+    SE(3) charts, where (R, r) is q_i's pose. Returns a list of (R, r)
+    array pairs, R read-only. Since no transition map runs, none raises
+    CompoundAnglePi; the coordinates of the same x may, when apply_lgt
+    builds them.
+    """
+    cmb = combo(cmb)
+    x_stacked = _floats(x_stacked)
+    cay = cmb.chart == "cay"
+    semidirect = cmb.group_model == SEMIDIRECT
+    poses = []
+    for i, q in enumerate(qs):
+        x0, x1, x2, y0, y1, y2 = x_stacked[6 * i : 6 * i + 6]
+        x = (x0, x1, x2)
+        rot_map = cay_so3_entries(x) if cay else exp_so3_entries(x)
+        b00, b01, b02, b10, b11, b12, b20, b21, b22 = rot_map
+        rot, r = alpha_map(q)
+        rows = rot.tolist()
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
+        rot_new = _matrix((
+            a00 * b00 + a01 * b10 + a02 * b20,
+            a00 * b01 + a01 * b11 + a02 * b21,
+            a00 * b02 + a01 * b12 + a02 * b22,
+            a10 * b00 + a11 * b10 + a12 * b20,
+            a10 * b01 + a11 * b11 + a12 * b21,
+            a10 * b02 + a11 * b12 + a12 * b22,
+            a20 * b00 + a21 * b10 + a22 * b20,
+            a20 * b01 + a21 * b11 + a22 * b21,
+            a20 * b02 + a21 * b12 + a22 * b22,
+        ))
+        rot_new.flags.writeable = False
+        if semidirect:
+            if not cay:
+                rot_map = dexp_so3_entries(x)
+            dr_body = se3_translation(cmb.chart, rot_map, (y0, y1, y2))
+            r_new = transform_point(rows, r.tolist(), dr_body)
+        else:
+            r0, r1, r2 = r.tolist()
+            r_new = (r0 + y0, r1 + y1, r2 + y2)
+        poses.append((rot_new, np.array(r_new)))
+    return poses
 
 
 def combo_psi(cmb, x):

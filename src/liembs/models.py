@@ -155,6 +155,21 @@ def _mass_block(params, group_model):
     return out
 
 
+def _inverse_mass_block(params):
+    """Constant 6x6 inverse mass matrix of one body in closed form, the map
+    apply_mass_inverse applies: [[Tc^-1, -Tc^-1 S], [S Tc^-1, I/m -
+    S Tc^-1 S]] with Tc = Theta_c and S = hat(com_offset), which is zero,
+    leaving the diagonal, for mixed twists. The lower triangle mirrors the
+    upper, so the block is exactly symmetric."""
+    theta_inv = np.diag([1.0 / t for t in params.inertia])
+    sh = hat(params.com_offset)
+    out = np.zeros((6, 6))
+    out[:3, :3] = theta_inv
+    out[:3, 3:] = -theta_inv @ sh
+    out[3:, 3:] = np.eye(3) / params.mass - sh @ theta_inv @ sh
+    return np.triu(out) + np.triu(out, 1).T
+
+
 class SphericalJointSystem:
     """Rigid bodies under one group model, coupled by spherical joints.
 
@@ -173,7 +188,8 @@ class SphericalJointSystem:
     ``point_velocities`` gives A V in the same floats, for the residuals.
     ``ground_schur`` and ``ground_grams`` are the constant joint-frame
     factors of the Schur complement and of the projection grams (one per
-    chart scale), built once by ``_joint_frame_factors``. A system gets
+    chart scale of the combos on its group model), built once by
+    ``_joint_frame_factors``. A system gets
     both when every joint holds a body to the ground, or when one joint,
     the link, joins two bodies, the second of which no other joint holds,
     and the others each hold a body to the ground (``two_body_chain``); a
@@ -231,31 +247,32 @@ class SphericalJointSystem:
         self.mass_inverse = np.zeros((n, n))
         for i, params in enumerate(self.bodies):
             sl = slice(6 * i, 6 * i + 6)
-            block = _mass_block(params, group_model)
-            try:
-                inverse = np.linalg.inv(block)
-            except np.linalg.LinAlgError:
-                inverse = None
-            if inverse is None or not np.isfinite(inverse).all():
+            with np.errstate(over="ignore", invalid="ignore"):
+                inverse = _inverse_mass_block(params)
+            if not np.isfinite(inverse).all():
                 raise ValueError(
-                    f"body {i}: the mass matrix is singular in floating point "
-                    "or its inverse is not finite; check its mass, inertia "
-                    "and com_offset"
+                    f"body {i}: the mass matrix has an inverse that is not "
+                    "finite; check its mass, inertia and com_offset"
                 )
-            self.mass_matrix[sl, sl] = block
+            self.mass_matrix[sl, sl] = _mass_block(params, group_model)
             self.mass_inverse[sl, sl] = inverse
         self._reciprocals = [
             (1.0 / p.mass, *(1.0 / t for t in p.inertia)) for p in self.bodies
         ]
         self._weights = [tuple(p.mass * g for g in p.gravity) for p in self.bodies]
         # The Schur complement's factor (W = M^-1) and, for a system that
-        # has it, one per projection gram: W = diag(1/c^2) for each combo's
-        # chart scale c, c = 1 being the velocity stage's A A^T.
+        # has it, one per projection gram: W = diag(1/c^2) for the chart
+        # scale c of each combo on this group model, c = 1 being the
+        # velocity stage's A A^T. No other combo can run the model.
         self.ground_schur = self._joint_frame_factors(self.mass_inverse, self.mass_matrix)
         self.ground_grams = None
         if self.ground_schur is not None:
             self.ground_grams = {}
-            for scale in {cmb.chart_scale for cmb in COMBOS.values()}:
+            for scale in {
+                cmb.chart_scale
+                for cmb in COMBOS.values()
+                if cmb.group_model == group_model
+            }:
                 d = np.tile(scale, self.n_bodies)
                 self.ground_grams[scale] = self._joint_frame_factors(
                     np.diag(d**-2.0), np.diag(d**2.0)

@@ -40,9 +40,11 @@ import numpy as np
 from .rotmaps import (
     _b_quartic,
     _floats,
+    _matrix,
     cay_so3,
+    cay_so3_entries,
     dexp_inv_so3_coefficients,
-    dexp_so3,
+    dexp_so3_entries,
     exp_so3,
     so3_poly_action,
 )
@@ -74,11 +76,12 @@ def transform_point(rot, r, p):
 
 
 def se3_translation(chart, rot_map, y):
-    """The translation of :func:`exp_se3` (chart "exp", rot_map =
-    dexp_so3(x)) or of :func:`cay_se3` (chart "cay", rot_map = cay_so3(c))
-    at the linear part y, as three floats: rot_map y, plus y for Cayley.
-    The transition map moves a body by the same expression."""
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rot_map.tolist()
+    """The translation of :func:`exp_se3` (chart "exp", rot_map the entries
+    of dexp_so3(x)) or of :func:`cay_se3` (chart "cay", rot_map those of
+    cay_so3(c)) at the linear part y, as three floats: rot_map y, plus y for
+    Cayley; rot_map is the map's nine row-major floats. The transition map
+    and the poses it leads to move a body by the same expression."""
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = rot_map
     y0, y1, y2 = y
     t0 = m00 * y0 + m01 * y1 + m02 * y2
     t1 = m10 * y0 + m11 * y1 + m12 * y2
@@ -96,7 +99,7 @@ def exp_se3(xy):
     """
     xy = _floats(xy)
     x = xy[:3]
-    return exp_so3(x), np.array(se3_translation("exp", dexp_so3(x), xy[3:]))
+    return exp_so3(x), np.array(se3_translation("exp", dexp_so3_entries(x), xy[3:]))
 
 
 def dexp_inv_se3_action(xy, v):
@@ -146,8 +149,8 @@ def dexp_inv_se3(xy):
 def cay_se3(cd):
     """Cayley map on SE(3) in extended Rodrigues coordinates, as (R, r)."""
     cd = _floats(cd)
-    r = cay_so3(cd[:3])
-    return r, np.array(se3_translation("cay", r, cd[3:]))
+    entries = cay_so3_entries(cd[:3])
+    return _matrix(entries), np.array(se3_translation("cay", entries, cd[3:]))
 
 
 def dcay_inv_se3_action(cd, v):

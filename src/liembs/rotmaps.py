@@ -210,22 +210,30 @@ def _b_quartic(phi):
     return (1.0 / beta + gamma - 2.0) / (phi2 * phi2)
 
 
-def exp_so3(x):
-    """Exponential map: rotation matrix of the rotation vector x."""
-    x = _floats(x)
+def exp_so3_entries(x):
+    """Row-major entries of :func:`exp_so3` at the floats x, nine floats."""
     a, b, c = x
     phi = math.sqrt(a * a + b * b + c * c)
     s = sinc(0.5 * phi)
-    return _matrix(so3_poly_entries(x, math.cos(phi), sinc(phi), 0.5 * s * s))
+    return so3_poly_entries(x, math.cos(phi), sinc(phi), 0.5 * s * s)
+
+
+def exp_so3(x):
+    """Exponential map: rotation matrix of the rotation vector x."""
+    return _matrix(exp_so3_entries(_floats(x)))
+
+
+def dexp_so3_entries(x):
+    """Row-major entries of :func:`dexp_so3` at the floats x, nine floats."""
+    a, b, c = x
+    phi = math.sqrt(a * a + b * b + c * c)
+    s = sinc(0.5 * phi)
+    return so3_poly_entries(x, sinc(phi), 0.5 * s * s, _dexp_quad(phi))
 
 
 def dexp_so3(x):
     """Right-trivialized differential of :func:`exp_so3` as a 3x3 matrix."""
-    x = _floats(x)
-    a, b, c = x
-    phi = math.sqrt(a * a + b * b + c * c)
-    s = sinc(0.5 * phi)
-    return _matrix(so3_poly_entries(x, sinc(phi), 0.5 * s * s, _dexp_quad(phi)))
+    return _matrix(dexp_so3_entries(_floats(x)))
 
 
 def dexp_inv_so3_coefficients(x):
@@ -250,13 +258,17 @@ def dexp_inv_so3(x):
     return _matrix(so3_poly_entries(x, d, -0.5, quad))
 
 
-def cay_so3(c):
-    """Cayley map: rotation matrix of the Rodrigues vector c."""
-    c = _floats(c)
+def cay_so3_entries(c):
+    """Row-major entries of :func:`cay_so3` at the floats c, nine floats."""
     c0, c1, c2 = c
     phi2 = c0 * c0 + c1 * c1 + c2 * c2
     sigma = 2.0 / (1.0 + phi2)
-    return _matrix(so3_poly_entries(c, (1.0 - phi2) / (1.0 + phi2), sigma, sigma))
+    return so3_poly_entries(c, (1.0 - phi2) / (1.0 + phi2), sigma, sigma)
+
+
+def cay_so3(c):
+    """Cayley map: rotation matrix of the Rodrigues vector c."""
+    return _matrix(cay_so3_entries(_floats(c)))
 
 
 def dcay_inv_so3(c):

@@ -176,7 +176,10 @@ def test_body_the_model_rejects_exits_2_naming_it(tmp_path, capsys, body, key, v
 @pytest.mark.parametrize(
     "scenario, key, value, named",
     [
-        ("pendulum_pinned.json", "mass_kg", 1e300, "model: body 0: the mass matrix"),
+        (
+            "pendulum_pinned.json", "com_offset_m", [0.0, 0.0, -1e160],
+            "model: body 0: the mass matrix",
+        ),
         ("pendulum_pinned.json", "mass_kg", 1e-310, "model.bodies[0]: mass"),
         (
             "pendulum_pinned.json", "inertia_kgm2", [1e-310, 0.1, 0.06],
@@ -193,9 +196,9 @@ def test_a_mass_or_inertia_without_a_usable_inverse_exits_2_naming_it(
     tmp_path, capsys, scenario, key, value, named
 ):
     # A subnormal mass or inertia entry has a reciprocal that overflows, and
-    # at 1e300 kg the off-centre pendulum's mass matrix is singular in
-    # floats; each once reached the run as a chart or Schur failure (exit
-    # 4) or as numpy's "Singular matrix", which names no body.
+    # a centre of mass 1e160 m off the frame gives an inverse mass matrix
+    # that overflows; each once reached the run as a chart or Schur failure
+    # (exit 4) or as numpy's "Singular matrix", which names no body.
     doc = _load(scenario)
     doc["model"]["bodies"][0][key] = value
     path = _write(tmp_path, doc)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import types
 import warnings
 
 import numpy as np
@@ -19,7 +20,16 @@ from liembs.dynamics import (
     solve_kkt,
 )
 from liembs.integrate import MUNTHE_KAAS_RK4, IntegratorConfig, integrate, project
-from liembs.lgt import COMBOS, QUAT_POS, alpha_map, apply_lgt, identity_coords, quat_pos
+from liembs.lgt import (
+    COMBOS,
+    QUAT_POS,
+    alpha_map,
+    apply_lgt,
+    axis_angle_pos,
+    identity_coords,
+    lgt_poses,
+    quat_pos,
+)
 from liembs.models import (
     BodyParams,
     SphericalJointSystem,
@@ -330,11 +340,13 @@ def test_the_pivot_bound_never_exceeds_the_projection_gram_ratio(scale):
     # scale, against eigh of the dense A W A^T: over random chains whose
     # joint arms run from 1e-3 to 1e7 m, the bound stays below the ratio up
     # to the factor's margin, and a stage it accepts is one eigh accepts.
+    # Each chain is built on a group model whose combos use the scale.
+    groups = sorted({c.group_model for c in COMBOS.values() if c.chart_scale == scale})
     rng = np.random.default_rng(72)
     body = BodyParams(mass=1.0, inertia=(0.1, 0.2, 0.3))
     checked = accepted = 0
     for k in range(200):
-        group = (SEMIDIRECT, DIRECT_PRODUCT)[k % 2]
+        group = groups[k % len(groups)]
         off = 0.2 if group == SEMIDIRECT else 0.0
         bodies = [
             dataclasses.replace(body, com_offset=rng.uniform(-off, off, 3))
@@ -501,16 +513,26 @@ def test_ground_held_solve_in_joint_frames_matches_dense_saddle_solve(group):
 
 def test_only_a_ground_held_or_single_link_system_gets_the_constant_factors():
     # A system held to the ground alone gets the Schur complement's factor
-    # and one per projection gram, and so does the chain, each with a
-    # body-to-body part; a system whose body-to-body joint ends at a body
-    # another joint holds, or with two such joints, gets none.
+    # and one per projection gram of a combo on its group model, two in
+    # all, and so does the chain, each with a body-to-body part; a system
+    # whose body-to-body joint ends at a body another joint holds, or with
+    # two such joints, gets none.
     params = BodyParams(mass=1.0, inertia=(0.1, 0.2, 0.3))
     assert free_rigid_body(params).ground_schur is None
-    held = pinned_body(params, _PIN_A)
-    chain = two_body_chain(params, params, (_PIN_A, (0.0, 0.0, -0.3), _PIN_B))
-    scales = {cmb.chart_scale for cmb in COMBOS.values()}
-    for model, has_link in ((held, False), (chain, True)):
-        assert set(model.ground_grams) == scales
+    models = []
+    for group in (SEMIDIRECT, DIRECT_PRODUCT):
+        held = pinned_body(params, _PIN_A, group_model=group)
+        chain = two_body_chain(
+            params, params, (_PIN_A, (0.0, 0.0, -0.3), _PIN_B), group_model=group
+        )
+        models += ((held, False), (chain, True))
+    for model, has_link in models:
+        scales = {
+            cmb.chart_scale
+            for cmb in COMBOS.values()
+            if cmb.group_model == model.group_model
+        }
+        assert len(scales) == 2 and set(model.ground_grams) == scales
         for factor in (model.ground_schur, *model.ground_grams.values()):
             assert (factor[3] is not None) == has_link
     link = (0, (0.0, 0.0, -0.3), 1, _PIN_B)
@@ -671,6 +693,8 @@ def test_local_rhs_at_origin_exp_and_cay():
 
 
 def test_local_rhs_reconstructs_configuration():
+    # A stage evaluates the dynamics at the pose alpha(q0) psi(x), which
+    # lgt_poses composes (and tests/test_lgt.py ties to apply_lgt's pose).
     params = BodyParams(mass=1.0, inertia=(1.0, 2.0, 3.0))
     model = free_rigid_body(params, SEMIDIRECT)
     rng = np.random.default_rng(66)
@@ -678,9 +702,67 @@ def test_local_rhs_reconstructs_configuration():
     x = 0.1 * rng.normal(size=6)
     v = rng.normal(size=6)
     vdot, _ = local_rhs(model, "1a", [q0], x, v, 0.0)
-    q_now = apply_lgt("1a", q0, x)
-    want = forward_dynamics(model, [q_now], v.tolist(), 0.0)
+    (pose,) = lgt_poses("1a", [q0], x)
+    want = forward_dynamics(model, [types.SimpleNamespace(pose=pose)], v.tolist(), 0.0)
     assert np.array_equal(vdot, want)
+
+
+class _ReadsCoordinates:
+    """A stand-in model, the shipped one but for forces, which reads each
+    body's kind, rot and r, twice, and keeps what it read."""
+
+    def __init__(self, base):
+        self._base = base
+        self.read = []
+
+    def __getattr__(self, name):
+        return getattr(self._base, name)
+
+    def forces(self, qs, v, t):
+        for _ in range(2):
+            self.read.append([(q.kind, q.rot, q.r) for q in qs])
+        return self._base.forces(qs, v, t)
+
+
+@pytest.mark.parametrize("cid", ["1a", "2d"])
+def test_a_model_reading_coordinates_gets_apply_lgts_built_once_per_stage(
+    monkeypatch, cid
+):
+    # A duck-typed model may read a stage configuration's kind, rot and r:
+    # it gets the coordinates apply_lgt builds, through one
+    # apply_lgt_stacked call per stage with X != 0, however often it reads.
+    calls = []
+    stacked = liembs.dynamics.apply_lgt_stacked
+
+    def counted(cmb, qs, x):
+        calls.append(list(x))
+        return stacked(cmb, qs, x)
+
+    monkeypatch.setattr(liembs.dynamics, "apply_lgt_stacked", counted)
+    params = BodyParams(mass=1.0, inertia=(1.0, 2.0, 3.0))
+    model = _ReadsCoordinates(
+        SphericalJointSystem([params, params], [], SEMIDIRECT)
+    )
+    rng = np.random.default_rng(67)
+    kind = COMBOS[cid].abs_kind
+    qs = [_random_quat_state(rng).qs[0] for _ in range(2)]
+    if kind != QUAT_POS:
+        qs = [axis_angle_pos(oracles.random_vector(rng, 3.0), q.r) for q in qs]
+    x = (0.1 * rng.normal(size=12)).tolist()
+    v = rng.normal(size=12).tolist()
+    local_rhs(model, cid, qs, x, v, 0.0)
+    assert calls == [x]
+    first, second = model.read
+    for i, (got_kind, rot, r) in enumerate(first):
+        want = apply_lgt(cid, qs[i], x[6 * i : 6 * i + 6])
+        assert got_kind == kind
+        assert np.array_equal(rot, want.rot) and np.array_equal(r, want.r)
+        assert second[i][1] is rot and second[i][2] is r
+    # Stage 1 (X = 0) hands the model the step's own coordinates.
+    model.read.clear()
+    local_rhs(model, cid, qs, [0.0] * 12, v, 0.0)
+    assert len(calls) == 1
+    assert all(rot is q.rot for (_, rot, _), q in zip(model.read[0], qs))
 
 
 def test_local_rhs_variant_mismatch():

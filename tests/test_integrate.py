@@ -861,10 +861,11 @@ def test_each_pose_is_built_once(monkeypatch, cid, kernel):
     model, state, cfg = load_scenario(scenario).build(combo_id=cid, t_end=0.1)
     rec = integrate(model, cfg, state)
     assert len(rec) == 101
-    # Two bodies: the start pose once, then per step RK stages 2-4 and the
-    # new configuration, each posed once for every reader. Stage 1 reads
-    # the configuration the step starts from, posed by the step before.
-    assert len(calls) == 2 + 8 * 100
+    # Two bodies: the start pose once, then per step the new configuration,
+    # posed once for every reader. Stage 1 reads the configuration the step
+    # starts from, posed by the step before; stages 2-4 compose their poses
+    # from it in floats (lgt_poses), with neither kernel.
+    assert len(calls) == 2 + 2 * 100
 
     rot, _ = alpha_map(rec.final_state.qs[0])
     assert alpha_map(rec.final_state.qs[0])[0] is rot

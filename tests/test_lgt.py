@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liembs import InconsistentState, VariantMismatch
+from liembs import CompoundAnglePi, InconsistentState, VariantMismatch
 from liembs.lgt import (
     AXIS_ANGLE_POS,
     COMBO_IDS,
@@ -20,6 +20,7 @@ from liembs.lgt import (
     combo,
     combo_psi,
     identity_coords,
+    lgt_poses,
     quat_pos,
 )
 from liembs.motiongroups import (
@@ -402,6 +403,67 @@ def test_apply_lgt_stacked_is_blockwise():
         ref = apply_lgt(cmb, qs[i], x[6 * i : 6 * i + 6])
         assert np.array_equal(out.rot, ref.rot)
         assert np.array_equal(out.r, ref.r)
+
+
+def _vector_of_norm(rng, norm):
+    v = rng.normal(size=3)
+    return v * (norm / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("cid", COMBO_IDS)
+def test_lgt_poses_compose_the_pose_that_apply_lgt_reaches(cid):
+    # The pose a stage evaluates at is compose(G, alpha(q), psi(X)), the
+    # pose of apply_lgt(q, X), composed in floats. Draws: rotation
+    # increments up to 1e-12 short of pi, positions and displacements up
+    # to 1e3 m, and a quarter of the states within 1e-15..1e-3 of the pi
+    # wrap. Worst seen over 2000 draws per combo and three seeds: 2.2e-16
+    # in R against compose, 2.3e-15 against apply_lgt's R (its quaternion
+    # or BCH route rounds more), and 5.5e-16 in r per unit of
+    # max(1, |r|, |y|) against compose. The tolerances are about 4x those.
+    # The position is apply_lgt's own expression, so it agrees bitwise.
+    cmb = COMBOS[cid]
+    rng = np.random.default_rng(27)
+    compared = 0
+    for k in range(500):
+        if k % 4 == 0:
+            rot = _vector_of_norm(rng, math.pi - 10.0 ** rng.uniform(-15.0, -3.0))
+        else:
+            rot = oracles.random_vector(rng, math.pi)
+        r = _vector_of_norm(rng, 10.0 ** rng.uniform(-3.0, 3.0))
+        if cmb.abs_kind == QUAT_POS:
+            q = quat_pos(exp_sp1(rot), r)
+        else:
+            q = axis_angle_pos(rot, r)
+        x_rot = _vector_of_norm(rng, math.pi - 10.0 ** rng.uniform(-12.0, 0.4))
+        y = _vector_of_norm(rng, 10.0 ** rng.uniform(-3.0, 3.0))
+        x = np.concatenate([x_rot, y])
+        ((got_r, got_p),) = lgt_poses(cmb, [q], x)
+        assert not got_r.flags.writeable
+        scale = max(1.0, np.linalg.norm(r), np.linalg.norm(y))
+        want_r, want_p = compose(cmb.group_model, alpha_map(q), combo_psi(cmb, x))
+        np.testing.assert_allclose(got_r, want_r, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(got_p, want_p, rtol=0.0, atol=2e-15 * scale)
+        try:
+            coords = apply_lgt(cmb, q, x)
+        except CompoundAnglePi:  # the composed angle came near 2 pi
+            continue
+        lgt_r, lgt_p = alpha_map(coords)
+        np.testing.assert_allclose(got_r, lgt_r, rtol=0.0, atol=1e-14)
+        assert np.array_equal(got_p, lgt_p)
+        compared += 1
+    assert compared >= 450
+
+
+def test_lgt_poses_is_blockwise_and_builds_no_coordinates(monkeypatch):
+    rng = np.random.default_rng(52)
+    cmb = COMBOS["2d"]
+    qs = [_random_q(rng, AXIS_ANGLE_POS) for _ in range(3)]
+    x = rng.normal(size=18).tolist()
+    monkeypatch.setattr("liembs.lgt.AbsCoords", None)
+    poses = lgt_poses(cmb, qs, x)
+    for i, (rot, r) in enumerate(poses):
+        ((want_r, want_p),) = lgt_poses(cmb, [qs[i]], x[6 * i : 6 * i + 6])
+        assert np.array_equal(rot, want_r) and np.array_equal(r, want_p)
 
 
 def test_quat_norm_error_axis_angle_is_nan():

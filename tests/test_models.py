@@ -116,12 +116,30 @@ def test_joint_with_a_bad_body_index_is_rejected(joint):
 
 
 def test_a_mass_matrix_without_a_usable_inverse_names_its_body():
-    # At 1e300 kg the rotational block m hat(s)^T hat(s) swamps the inertia
-    # about the center of mass, and the 6x6 block is singular in floats.
+    # The closed-form inverse holds hat(s) Theta_c^-1 hat(s), which
+    # overflows for a center of mass 1e160 m off the frame.
     ok = BodyParams(mass=1.0, inertia=(0.1, 0.1, 0.02))
-    heavy = BodyParams(mass=1e300, inertia=(0.1, 0.1, 0.02), com_offset=(0, 0, -0.5))
+    far = BodyParams(mass=1.0, inertia=(0.1, 0.1, 0.02), com_offset=(0, 0, -1e160))
     with pytest.raises(ValueError, match="body 1: the mass matrix"):
-        SphericalJointSystem([ok, heavy], [], SEMIDIRECT)
+        SphericalJointSystem([ok, far], [], SEMIDIRECT)
+
+
+def test_the_mass_inverse_is_symmetric_and_applies_apply_mass_inverse():
+    # Heavy bodies with tiny inertia held 0.2 m off the centre of mass:
+    # np.linalg.inv of such a block was asymmetric by up to 7e-7 of its
+    # largest entry. The closed form is exactly symmetric and matches the
+    # map apply_mass_inverse applies to 2 ulp (4 allowed).
+    rng = np.random.default_rng(27)
+    for _ in range(300):
+        offset = rng.normal(size=3)
+        offset *= 0.2 / np.linalg.norm(offset)
+        params = BodyParams(5e5, 6e-6 * rng.uniform(0.5, 2.0, 3), offset)
+        model = SphericalJointSystem([params], [], SEMIDIRECT)
+        w = model.mass_inverse
+        assert np.array_equal(w, w.T)
+        cols = np.array([model.apply_mass_inverse(e) for e in np.eye(6).tolist()]).T
+        ulp = np.spacing(np.maximum(np.abs(w), np.abs(cols)))
+        assert np.all(np.abs(w - cols) <= 4.0 * ulp)
 
 
 def test_free_body_rejects_off_com_frame():

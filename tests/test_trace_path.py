@@ -20,6 +20,7 @@ import pytest
 
 import liembs.dynamics
 import liembs.integrate
+import liembs.lgt
 from liembs.cli import load_scenario
 from liembs.lgt import COMBO_IDS
 from liembs.models import SphericalJointSystem
@@ -180,26 +181,67 @@ def test_a_baseline_step_calls_forward_dynamics_4_times_and_poses_its_result_onc
 
 @pytest.mark.parametrize("cid", COMBO_IDS)
 @pytest.mark.parametrize(
-    "scenario, stage_builds",
+    "scenario, stage_poses",
     [("free_tumble.json", 0), ("chain_swing.json", 3)],
     ids=["weightless_free_body", "two_body_chain"],
 )
 def test_a_stage_builds_its_coordinates_only_when_the_model_reads_them(
-    monkeypatch, scenario, stage_builds, cid
+    monkeypatch, scenario, stage_poses, cid
 ):
     # Stage 1 (X = 0) reads the coordinates the step starts from; stages
-    # 2-4 build theirs on the model's first read, and the dynamics of a
-    # weightless free body read none. The step's update builds one set.
-    stage = {"apply_lgt_stacked": 0}
+    # 2-4 compose their poses on the model's first read, and the dynamics
+    # of a weightless free body read none. The shipped models read only
+    # poses, so no stage builds coordinates; the step's update builds one
+    # set.
+    stage = {"apply_lgt_stacked": 0, "lgt_poses": 0}
     update = {"apply_lgt_stacked": 0}
     _count(monkeypatch, stage, liembs.dynamics, "apply_lgt_stacked")
+    _count(monkeypatch, stage, liembs.dynamics, "lgt_poses")
     _count(monkeypatch, update, liembs.integrate, "apply_lgt_stacked")
     loaded = load_scenario(_ROOT / "scenarios" / scenario)
     model, state, cfg = loaded.build(combo_id=cid, t_end=_STEPS * loaded.h)
     liembs.integrate.integrate(model, cfg, state)
-    assert stage["apply_lgt_stacked"] == stage_builds * _STEPS
+    assert stage == {"apply_lgt_stacked": 0, "lgt_poses": stage_poses * _STEPS}
     if cfg.projection == "off":
         assert update["apply_lgt_stacked"] == _STEPS
+
+
+@pytest.mark.parametrize("cid", COMBO_IDS)
+def test_a_projected_chain_step_runs_apply_lgt_only_in_its_update_and_gauss_newton(
+    monkeypatch, cid
+):
+    # Each step's update moves every body once, and so does each
+    # Gauss-Newton iteration of the projection; no stage runs the
+    # transition map. A tolerance a few ulp above the residuals' rounding
+    # makes Gauss-Newton iterate within 100 steps on every combo.
+    counts = {"apply_lgt": 0, "ground_increment": 0}
+    in_rhs = []
+    _count(monkeypatch, counts, liembs.integrate, "ground_increment")
+    apply_lgt = liembs.lgt.apply_lgt
+    local_rhs = liembs.integrate.local_rhs
+
+    def counted(*args):
+        assert not in_rhs, "apply_lgt ran inside local_rhs"
+        counts["apply_lgt"] += 1
+        return apply_lgt(*args)
+
+    def marked(*args):
+        in_rhs.append(1)
+        try:
+            return local_rhs(*args)
+        finally:
+            in_rhs.pop()
+
+    monkeypatch.setattr(liembs.lgt, "apply_lgt", counted)
+    monkeypatch.setattr(liembs.integrate, "local_rhs", marked)
+    loaded = load_scenario(_ROOT / "scenarios" / "chain_swing.json")
+    model, state, cfg = loaded.build(combo_id=cid, t_end=0.1)
+    assert cfg.projection == "position+velocity"
+    cfg = dataclasses.replace(cfg, projection_tol=2e-15)
+    rec = liembs.integrate.integrate(model, cfg, state)
+    steps = len(rec) - 1
+    assert counts["ground_increment"] > 0
+    assert counts["apply_lgt"] == model.n_bodies * (steps + counts["ground_increment"])
 
 
 @pytest.mark.parametrize("cid", COMBO_IDS)
